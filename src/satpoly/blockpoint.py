@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from satpoly.errors import InputError
-from satpoly.rational import Rational, format_rational, parse_rational
+from satpoly.rational import Rational, format_rational, parse_int, parse_rational
 
 
 def flat_index(i: int, j: int, k: int, l: int, n: int) -> int:
@@ -126,7 +126,7 @@ class BlockPoint:
             raise InputError(f"bad block-point header: {lines[0]!r}")
         if expect_tag is not None and header[0] != expect_tag:
             raise InputError(f"expected {expect_tag!r} header, got {header[0]!r}")
-        m, n = int(header[1]), int(header[2])
+        m, n = (parse_int(header, k, "block-point header") for k in (1, 2))
         if len(lines) != 1 + 3 * m:
             raise InputError("wrong number of block-matrix lines")
         p = BlockPoint.zeros(m, n)

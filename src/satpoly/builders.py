@@ -122,11 +122,8 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
     return LinearSystem(nvars, eq_rows=eq_rows, nonneg=[True] * nvars)
 
 
-def _identity_cell_map(m: int, n: int):
-    def cell(i, j, k, l):
-        return (k, l)
-
-    return cell
+def _identity_cell_map(i, j, k, l):
+    return (k, l)
 
 
 def satp2_inequality_rows(
@@ -140,7 +137,7 @@ def satp2_inequality_rows(
     bounding a sum of four cell-triples by 3.
     """
     if cell_map is None:
-        cell_map = _identity_cell_map(m, n)
+        cell_map = _identity_cell_map
     nvars = 6 * m * n
     rows: list[tuple[list[Rational], Rational]] = []
     three = Fraction(3)

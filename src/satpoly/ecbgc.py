@@ -24,7 +24,7 @@ from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.errors import BudgetError, InputError, SubclassError
-from satpoly.rational import Rational
+from satpoly.rational import Rational, parse_int
 from satpoly.recognition import pair_balances_column, recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
 from satpoly.vertices import DEFAULT_CODE_BUDGET
@@ -84,13 +84,13 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
         if tokens[0] == "ecbgc":
             if len(tokens) != 3:
                 raise InputError(f"bad header: {line!r}")
-            header = (int(tokens[1]), int(tokens[2]))
+            header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
         elif tokens[0] == "edge":
             if header is None:
                 raise InputError("edge line before the header")
             if len(tokens) != 5 or tokens[3] != ":":
                 raise InputError(f"bad edge line: {line!r}")
-            i, j = int(tokens[1]), int(tokens[2])
+            i, j = (parse_int(tokens, k, "edge line") for k in (1, 2))
             flags = tokens[4]
             if len(flags) != 6 or any(ch not in "+-" for ch in flags):
                 raise InputError(f"expected six +/- flags: {line!r}")

@@ -4,9 +4,10 @@ A :class:`LinearSystem` holds equality rows, ``<=`` inequality rows, and a
 per-variable nonnegativity flag.  All arithmetic is over ``Fraction``;
 results satisfy their constraints exactly, with no tolerance anywhere.
 
-Rank computations use a certified fast path: rank over a prime field never
-exceeds the rational rank, so a full-rank answer mod p is already exact.
-Deficient answers fall back to fraction-free integer elimination.
+Rank and equation solving share one exact kernel: rows become sparse
+integer rows, and fraction-free elimination (Bareiss 1968, Edmonds 1967)
+reduces them into an echelon basis.  Only the back-substitution of a
+unique solution divides, in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-import numpy as np
-
 from satpoly.errors import InputError, InternalInvariantError
-from satpoly.rational import Rational, format_rational, parse_rational
-
-#: Primes below 2**31 so numpy int64 products never overflow.
-_RANK_PRIMES = (2147483647, 2147483629)
-
+from satpoly.rational import Rational, format_rational, parse_int, parse_rational
 
 @dataclass
 class LinearSystem:
@@ -111,7 +106,7 @@ class LinearSystem:
             tokens = line.split()
             kind = tokens[0]
             if kind == "vars":
-                var_count = int(tokens[1])
+                var_count = parse_int(tokens, 1, "'vars' header")
             elif kind == "nonneg":
                 nonneg = [t == "1" for t in tokens[1:]]
             elif kind in ("eq", "le"):
@@ -152,219 +147,115 @@ def _dot(coeffs: Sequence[Rational], point: Sequence[Rational]) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# Rank and unique solutions
+# Rank and unique solutions: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_int_matrix(rows: Sequence[Sequence[Rational]]) -> list[list[int]]:
-    """Clear denominators row by row; rank is unchanged by row scaling."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        ints = [int(f * scale) for f in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+def _int_row(values: Sequence[Rational]) -> dict[int, int]:
+    """Sparse primitive integer multiple of a rational row.
+
+    Zeros are dropped, denominators cleared and the content divided out;
+    scaling a row changes neither its span nor its solutions.
+    """
+    row = {j: v for j, v in enumerate(values) if v}
+    if row:
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
+        g = gcd(*row.values())
         if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+            row = {j: v // g for j, v in row.items()}
+    return row
 
 
-def _mod_rank(int_rows: list[list[int]], prime: int) -> int:
-    """Rank of an integer matrix over GF(prime), vectorized elimination."""
-    if not int_rows:
-        return 0
-    mat = np.array([[x % prime for x in row] for row in int_rows], dtype=np.int64)
-    n_rows, n_cols = mat.shape
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        pivots = np.nonzero(mat[r:, col])[0]
-        if pivots.size == 0:
-            continue
-        p = r + int(pivots[0])
-        if p != r:
-            mat[[r, p]] = mat[[p, r]]
-        inv = pow(int(mat[r, col]), prime - 2, prime)
-        mat[r, col:] = (mat[r, col:] * inv) % prime
-        rest = np.nonzero(mat[r + 1 :, col])[0]
-        if rest.size:
-            idx = rest + r + 1
-            factors = mat[idx, col][:, None]
-            mat[idx, col:] = (mat[idx, col:] - factors * mat[r, col:]) % prime
-        r += 1
-    return r
+def _reduce_into(basis: dict[int, dict[int, int]], row: dict[int, int]) -> Optional[int]:
+    """Add ``row`` to an echelon ``basis``; returns its pivot, None if dependent.
 
-
-def _bareiss_rank(int_rows: list[list[int]]) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    mat = [list(row) for row in int_rows if any(row)]
-    if not mat:
-        return 0
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank_ = 0
-    prev = 1
-    row = 0
-    for col in range(n_cols):
-        piv = None
-        for i in range(row, n_rows):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            mat[row], mat[piv] = mat[piv], mat[row]
-        pv = mat[row][col]
-        for i in range(row + 1, n_rows):
-            ci = mat[i][col]
-            ri, rp = mat[i], mat[row]
-            for j in range(col, n_cols):
-                ri[j] = (ri[j] * pv - ci * rp[j]) // prev
-        prev = pv
-        row += 1
-        rank_ += 1
-        if row == n_rows:
-            break
-    return rank_
+    ``basis`` maps each pivot column to a row whose lowest column it is.
+    The row's lowest column is eliminated fraction-free against the basis
+    row pivoting there, content divided out, until it is empty (a linear
+    combination of the basis) or its lowest column is new.
+    """
+    while row:
+        col = min(row)
+        pivot_row = basis.get(col)
+        if pivot_row is None:
+            basis[col] = row
+            return col
+        g = gcd(pivot_row[col], row[col])
+        a, b = pivot_row[col] // g, row[col] // g
+        new = {j: a * v for j, v in row.items()}
+        for j, v in pivot_row.items():
+            x = new.get(j, 0) - b * v
+            if x:
+                new[j] = x
+            else:
+                del new[j]
+        if new:
+            g = gcd(*new.values())
+            if g > 1:
+                new = {j: v // g for j, v in new.items()}
+        row = new
+    return None
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact rank of a list of rational row vectors.
-
-    Fast path: a full rank over GF(p) certifies the rational rank (the
-    modular rank is a lower bound).  Otherwise falls back to exact
-    fraction-free elimination.
-    """
-    rows = [r for r in rows]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise InputError("rank: rows of unequal length")
-    int_rows = _rows_to_int_matrix(rows)
-    bound = min(len(rows), width)
-    for prime in _RANK_PRIMES:
-        r_p = _mod_rank(int_rows, prime)
-        if r_p == bound:
-            return r_p
-    return _bareiss_rank(int_rows)
+    """Exact rank of a list of rational row vectors."""
+    rows = list(rows)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise InputError("rank: rows of unequal length")
+    return rank_at_most(rows, len(rows[0]) if rows else 0)
 
 
 def rank_at_most(rows: Sequence[Sequence[Rational]], cap: int) -> int:
     """Exact rank when it is known a priori that rank <= cap.
 
-    A modular rank equal to ``cap`` is then already the exact answer; used
-    by vertex/edge verification where geometry supplies the cap.
+    Elimination stops once ``cap`` independent rows are found; used by
+    vertex/edge verification where geometry supplies the cap.
     """
-    rows = list(rows)
-    if not rows:
-        return 0
-    int_rows = _rows_to_int_matrix(rows)
-    for prime in _RANK_PRIMES:
-        r_p = _mod_rank(int_rows, prime)
-        if r_p == cap or r_p == min(len(rows), len(rows[0])):
-            return r_p
-    return _bareiss_rank(int_rows)
+    basis: dict[int, dict[int, int]] = {}
+    # Shortest rows first: the unit rows of tight vertex systems then cancel
+    # their columns from longer rows without fill-in.
+    for row in sorted(map(_int_row, rows), key=len):
+        if len(basis) >= cap:
+            break
+        _reduce_into(basis, row)
+    return len(basis)
 
 
 def _solve_equalities(
-    rows: list[tuple[list[Rational], Rational]], var_count: int
+    rows: Sequence[tuple[Sequence[Rational], Rational]], var_count: int
 ) -> tuple[str, Optional[list[Rational]]]:
-    """Gaussian elimination over the rationals.
+    """Solve ``coeffs . x == rhs`` rows exactly.
 
-    Returns ("unique", x), ("underdetermined", None), or ("inconsistent", None).
+    The augmented rows are eliminated as integer rows (the right side is
+    column ``var_count``), then a unique solution is back-substituted in
+    ``Fraction``.  Returns ("unique", x), ("underdetermined", None), or
+    ("inconsistent", None).
     """
-    aug = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(var_count):
-        piv = None
-        for i in range(row, len(aug)):
-            if aug[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        if pv != 1:
-            aug[row] = [x / pv for x in aug[row]]
-        for i in range(len(aug)):
-            if i != row and aug[i][col]:
-                f = aug[i][col]
-                ri, rr = aug[i], aug[row]
-                for j in range(col, var_count + 1):
-                    if rr[j]:
-                        ri[j] -= f * rr[j]
-        pivots.append((row, col))
-        row += 1
-        if row == len(aug):
-            break
-    for i in range(row, len(aug)):
-        if aug[i][var_count] != 0:
+    basis: dict[int, dict[int, int]] = {}
+    for row in sorted((_int_row([*coeffs, rhs]) for coeffs, rhs in rows), key=len):
+        if _reduce_into(basis, row) == var_count:
             return "inconsistent", None
-    if len(pivots) < var_count:
+    if len(basis) < var_count:
         return "underdetermined", None
-    solution = [Fraction(0)] * var_count
-    for r, c in pivots:
-        solution[c] = aug[r][var_count]
+    solution: list[Rational] = [Fraction(0)] * var_count
+    for col in sorted(basis, reverse=True):
+        row = basis[col]
+        total = Fraction(row.get(var_count, 0))
+        for j, a in row.items():
+            if col < j < var_count:
+                total -= a * solution[j]
+        solution[col] = total / row[col]
     return "unique", solution
 
 
 def unique_solution(sys: LinearSystem) -> Optional[list[Rational]]:
     """Solve the equality rows of ``sys``; None unless exactly one solution.
 
-    Inequality rows and nonnegativity flags are ignored.  Single-variable
-    rows are substituted out first (tight vertex systems consist largely
-    of pinned coordinates), then the remaining core is eliminated densely.
+    Inequality rows and nonnegativity flags are ignored.
     """
-    n = sys.var_count
-    rows = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in sys.eq_rows]
-    pinned: dict[int, Fraction] = {}
-    changed = True
-    while changed:
-        changed = False
-        for coeffs, rhs in rows:
-            support = [v for v, c in enumerate(coeffs) if c]
-            if len(support) == 1:
-                v = support[0]
-                value = rhs / coeffs[v]
-                if v in pinned:
-                    if pinned[v] != value:
-                        return None
-                else:
-                    pinned[v] = value
-                    changed = True
-        if changed:
-            new_rows = []
-            for coeffs, rhs in rows:
-                for v, c in enumerate(coeffs):
-                    if c and v in pinned:
-                        rhs -= c * pinned[v]
-                        coeffs[v] = Fraction(0)
-                new_rows.append((coeffs, rhs))
-            rows = new_rows
-    live = sorted(set(range(n)) - set(pinned))
-    core = []
-    for coeffs, rhs in rows:
-        reduced = [coeffs[v] for v in live]
-        if any(reduced):
-            core.append((reduced, rhs))
-        elif rhs != 0:
-            return None
-    if live:
-        status, sol = _solve_equalities(core, len(live))
-        if status != "unique":
-            return None
-        for v, value in zip(live, sol):
-            pinned[v] = value
-    return [pinned[v] for v in range(n)]
+    status, solution = _solve_equalities(sys.eq_rows, sys.var_count)
+    return solution if status == "unique" else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence
+
+from satpoly.errors import InputError
 
 Rational = Fraction
 
@@ -20,17 +23,23 @@ def parse_rational(text: str) -> Rational:
     """Parse ``p`` or ``p/q`` into a canonical rational."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        from satpoly.errors import InputError
-
         raise InputError(f"not a rational literal: {text!r}")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            from satpoly.errors import InputError
-
             raise InputError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+def parse_int(tokens: Sequence[str], index: int, what: str) -> int:
+    """The integer ``tokens[index]``; a missing or malformed token is an InputError."""
+    if index >= len(tokens):
+        raise InputError(f"missing integer in {what}")
+    try:
+        return int(tokens[index])
+    except ValueError:
+        raise InputError(f"not an integer in {what}: {tokens[index]!r}") from None
 
 
 def format_rational(value: Rational) -> str:
@@ -39,10 +48,6 @@ def format_rational(value: Rational) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_vector(tokens: list[str]) -> list[Rational]:
-    return [parse_rational(t) for t in tokens]
 
 
 def format_vector(values) -> str:

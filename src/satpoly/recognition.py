@@ -524,7 +524,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
         wstar, ledger = construct_wstar(
             BlockPoint.from_flat(strengthened.point, m, n), c0
         )
-        _, q, _ = decompose(wstar, ledger)
+        decompose(wstar, ledger)  # checks the residual stays in the base system
         witness = compose_ledgers(ledger, pre).allones_preimage()
         if objective_value(c, code_to_point(witness)) != relaxed.value:
             raise InternalInvariantError("extracted witness misses the optimum")

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.errors import InputError
-from satpoly.rational import Rational
+from satpoly.rational import Rational, parse_int
 
 Literal = tuple[int, bool]  # (variable index 1..m, negated)
 
@@ -58,14 +58,14 @@ def parse_cnf3(text: str) -> Cnf3Formula:
             tokens = line.split()
             if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
                 raise InputError(f"bad problem line: {line!r}")
-            header = (int(tokens[2]), int(tokens[3]))
+            header = tuple(parse_int(tokens, k, "problem line") for k in (2, 3))
             continue
         if header is None:
             raise InputError("clause line before the problem line")
         tokens = line.split()
         if tokens[-1] != "0":
             raise InputError(f"clause line not terminated by 0: {line!r}")
-        lits = [int(t) for t in tokens[:-1]]
+        lits = [parse_int(tokens, k, "clause line") for k in range(len(tokens) - 1)]
         if len(lits) != 3 or any(l == 0 for l in lits):
             raise InputError(f"clause must have exactly 3 nonzero literals: {line!r}")
         triple = tuple((abs(l), l < 0) for l in lits)

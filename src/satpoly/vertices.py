@@ -16,12 +16,19 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from satpoly.blockpoint import BlockPoint
 from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
-from satpoly.linsys import LinearSystem, _solve_equalities, rank, rank_at_most
+from satpoly.linsys import (
+    LinearSystem,
+    _dot,
+    _int_row,
+    _reduce_into,
+    _solve_equalities,
+    rank,
+    rank_at_most,
+)
 from satpoly.rational import Rational
 
 DEFAULT_CODE_BUDGET = 10**6
@@ -148,9 +155,6 @@ class SkeletonGraph:
 
     codes: list[VertexCode]
     adjacency: list[list[bool]]
-
-    def degree(self, idx: int) -> int:
-        return sum(self.adjacency[idx])
 
     def diameter(self) -> int:
         """Exact diameter by BFS from every vertex."""
@@ -331,14 +335,6 @@ def is_edge(
     return rank_at_most(rows, sys.var_count - 1) == sys.var_count - 1
 
 
-def _dot(coeffs, point):
-    total = Fraction(0)
-    for c, x in zip(coeffs, point):
-        if c:
-            total += c * x
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive LP-vertex enumeration (tiny systems)
 # ---------------------------------------------------------------------------
@@ -375,54 +371,33 @@ def enumerate_lp_vertices(
     total = n_struct + n_slack
     zero = Fraction(0)
 
-    aug: list[list[int]] = []
-    for coeffs, r in sys.eq_rows:
-        aug.append(list(coeffs) + [zero] * n_slack + [r])
-    for idx, (coeffs, r) in enumerate(sys.ineq_rows):
-        row = list(coeffs) + [zero] * n_slack + [r]
-        row[n_struct + idx] = Fraction(1)
-        aug.append(row)
-    from satpoly.linsys import _rows_to_int_matrix
-
-    aug = _rows_to_int_matrix(aug)
-    rows = [r[:total] for r in aug]
-    rhs = [r[total] for r in aug]
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    n_eq = len(sys.eq_rows)
+    for idx, (coeffs, r) in enumerate([*sys.eq_rows, *sys.ineq_rows]):
+        slack = [0] * n_slack
+        if idx >= n_eq:
+            slack[idx - n_eq] = 1
+        row = _int_row([*coeffs, *slack, r])
+        rhs.append(row.pop(total, 0))
+        rows.append(row)
     n_rows = len(rows)
 
     sign_constrained = list(sys.nonneg) + [True] * n_slack
 
-    col_rows: list[list[tuple[int, int]]] = [
-        [(r, rows[r][v]) for r in range(n_rows) if rows[r][v]] for v in range(total)
-    ]
-    row_cols: list[list[int]] = [
-        [v for v in range(total) if rows[r][v]] for r in range(n_rows)
-    ]
+    col_vecs: list[dict[int, int]] = [{} for _ in range(total)]
+    for r, row in enumerate(rows):
+        for v, coef in row.items():
+            col_vecs[v][r] = coef
+    row_cols: list[list[int]] = [sorted(row) for row in rows]
     support_left = [len(row_cols[r]) for r in range(n_rows)]
     incl_count = [0] * n_rows
     status = [_UNDECIDED] * total
 
-    # Independence basis over included columns: integer vectors reduced
-    # against earlier pivots, fraction-free.
-    basis: list[tuple[int, list[int]]] = []
+    # Echelon basis of the included columns, as sparse vectors over rows.
+    basis: dict[int, dict[int, int]] = {}
 
-    def reduce_column(v: int):
-        vec = [0] * n_rows
-        for r, coef in col_rows[v]:
-            vec[r] = coef
-        for piv, bvec in basis:
-            f = vec[piv]
-            if f:
-                pb = bvec[piv]
-                vec = [a * pb - f * b for a, b in zip(vec, bvec)]
-                g = 0
-                for a in vec:
-                    g = gcd(g, a)
-                if g > 1:
-                    vec = [a // g for a in vec]
-        piv = next((r for r in range(n_rows) if vec[r]), None)
-        return (piv, vec) if piv is not None else None
-
-    # Undo log: ("status", v, old), ("support", r), ("incl", r), ("basis",)
+    # Undo log: ("status", v, old), ("support", r), ("incl", r), ("basis", pivot)
     trail: list[tuple] = []
 
     def set_status(v: int, new: int) -> None:
@@ -431,7 +406,7 @@ def enumerate_lp_vertices(
 
     def apply_exclude(v: int, queue: list) -> bool:
         set_status(v, _EXCLUDED)
-        for r, _ in col_rows[v]:
+        for r in col_vecs[v]:
             support_left[r] -= 1
             trail.append(("support", r))
             if incl_count[r] == 0:
@@ -442,24 +417,21 @@ def enumerate_lp_vertices(
                     u = next(
                         w for w in row_cols[r] if status[w] != _EXCLUDED
                     )
-                    coef = rows[r][u]
-                    value = Fraction(rhs[r], coef)
-                    if value == 0:
+                    if rhs[r] == 0:
                         queue.append((u, _EXCLUDED))
+                    elif sign_constrained[u] and (rhs[r] < 0) != (rows[r][u] < 0):
+                        return False  # the forced value rhs / coefficient is negative
                     else:
-                        if sign_constrained[u] and value < 0:
-                            return False
                         queue.append((u, _INCLUDED))
         return True
 
     def apply_include(v: int) -> bool:
-        red = reduce_column(v)
-        if red is None:
+        pivot = _reduce_into(basis, col_vecs[v])
+        if pivot is None:
             return False
-        basis.append(red)
-        trail.append(("basis",))
+        trail.append(("basis", pivot))
         set_status(v, _INCLUDED)
-        for r, _ in col_rows[v]:
+        for r in col_vecs[v]:
             incl_count[r] += 1
             trail.append(("incl", r))
         return True
@@ -489,7 +461,7 @@ def enumerate_lp_vertices(
             elif op[0] == "incl":
                 incl_count[op[1]] -= 1
             else:
-                basis.pop()
+                del basis[op[1]]
 
     free_ok = process([(v, _INCLUDED) for v in range(total) if not sign_constrained[v]])
     if not free_ok:
@@ -499,10 +471,7 @@ def enumerate_lp_vertices(
 
     def solve_leaf() -> None:
         cols = [v for v in range(total) if status[v] == _INCLUDED]
-        small = [
-            ([Fraction(rows[r][v]) for v in cols], Fraction(rhs[r]))
-            for r in range(n_rows)
-        ]
+        small = [([row.get(v, 0) for v in cols], b) for row, b in zip(rows, rhs)]
         result, sol = _solve_equalities(small, len(cols))
         if result != "unique":
             if result == "underdetermined":  # pragma: no cover - independence bug

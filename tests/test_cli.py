@@ -1,5 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from satpoly.cli import run
 from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
@@ -194,3 +200,40 @@ def test_input_error_exit_code(tmp_path):
     assert code == 2  # equal codes are invalid input
     code, _ = invoke("nonsense")
     assert code == 2
+
+
+SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"
+VERIFY = ["verify-vertex", "--system", "{a}", "--point", "{b}"]
+
+# Each case: CLI arguments with {a}/{b} standing for the input files, and
+# the texts of those files.
+MALFORMED_INTEGERS = {
+    "vars-missing": (VERIFY, ["vars\n", ""]),
+    "vars": (["enum-lp-vertices", "--system", "{a}"], ["vars x\n"]),
+    "point": (VERIFY, [SYSTEM_1X1, "point 1 x\n"]),
+    "objective": (["recognize", "satp", "--objective", "{a}"], ["objective x 1\n"]),
+    "p-cnf": (["reduce", "max3sat", "--cnf", "{a}"], ["p cnf 3 x\n1 2 3 0\n"]),
+    "literal": (["reduce", "max3sat", "--cnf", "{a}"], ["p cnf 3 1\n1 x 3 0\n"]),
+    "ecbgc": (["ecbgc", "solve", "--instance", "{a}"], ["ecbgc x 2\n"]),
+    "edge": (["ecbgc", "check", "--instance", "{a}"], ["ecbgc 1 1\nedge 1 y : ++++++\n"]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INTEGERS)
+def test_malformed_integer_fields_are_input_errors(tmp_path, case):
+    args, files = MALFORMED_INTEGERS[case]
+    paths = {}
+    for key, text in zip("ab", files):
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "satpoly.cli", *(arg.format(**paths) for arg in args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
