@@ -122,22 +122,13 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
     return LinearSystem(nvars, eq_rows=eq_rows, nonneg=[True] * nvars)
 
 
-def _identity_cell_map(i, j, k, l):
-    return (k, l)
+def satp2_inequality_rows(m: int, n: int) -> list[tuple[list[Rational], Rational]]:
+    """The O(m^2 n^2) strengthening rows.
 
-
-def satp2_inequality_rows(
-    m: int, n: int, cell_map=None
-) -> list[tuple[list[Rational], Rational]]:
-    """The O(m^2 n^2) strengthening rows, optionally under a renaming.
-
-    ``cell_map(i, j, k, l) -> (k', l')`` relocates each pattern cell; the
-    identity yields the canonical system.  For every ordered pair of block
-    rows ``i != k`` and block columns ``j != l`` two rows are emitted, each
-    bounding a sum of four cell-triples by 3.
+    For every ordered pair of block rows ``i != k`` and block columns
+    ``j != l`` two rows are emitted, each bounding a sum of four
+    cell-triples by 3.
     """
-    if cell_map is None:
-        cell_map = _identity_cell_map
     nvars = 6 * m * n
     rows: list[tuple[list[Rational], Rational]] = []
     three = Fraction(3)
@@ -146,8 +137,7 @@ def satp2_inequality_rows(
         row = [_ZERO] * nvars
         for (bi, bj), cells in parts:
             for k, l in cells:
-                kk, ll = cell_map(bi, bj, k, l)
-                row[flat_index(bi, bj, kk, ll, n)] += _ONE
+                row[flat_index(bi, bj, k, l, n)] += _ONE
         rows.append((row, three))
 
     for i in range(m):

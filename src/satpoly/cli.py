@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 negative decision (answer false, not colorable,
 not a vertex, not adjacent, LP not optimal), 2 input error, 3 budget or
-subclass refusal.  All rationals print as ``p/q``; identical invocations
-produce byte-identical output.
+subclass refusal, 4 internal error (a broken invariant: a bug, never an
+answer).  All rationals print as ``p/q``; identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_REFUSED = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -221,7 +223,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--polytope",
         required=True,
-        choices=["satp", "satp2", "bqp", "bqp-std", "met"],
+        choices=PolytopeId.KINDS,
     )
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
@@ -296,9 +298,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SatpolyError as exc:  # pragma: no cover - internal errors
+    except SatpolyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        raise
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
-from satpoly.errors import BudgetError, InputError, SubclassError
+from satpoly.errors import BudgetError, InputError, InternalInvariantError, SubclassError
 from satpoly.rational import Rational, parse_int
 from satpoly.recognition import pair_balances_column, recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
@@ -190,7 +190,7 @@ def objective_from_instance(
     for j in range(inst.v_count):
         a, b = pairs[j]
         if not pair_balances_column(c, j, a, b):  # pragma: no cover
-            raise InputError("zero balancing failed to balance a column")
+            raise InternalInvariantError("zero balancing failed to balance a column")
     return c
 
 
@@ -216,7 +216,7 @@ def solve_ecbgc(inst: EcbgcInstance) -> Optional[Coloring]:
         tuple(r + 1 for r in code.row), tuple(col + 1 for col in code.col)
     )
     if not coloring_is_valid(inst, coloring):  # pragma: no cover - theory guard
-        raise InputError("witness decoded to an invalid coloring")
+        raise InternalInvariantError("witness decoded to an invalid coloring")
     return coloring
 
 

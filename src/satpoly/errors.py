@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 CLI exit-code mapping: InputError -> 2, BudgetError / SubclassError -> 3,
-negative decisions are ordinary return values (exit 1 at the CLI), and
-InternalInvariantError signals an implementation bug, never bad input.
+InternalInvariantError (an implementation bug, never bad input) -> 4;
+negative decisions are ordinary return values (exit 1 at the CLI).
 """
 
 

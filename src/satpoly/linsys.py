@@ -63,19 +63,20 @@ class LinearSystem:
                 return False
         return True
 
-    def tight_rows(self, point: Sequence[Rational]) -> "LinearSystem":
-        """Equality system of all constraints active at ``point``.
+    def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
+        """Equality system of all constraints active at every one of ``points``.
 
-        Includes every equality row, every inequality row met with equality,
-        and a unit row for every nonnegative variable sitting at zero.
+        Includes every equality row, every inequality row met with equality
+        at each point, and a unit row for every nonnegative variable that
+        is zero at each point.
         """
         rows = [(list(c), r) for c, r in self.eq_rows]
         for coeffs, rhs in self.ineq_rows:
-            if _dot(coeffs, point) == rhs:
+            if all(_dot(coeffs, p) == rhs for p in points):
                 rows.append((list(coeffs), rhs))
         zero = Fraction(0)
         for v, flag in enumerate(self.nonneg):
-            if flag and point[v] == 0:
+            if flag and all(p[v] == 0 for p in points):
                 unit = [zero] * self.var_count
                 unit[v] = Fraction(1)
                 rows.append((unit, zero))
@@ -108,6 +109,8 @@ class LinearSystem:
             if kind == "vars":
                 var_count = parse_int(tokens, 1, "'vars' header")
             elif kind == "nonneg":
+                if any(t not in ("0", "1") for t in tokens[1:]):
+                    raise InputError(f"nonneg flags must be 0 or 1: {line!r}")
                 nonneg = [t == "1" for t in tokens[1:]]
             elif kind in ("eq", "le"):
                 if var_count is None:

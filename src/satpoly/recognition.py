@@ -32,7 +32,7 @@ from satpoly.builders import (
     build_satp2_lp,
     bqp_pair_index,
     bqp_var_count,
-    satp2_inequality_rows,
+    satp2_inequality_rows,  # unused here; perfbench/tracing.py wraps this name
 )
 from satpoly.errors import (
     BalanceError,
@@ -192,7 +192,6 @@ class _Rewriter:
         # Current balancing pair per column, 0-based block rows.
         self.pairs: list[tuple[int, int]] = [(1, 2)] * self.n
         self.rotated: list[int] = []  # columns moved to the positive prefix
-        self._ineq_rows = None
 
     # -- renamings ---------------------------------------------------------
 
@@ -202,7 +201,6 @@ class _Rewriter:
                 for k in range(3):
                     blk[k][0], blk[k][1] = blk[k][1], blk[k][0]
         self.ledger.row_swap[i] = not self.ledger.row_swap[i]
-        self._ineq_rows = None
 
     def kperm(self, j: int, sigma: tuple[int, int, int]) -> None:
         for i in range(self.m):
@@ -216,7 +214,6 @@ class _Rewriter:
         self.ledger.col_perm[j] = tuple(sigma[old_perm[k]] for k in range(3))
         a, b = self.pairs[j]
         self.pairs[j] = (sigma[a], sigma[b])
-        self._ineq_rows = None
 
     # -- views -------------------------------------------------------------
 
@@ -230,13 +227,6 @@ class _Rewriter:
     def left_col_sum(self, i: int) -> Fraction:
         blk = self.p.cells[i][0]
         return blk[0][0] + blk[1][0] + blk[2][0]
-
-    def ineq_rows(self):
-        if self._ineq_rows is None:
-            self._ineq_rows = satp2_inequality_rows(
-                self.m, self.n, self.ledger.cell_map
-            )
-        return self._ineq_rows
 
     # -- the objective-preserving four-cell exchange ------------------------
 
@@ -279,19 +269,15 @@ class _Rewriter:
     # -- verification ------------------------------------------------------
 
     def check_current(self, reference_value: Fraction) -> None:
-        flat = self.p.flat()
-        base = build_satp_lp(self.m, self.n)
-        if not base.is_feasible(flat):
-            raise InternalInvariantError("rewritten point left the base system")
-        for coeffs, rhs in self.ineq_rows():
-            total = Fraction(0)
-            for pos, coef in enumerate(coeffs):
-                if coef:
-                    total += coef * flat[pos]
-            if total > rhs:
-                raise InternalInvariantError(
-                    "rewritten point violates a renamed strengthening row"
-                )
+        # The base rows are invariant under renamings, and a renamed
+        # strengthening row dotted with the point equals the canonical row
+        # dotted with its pullback: the pullback meets the canonical
+        # strengthened system exactly when the point meets the renamed one.
+        original = self.ledger.pullback_point(self.p)
+        if not build_satp2_lp(self.m, self.n).is_feasible(original.flat()):
+            raise InternalInvariantError(
+                "rewritten point violates the renamed strengthened system"
+            )
         if objective_value(self.c, self.p) != reference_value:
             raise InternalInvariantError("rewriting changed the objective value")
 

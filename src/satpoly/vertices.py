@@ -16,16 +16,15 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from satpoly.blockpoint import BlockPoint
 from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import (
     LinearSystem,
-    _dot,
     _int_row,
-    _reduce_into,
-    _solve_equalities,
+    _solve_equalities,  # unused here; perfbench/tracing.py wraps this name
     rank,
     rank_at_most,
 )
@@ -320,44 +319,39 @@ def is_edge(
         raise InputError("edge test needs two distinct vertices")
     if not verify_vertex(p, sys) or not verify_vertex(q, sys):
         raise InputError("edge test inputs must be vertices")
-    rows: list[list[Rational]] = [list(c) for c, _ in sys.eq_rows]
-    for coeffs, rhs in sys.ineq_rows:
-        if _dot(coeffs, pf) == rhs and _dot(coeffs, qf) == rhs:
-            rows.append(list(coeffs))
-    zero = Fraction(0)
-    for v, flag in enumerate(sys.nonneg):
-        if flag and pf[v] == 0 and qf[v] == 0:
-            unit = [zero] * sys.var_count
-            unit[v] = Fraction(1)
-            rows.append(unit)
+    rows = [coeffs for coeffs, _ in sys.tight_rows(pf, qf).eq_rows]
     # Both vertices satisfy every collected row, so the rank is at most
     # var_count - 1; equality means the face is one-dimensional.
     return rank_at_most(rows, sys.var_count - 1) == sys.var_count - 1
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive LP-vertex enumeration (tiny systems)
+# LP-vertex enumeration by double description
 # ---------------------------------------------------------------------------
-
-
-_UNDECIDED, _EXCLUDED, _INCLUDED = 0, 1, 2
 
 
 def enumerate_lp_vertices(
     sys: LinearSystem, budget: int = DEFAULT_LP_VERTEX_BUDGET
 ) -> list[list[Rational]]:
-    """All vertices of the polyhedron, by exhaustive tight-set search.
+    """All vertices of the polyhedron, by the double-description method.
 
-    Inequalities get slack columns so the search runs over a standard-form
-    system, then a depth-first scan decides each sign-constrained column
-    as zero or in the support.  Branches die early three ways: support
-    columns must stay linearly independent (a dependent support never
-    defines a vertex); a row whose support is entirely zeroed with a
-    nonzero right side is infeasible; and a row with a single undecided
-    support column left forces that column's value, which propagates as a
-    forced decision (with a sign check) instead of a branch.  Surviving
-    leaves are solved exactly; feasible unique solutions are vertices.
-    Results are deduplicated and sorted.
+    The polyhedron is homogenized to the cone over ``y = (x, slacks, t)``
+    cut out by ``a.x - b t = 0`` for each equality, ``a.x + s - b t = 0``
+    for each inequality, and ``y_v >= 0`` for every nonnegative column,
+    every slack and ``t``.  Its vertices are the extreme rays with
+    ``t > 0``, scaled to ``t = 1``.
+
+    The cone starts as all of space (an identity lineality basis, no rays)
+    and takes the constraints one at a time, equalities first (Motzkin et
+    al. 1953; Fukuda and Prodon 1996).  A constraint that is nonzero on
+    the lineality consumes one lineality vector: the others and every ray
+    are projected onto its hyperplane along that vector, and for a sign
+    constraint the vector itself becomes a ray.  Otherwise the rays are
+    split by sign and each (+, -) pair that is adjacent combines into a
+    ray on the hyperplane; a pair is adjacent when no third ray is tight
+    at every sign constraint tight at both.  Rays are primitive integer
+    vectors.  A lineality direction left at the end means the polyhedron
+    has no vertex.  Results are sorted.
 
     Gated by ``budget`` on the structural variable count.
     """
@@ -368,134 +362,79 @@ def enumerate_lp_vertices(
 
     n_struct = sys.var_count
     n_slack = len(sys.ineq_rows)
-    total = n_struct + n_slack
-    zero = Fraction(0)
+    dim = n_struct + n_slack + 1
+    t = dim - 1
 
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    n_eq = len(sys.eq_rows)
-    for idx, (coeffs, r) in enumerate([*sys.eq_rows, *sys.ineq_rows]):
+    # (row, bit): an equality row has bit 0; the sign constraint y_v >= 0
+    # has bit 1 << v, the index of v in the rays' zero sets.
+    constraints: list[tuple[dict[int, int], int]] = []
+    for idx, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows]):
         slack = [0] * n_slack
-        if idx >= n_eq:
-            slack[idx - n_eq] = 1
-        row = _int_row([*coeffs, *slack, r])
-        rhs.append(row.pop(total, 0))
-        rows.append(row)
-    n_rows = len(rows)
+        if idx >= len(sys.eq_rows):
+            slack[idx - len(sys.eq_rows)] = 1
+        constraints.append((_int_row([*coeffs, *slack, -rhs]), 0))
+    for v in range(dim):
+        if v >= n_struct or sys.nonneg[v]:
+            constraints.append(({v: 1}, 1 << v))
 
-    sign_constrained = list(sys.nonneg) + [True] * n_slack
+    lineality = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rays: list[list[int]] = []
+    zeros: list[int] = []  # per ray, the bits of the sign constraints it meets with 0
+    done = 0  # bits of the sign constraints processed so far
 
-    col_vecs: list[dict[int, int]] = [{} for _ in range(total)]
-    for r, row in enumerate(rows):
-        for v, coef in row.items():
-            col_vecs[v][r] = coef
-    row_cols: list[list[int]] = [sorted(row) for row in rows]
-    support_left = [len(row_cols[r]) for r in range(n_rows)]
-    incl_count = [0] * n_rows
-    status = [_UNDECIDED] * total
-
-    # Echelon basis of the included columns, as sparse vectors over rows.
-    basis: dict[int, dict[int, int]] = {}
-
-    # Undo log: ("status", v, old), ("support", r), ("incl", r), ("basis", pivot)
-    trail: list[tuple] = []
-
-    def set_status(v: int, new: int) -> None:
-        trail.append(("status", v, status[v]))
-        status[v] = new
-
-    def apply_exclude(v: int, queue: list) -> bool:
-        set_status(v, _EXCLUDED)
-        for r in col_vecs[v]:
-            support_left[r] -= 1
-            trail.append(("support", r))
-            if incl_count[r] == 0:
-                if support_left[r] == 0:
-                    if rhs[r] != 0:
-                        return False
-                elif support_left[r] == 1:
-                    u = next(
-                        w for w in row_cols[r] if status[w] != _EXCLUDED
+    for row, bit in constraints:
+        lin_values = [_apply(row, y) for y in lineality]
+        ray_values = [_apply(row, y) for y in rays]
+        pivot = next((i for i, a in enumerate(lin_values) if a), None)
+        if pivot is not None:
+            direction, a = lineality.pop(pivot), lin_values.pop(pivot)
+            if a < 0:
+                direction, a = [-x for x in direction], -a
+            lineality = [
+                _combine(a, y, -b, direction) for y, b in zip(lineality, lin_values)
+            ]
+            rays = [_combine(a, y, -b, direction) for y, b in zip(rays, ray_values)]
+            zeros = [z | bit for z in zeros]
+            if bit:
+                rays.append(direction)
+                zeros.append(done)
+        else:
+            new_rays, new_zeros = [], []
+            for y, z, b in zip(rays, zeros, ray_values):
+                if b == 0 or (bit and b > 0):
+                    new_rays.append(y)
+                    new_zeros.append(z | bit if b == 0 else z)
+            plus = [i for i, b in enumerate(ray_values) if b > 0]
+            minus = [i for i, b in enumerate(ray_values) if b < 0]
+            for i in plus:
+                for j in minus:
+                    common = zeros[i] & zeros[j]
+                    if any(
+                        z & common == common and k != i and k != j
+                        for k, z in enumerate(zeros)
+                    ):
+                        continue
+                    new_rays.append(
+                        _combine(ray_values[i], rays[j], -ray_values[j], rays[i])
                     )
-                    if rhs[r] == 0:
-                        queue.append((u, _EXCLUDED))
-                    elif sign_constrained[u] and (rhs[r] < 0) != (rows[r][u] < 0):
-                        return False  # the forced value rhs / coefficient is negative
-                    else:
-                        queue.append((u, _INCLUDED))
-        return True
+                    new_zeros.append(common | bit)
+            rays, zeros = new_rays, new_zeros
+        done |= bit
 
-    def apply_include(v: int) -> bool:
-        pivot = _reduce_into(basis, col_vecs[v])
-        if pivot is None:
-            return False
-        trail.append(("basis", pivot))
-        set_status(v, _INCLUDED)
-        for r in col_vecs[v]:
-            incl_count[r] += 1
-            trail.append(("incl", r))
-        return True
+    if lineality:
+        return []
+    found = {
+        tuple(Fraction(y[v], y[t]) for v in range(n_struct)) for y in rays if y[t] > 0
+    }
+    return sorted(map(list, found))
 
-    def process(queue: list) -> bool:
-        while queue:
-            v, want = queue.pop()
-            if status[v] == want:
-                continue
-            if status[v] != _UNDECIDED:
-                return False
-            if want == _EXCLUDED:
-                if not apply_exclude(v, queue):
-                    return False
-            else:
-                if not apply_include(v):
-                    return False
-        return True
 
-    def rewind(mark: int) -> None:
-        while len(trail) > mark:
-            op = trail.pop()
-            if op[0] == "status":
-                status[op[1]] = op[2]
-            elif op[0] == "support":
-                support_left[op[1]] += 1
-            elif op[0] == "incl":
-                incl_count[op[1]] -= 1
-            else:
-                del basis[op[1]]
+def _apply(row: dict[int, int], y: list[int]) -> int:
+    return sum(c * y[j] for j, c in row.items())
 
-    free_ok = process([(v, _INCLUDED) for v in range(total) if not sign_constrained[v]])
-    if not free_ok:
-        return []  # lineality direction: no vertices at all
 
-    found: dict[tuple, list[Rational]] = {}
-
-    def solve_leaf() -> None:
-        cols = [v for v in range(total) if status[v] == _INCLUDED]
-        small = [([row.get(v, 0) for v in cols], b) for row, b in zip(rows, rhs)]
-        result, sol = _solve_equalities(small, len(cols))
-        if result != "unique":
-            if result == "underdetermined":  # pragma: no cover - independence bug
-                raise InternalInvariantError("dependent support reached a leaf")
-            return
-        point = [zero] * total
-        for v, val in zip(cols, sol):
-            if sign_constrained[v] and val < 0:
-                return
-            point[v] = val
-        key = tuple(point[:n_struct])
-        found.setdefault(key, list(key))
-
-    def dfs(pos: int) -> None:
-        while pos < total and status[pos] != _UNDECIDED:
-            pos += 1
-        if pos == total:
-            solve_leaf()
-            return
-        for want in (_EXCLUDED, _INCLUDED):
-            mark = len(trail)
-            if process([(pos, want)]):
-                dfs(pos + 1)
-            rewind(mark)
-
-    dfs(0)
-    return sorted(found.values())
+def _combine(a: int, y: list[int], b: int, z: list[int]) -> list[int]:
+    """The primitive integer vector along ``a y + b z``."""
+    w = [a * p + b * q for p, q in zip(y, z)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w

@@ -13,7 +13,6 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import build_satp_lp, build_satp2_lp
@@ -123,7 +122,6 @@ def test_criterion_2_denominator_law():
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
 
-@pytest.mark.slow
 def test_criterion_3_vertex_census():
     with criterion(3, "vertex census: 6 on the single block, 36+72 on the 2x2 grid"):
         start = time.monotonic()

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from satpoly import cli
 from satpoly.cli import run
+from satpoly.errors import InternalInvariantError
 from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
 
 
@@ -202,6 +204,17 @@ def test_input_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise InternalInvariantError("planted invariant failure")
+
+    monkeypatch.setattr(cli, "_cmd_build", broken)
+    assert run(["build", "--polytope", "satp", "--m", "1", "--n", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: planted invariant failure\n"
+
+
 SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"
 VERIFY = ["verify-vertex", "--system", "{a}", "--point", "{b}"]
 
@@ -216,6 +229,10 @@ MALFORMED_INTEGERS = {
     "literal": (["reduce", "max3sat", "--cnf", "{a}"], ["p cnf 3 1\n1 x 3 0\n"]),
     "ecbgc": (["ecbgc", "solve", "--instance", "{a}"], ["ecbgc x 2\n"]),
     "edge": (["ecbgc", "check", "--instance", "{a}"], ["ecbgc 1 1\nedge 1 y : ++++++\n"]),
+    "nonneg": (
+        ["lp", "--system", "{a}", "--objective", "{b}"],
+        ["vars 2\nnonneg 1 x\nle 1 1 | 1\n", "1 1\n"],
+    ),
 }
 
 

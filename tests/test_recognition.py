@@ -156,11 +156,10 @@ def test_wstar_exchange_heavy_point():
 
 
 def _assert_renamed_strengthening_holds(wstar, ledger):
-    from satpoly.builders import satp2_inequality_rows
-
-    flat = wstar.flat()
-    for coeffs, rhs in satp2_inequality_rows(wstar.m, wstar.n, ledger.cell_map):
-        assert sum(c * x for c, x in zip(coeffs, flat) if c) <= rhs
+    # wstar meets the renamed strengthened system exactly when its
+    # pullback meets the canonical one.
+    original = ledger.pullback_point(wstar)
+    assert build_satp2_lp(wstar.m, wstar.n).is_feasible(original.flat())
 
 
 def test_wstar_witness_in_rotated_column():

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly.builders import build_satp_lp
@@ -28,6 +28,7 @@ from tests.conftest import (
     TABLE9_ROWS,
     grid_point,
 )
+from tests.test_elimination import gauss_jordan
 
 ONE = Fraction(1)
 
@@ -231,3 +232,49 @@ def test_enumerate_lp_vertices_with_inequalities():
         (Fraction(0), ONE),
         (ONE, Fraction(0)),
     ]
+
+
+def brute_force_vertices(sys):
+    """Reference: every feasible unique solution of all equalities plus a
+    subset of the inequality and nonnegativity constraints made tight."""
+    units = [
+        ([int(u == v) for u in range(sys.var_count)], 0)
+        for v in range(sys.var_count)
+        if sys.nonneg[v]
+    ]
+    optional = [*sys.ineq_rows, *units]
+    found = set()
+    for size in range(len(optional) + 1):
+        for subset in itertools.combinations(optional, size):
+            status, solution, _ = gauss_jordan([*sys.eq_rows, *subset], sys.var_count)
+            if status == "unique" and sys.is_feasible(solution):
+                found.add(tuple(solution))
+    return sorted(map(list, found))
+
+
+COEFFS = st.one_of(
+    st.integers(-2, 2), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def small_systems(draw):
+    """Up to four variables, some free, with duplicate and scaled equality
+    rows and right sides of either sign: empty, unbounded and lineality-
+    carrying polyhedra all occur."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.lists(COEFFS, min_size=n, max_size=n), COEFFS)
+    eq_rows = draw(st.lists(row, max_size=2))
+    if eq_rows and draw(st.booleans()):
+        coeffs, rhs = draw(st.sampled_from(eq_rows))
+        f = draw(st.sampled_from((1, -1, Fraction(2, 3))))
+        eq_rows.append(([f * c for c in coeffs], f * rhs))
+    ineq_rows = draw(st.lists(row, max_size=3))
+    nonneg = draw(st.lists(st.sampled_from((True, True, True, False)), min_size=n, max_size=n))
+    return LinearSystem(n, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_enumerate_lp_vertices_matches_brute_force(sys):
+    assert enumerate_lp_vertices(sys) == brute_force_vertices(sys)
