@@ -59,9 +59,6 @@ class BlockPoint:
     def set(self, i: int, j: int, k: int, l: int, value) -> None:
         self.cells[i][j][k][l] = Fraction(value)
 
-    def block(self, i: int, j: int) -> list[list[Rational]]:
-        return self.cells[i][j]
-
     def iter_cells(self) -> Iterator[tuple[int, int, int, int, Rational]]:
         for i in range(self.m):
             for j in range(self.n):

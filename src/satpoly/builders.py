@@ -10,6 +10,9 @@ formats are reproducible:
 * BQP standard form: upper-triangular blocks ``(i <= j)`` in lexicographic
   order, four cells per block, row-major over ``(k, l)`` with k, l in {1,2}.
 
+Rows are sparse :data:`satpoly.linsys.Row` dicts with plain integer
+``+1``/``-1`` coefficients; the right sides are the integers 0, 1 and 3.
+
 Equality generators: the consistency families are stated over all index
 pairs, but adjacent pairs already span the same row space, so only the
 adjacent-pair generators are emitted (smaller systems, identical feasible
@@ -31,11 +34,10 @@ from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, flat_index
 from satpoly.errors import FaceMembershipError, InputError
-from satpoly.linsys import LinearSystem
+from satpoly.linsys import LinearSystem, Row
 from satpoly.rational import Rational
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -92,53 +94,48 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
     if m < 1 or n < 1:
         raise InputError("block grid dimensions must be positive")
     nvars = 6 * m * n
-    eq_rows: list[tuple[list[Rational], Rational]] = []
+    eq_rows: list[tuple[Row, Rational]] = []
 
     for i in range(m):
         for j in range(n):
-            row = [_ZERO] * nvars
-            for k in range(3):
-                for l in range(2):
-                    row[flat_index(i, j, k, l, n)] = _ONE
-            eq_rows.append((row, _ONE))
+            row = {flat_index(i, j, k, l, n): 1 for k in range(3) for l in range(2)}
+            eq_rows.append((row, 1))
 
     for i in range(m):
         for j in range(n - 1):
-            row = [_ZERO] * nvars
+            row = {}
             for k in range(3):
-                row[flat_index(i, j, k, 0, n)] = _ONE
-                row[flat_index(i, j + 1, k, 0, n)] = -_ONE
-            eq_rows.append((row, _ZERO))
+                row[flat_index(i, j, k, 0, n)] = 1
+                row[flat_index(i, j + 1, k, 0, n)] = -1
+            eq_rows.append((row, 0))
 
     for k in range(3):
         for j in range(n):
             for i in range(m - 1):
-                row = [_ZERO] * nvars
+                row = {}
                 for l in range(2):
-                    row[flat_index(i, j, k, l, n)] = _ONE
-                    row[flat_index(i + 1, j, k, l, n)] = -_ONE
-                eq_rows.append((row, _ZERO))
+                    row[flat_index(i, j, k, l, n)] = 1
+                    row[flat_index(i + 1, j, k, l, n)] = -1
+                eq_rows.append((row, 0))
 
     return LinearSystem(nvars, eq_rows=eq_rows, nonneg=[True] * nvars)
 
 
-def satp2_inequality_rows(m: int, n: int) -> list[tuple[list[Rational], Rational]]:
+def satp2_inequality_rows(m: int, n: int) -> list[tuple[Row, Rational]]:
     """The O(m^2 n^2) strengthening rows.
 
     For every ordered pair of block rows ``i != k`` and block columns
     ``j != l`` two rows are emitted, each bounding a sum of four
-    cell-triples by 3.
+    cell-triples (of four distinct blocks, so twelve distinct cells) by 3.
     """
-    nvars = 6 * m * n
-    rows: list[tuple[list[Rational], Rational]] = []
-    three = Fraction(3)
+    rows: list[tuple[Row, Rational]] = []
 
     def add_row(parts):
-        row = [_ZERO] * nvars
+        row = {}
         for (bi, bj), cells in parts:
             for k, l in cells:
-                row[flat_index(bi, bj, k, l, n)] += _ONE
-        rows.append((row, three))
+                row[flat_index(bi, bj, k, l, n)] = 1
+        rows.append((row, 3))
 
     for i in range(m):
         for k in range(m):
@@ -211,23 +208,15 @@ def build_bqp_lp(n: int) -> LinearSystem:
     if n < 2:
         raise InputError("n must be at least 2")
     nvars = bqp_var_count(n)
-    ineq: list[tuple[list[Rational], Rational]] = []
+    ineq: list[tuple[Row, Rational]] = []
     for i in range(n):
         for j in range(i + 1, n):
             p = bqp_pair_index(i, j, n)
-            row = [_ZERO] * nvars
-            row[i], row[j], row[p] = _ONE, _ONE, -_ONE
-            ineq.append((row, _ONE))
-            row = [_ZERO] * nvars
-            row[p], row[i] = _ONE, -_ONE
-            ineq.append((row, _ZERO))
-            row = [_ZERO] * nvars
-            row[p], row[j] = _ONE, -_ONE
-            ineq.append((row, _ZERO))
+            ineq.append(({i: 1, j: 1, p: -1}, 1))
+            ineq.append(({p: 1, i: -1}, 0))
+            ineq.append(({p: 1, j: -1}, 0))
     for i in range(n):
-        row = [_ZERO] * nvars
-        row[i] = _ONE
-        ineq.append((row, _ONE))
+        ineq.append(({i: 1}, 1))
     return LinearSystem(nvars, ineq_rows=ineq, nonneg=[True] * nvars)
 
 
@@ -240,7 +229,6 @@ def build_met(n: int) -> LinearSystem:
     if n < 3:
         raise InputError("n must be at least 3")
     base = build_bqp_lp(n)
-    nvars = base.var_count
     ineq = list(base.ineq_rows)
     for i in range(n):
         for j in range(i + 1, n):
@@ -248,31 +236,11 @@ def build_met(n: int) -> LinearSystem:
                 pij = bqp_pair_index(i, j, n)
                 pik = bqp_pair_index(i, k, n)
                 pjk = bqp_pair_index(j, k, n)
-
-                row = [_ZERO] * nvars
-                row[i] = row[j] = row[k] = _ONE
-                row[pij] = row[pik] = row[pjk] = -_ONE
-                ineq.append((row, _ONE))
-
-                row = [_ZERO] * nvars
-                row[i] = -_ONE
-                row[pij] = row[pik] = _ONE
-                row[pjk] = -_ONE
-                ineq.append((row, _ZERO))
-
-                row = [_ZERO] * nvars
-                row[j] = -_ONE
-                row[pij] = _ONE
-                row[pik] = -_ONE
-                row[pjk] = _ONE
-                ineq.append((row, _ZERO))
-
-                row = [_ZERO] * nvars
-                row[k] = -_ONE
-                row[pij] = -_ONE
-                row[pik] = row[pjk] = _ONE
-                ineq.append((row, _ZERO))
-    return LinearSystem(nvars, ineq_rows=ineq, nonneg=base.nonneg)
+                ineq.append(({i: 1, j: 1, k: 1, pij: -1, pik: -1, pjk: -1}, 1))
+                ineq.append(({i: -1, pij: 1, pik: 1, pjk: -1}, 0))
+                ineq.append(({j: -1, pij: 1, pik: -1, pjk: 1}, 0))
+                ineq.append(({k: -1, pij: -1, pik: 1, pjk: 1}, 0))
+    return LinearSystem(base.var_count, ineq_rows=ineq, nonneg=base.nonneg)
 
 
 # -- standard form ----------------------------------------------------------
@@ -305,38 +273,33 @@ def build_bqp_standard(n: int) -> LinearSystem:
     if n < 2:
         raise InputError("n must be at least 2")
     nvars = bqp_std_var_count(n)
-    eq: list[tuple[list[Rational], Rational]] = []
+    eq: list[tuple[Row, Rational]] = []
 
     for i, j in bqp_std_blocks(n):
-        row = [_ZERO] * nvars
-        for k in range(2):
-            for l in range(2):
-                row[bqp_std_index(i, j, k, l, n)] = _ONE
-        eq.append((row, _ONE))
+        row = {bqp_std_index(i, j, k, l, n): 1 for k in range(2) for l in range(2)}
+        eq.append((row, 1))
 
     # top-row sums x^{1,1} + x^{1,2} depend only on the column index j
     for j in range(n):
         for i in range(j):
-            row = [_ZERO] * nvars
+            row = {}
             for l in range(2):
-                row[bqp_std_index(i, j, 0, l, n)] = _ONE
-                row[bqp_std_index(i + 1, j, 0, l, n)] = -_ONE
-            eq.append((row, _ZERO))
+                row[bqp_std_index(i, j, 0, l, n)] = 1
+                row[bqp_std_index(i + 1, j, 0, l, n)] = -1
+            eq.append((row, 0))
 
     # left-column sums x^{1,1} + x^{2,1} depend only on the row index i
     for i in range(n):
         for j in range(i, n - 1):
-            row = [_ZERO] * nvars
+            row = {}
             for k in range(2):
-                row[bqp_std_index(i, j, k, 0, n)] = _ONE
-                row[bqp_std_index(i, j + 1, k, 0, n)] = -_ONE
-            eq.append((row, _ZERO))
+                row[bqp_std_index(i, j, k, 0, n)] = 1
+                row[bqp_std_index(i, j + 1, k, 0, n)] = -1
+            eq.append((row, 0))
 
     for i in range(n):
         for k, l in ((0, 1), (1, 0)):
-            row = [_ZERO] * nvars
-            row[bqp_std_index(i, i, k, l, n)] = _ONE
-            eq.append((row, _ZERO))
+            eq.append(({bqp_std_index(i, i, k, l, n): 1}, 0))
 
     return LinearSystem(nvars, eq_rows=eq, nonneg=[True] * nvars)
 

@@ -131,29 +131,19 @@ def _cmd_recognize(args) -> int:
         m = args.m if args.m is not None else c.m
         n = args.n if args.n is not None else c.n
         outcome = recognition.recognize_satp(c, m, n)
-        print(f"answer {'true' if outcome.answer else 'false'}")
-        print(f"value {format_rational(outcome.lp_value)}")
-        print(
-            "relaxation "
-            + format_rational(outcome.relaxation_value)
-            + " strengthened "
-            + format_rational(outcome.strengthened_value)
-        )
-        if outcome.witness is not None:
-            print(f"witness {outcome.witness}")
-        return EXIT_OK if outcome.answer else EXIT_NEGATIVE
-    if args.n is None:
-        raise InputError("recognize bqp needs --n")
-    objective = _read_flat_vector(args.objective)
-    outcome = recognition.recognize_bqp(objective, args.n)
+    else:
+        if args.n is None:
+            raise InputError("recognize bqp needs --n")
+        objective = _read_flat_vector(args.objective)
+        outcome = recognition.recognize_bqp(objective, args.n)
     print(f"answer {'true' if outcome.answer else 'false'}")
     print(f"value {format_rational(outcome.lp_value)}")
     print(
-        "relaxation "
-        + format_rational(outcome.relaxation_value)
-        + " strengthened "
-        + format_rational(outcome.strengthened_value)
+        f"relaxation {format_rational(outcome.relaxation_value)}"
+        f" strengthened {format_rational(outcome.strengthened_value)}"
     )
+    if outcome.witness is not None:
+        print(f"witness {outcome.witness}")
     return EXIT_OK if outcome.answer else EXIT_NEGATIVE
 
 

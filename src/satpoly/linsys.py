@@ -1,8 +1,11 @@
 """Exact rational linear systems, linear algebra, and a simplex LP maximizer.
 
 A :class:`LinearSystem` holds equality rows, ``<=`` inequality rows, and a
-per-variable nonnegativity flag.  All arithmetic is over ``Fraction``;
-results satisfy their constraints exactly, with no tolerance anywhere.
+per-variable nonnegativity flag.  Every row is a sparse :data:`Row`, a map
+from column to rational coefficient in which absent columns are zero; only
+the simplex tableau is dense, and it is internal to :func:`lp_maximize`.
+All arithmetic is exact; results satisfy their constraints with no
+tolerance anywhere.
 
 Rank and equation solving share one exact kernel: rows become sparse
 integer rows, and fraction-free elimination (Bareiss 1968, Edmonds 1967)
@@ -20,19 +23,24 @@ from typing import Optional, Sequence
 from satpoly.errors import InputError, InternalInvariantError
 from satpoly.rational import Rational, format_rational, parse_int, parse_rational
 
+Row = dict[int, Rational]
+"""A sparse row: column index to coefficient; absent columns are zero."""
+
+
 @dataclass
 class LinearSystem:
     """Equalities, ``<=`` inequalities, and nonnegativity flags over named columns.
 
-    ``eq_rows`` and ``ineq_rows`` are lists of ``(coeffs, rhs)`` pairs with
-    ``len(coeffs) == var_count``; an inequality row means ``coeffs . x <= rhs``.
-    ``nonneg[v]`` marks ``x_v >= 0``.  Instances are treated as immutable
-    after construction and are safe to share across workers.
+    ``eq_rows`` and ``ineq_rows`` are lists of ``(coeffs, rhs)`` pairs whose
+    ``coeffs`` is a :data:`Row` over columns in ``range(var_count)``; an
+    inequality row means ``coeffs . x <= rhs``.  ``nonneg[v]`` marks
+    ``x_v >= 0``.  Instances (rows included) are treated as immutable after
+    construction, so systems may share row objects.
     """
 
     var_count: int
-    eq_rows: list[tuple[list[Rational], Rational]] = field(default_factory=list)
-    ineq_rows: list[tuple[list[Rational], Rational]] = field(default_factory=list)
+    eq_rows: list[tuple[Row, Rational]] = field(default_factory=list)
+    ineq_rows: list[tuple[Row, Rational]] = field(default_factory=list)
     nonneg: list[bool] = field(default_factory=list)
 
     def __post_init__(self):
@@ -42,9 +50,13 @@ class LinearSystem:
             self.nonneg = [True] * self.var_count
         if len(self.nonneg) != self.var_count:
             raise InputError("nonneg flag list has wrong length")
-        for coeffs, _ in list(self.eq_rows) + list(self.ineq_rows):
-            if len(coeffs) != self.var_count:
-                raise InputError("constraint row has wrong length")
+        columns = range(self.var_count)
+        for coeffs, _ in [*self.eq_rows, *self.ineq_rows]:
+            if not isinstance(coeffs, dict) or any(j not in columns for j in coeffs):
+                raise InputError(
+                    f"constraint row must be a {{column: coefficient}} dict over "
+                    f"columns 0..{self.var_count - 1}"
+                )
 
     # -- feasibility -------------------------------------------------------
 
@@ -70,16 +82,13 @@ class LinearSystem:
         at each point, and a unit row for every nonnegative variable that
         is zero at each point.
         """
-        rows = [(list(c), r) for c, r in self.eq_rows]
+        rows = list(self.eq_rows)
         for coeffs, rhs in self.ineq_rows:
             if all(_dot(coeffs, p) == rhs for p in points):
-                rows.append((list(coeffs), rhs))
-        zero = Fraction(0)
+                rows.append((coeffs, rhs))
         for v, flag in enumerate(self.nonneg):
             if flag and all(p[v] == 0 for p in points):
-                unit = [zero] * self.var_count
-                unit[v] = Fraction(1)
-                rows.append((unit, zero))
+                rows.append(({v: 1}, 0))
         return LinearSystem(self.var_count, eq_rows=rows, nonneg=[False] * self.var_count)
 
     # -- serialization -----------------------------------------------------
@@ -89,17 +98,17 @@ class LinearSystem:
         if not all(self.nonneg):
             lines.append("nonneg " + " ".join("1" if f else "0" for f in self.nonneg))
         for coeffs, rhs in self.eq_rows:
-            lines.append("eq " + _row_text(coeffs, rhs))
+            lines.append("eq " + _row_text(coeffs, rhs, self.var_count))
         for coeffs, rhs in self.ineq_rows:
-            lines.append("le " + _row_text(coeffs, rhs))
+            lines.append("le " + _row_text(coeffs, rhs, self.var_count))
         return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "LinearSystem":
         var_count = None
         nonneg = None
-        eq_rows: list[tuple[list[Rational], Rational]] = []
-        ineq_rows: list[tuple[list[Rational], Rational]] = []
+        eq_rows: list[tuple[Row, Rational]] = []
+        ineq_rows: list[tuple[Row, Rational]] = []
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -126,11 +135,13 @@ class LinearSystem:
         return LinearSystem(var_count, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
 
 
-def _row_text(coeffs, rhs) -> str:
-    return " ".join(format_rational(c) for c in coeffs) + " | " + format_rational(rhs)
+def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
+    dense = (format_rational(coeffs.get(j, 0)) for j in range(var_count))
+    return " ".join(dense) + " | " + format_rational(rhs)
 
 
-def _parse_row(tokens: list[str], var_count: int):
+def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
+    """A dense text row (``c1 ... cN | rhs``) as a sparse row and its right side."""
     if "|" not in tokens:
         raise InputError("constraint row missing '|' separator")
     bar = tokens.index("|")
@@ -138,15 +149,11 @@ def _parse_row(tokens: list[str], var_count: int):
     rest = tokens[bar + 1 :]
     if len(coeffs) != var_count or len(rest) != 1:
         raise InputError("constraint row has wrong shape")
-    return coeffs, parse_rational(rest[0])
+    return {j: c for j, c in enumerate(coeffs) if c}, parse_rational(rest[0])
 
 
-def _dot(coeffs: Sequence[Rational], point: Sequence[Rational]) -> Rational:
-    total = Fraction(0)
-    for c, x in zip(coeffs, point):
-        if c:
-            total += c * x
-    return total
+def _dot(coeffs: Row, point: Sequence[Rational]) -> Rational:
+    return sum((c * point[j] for j, c in coeffs.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +161,13 @@ def _dot(coeffs: Sequence[Rational], point: Sequence[Rational]) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-def _int_row(values: Sequence[Rational]) -> dict[int, int]:
-    """Sparse primitive integer multiple of a rational row.
+def _int_row(values: Row) -> dict[int, int]:
+    """Primitive integer multiple of a rational row.
 
     Zeros are dropped, denominators cleared and the content divided out;
     scaling a row changes neither its span nor its solutions.
     """
-    row = {j: v for j, v in enumerate(values) if v}
+    row = {j: v for j, v in values.items() if v}
     if row:
         scale = lcm(*(v.denominator for v in row.values()))
         row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
@@ -201,15 +208,14 @@ def _reduce_into(basis: dict[int, dict[int, int]], row: dict[int, int]) -> Optio
     return None
 
 
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact rank of a list of rational row vectors."""
+def rank(rows: Sequence[Row]) -> int:
+    """Exact rank of a list of sparse rational rows."""
     rows = list(rows)
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("rank: rows of unequal length")
-    return rank_at_most(rows, len(rows[0]) if rows else 0)
+    # The rank is at most the number of columns the rows touch.
+    return rank_at_most(rows, len(set().union(*rows)))
 
 
-def rank_at_most(rows: Sequence[Sequence[Rational]], cap: int) -> int:
+def rank_at_most(rows: Sequence[Row], cap: int) -> int:
     """Exact rank when it is known a priori that rank <= cap.
 
     Elimination stops once ``cap`` independent rows are found; used by
@@ -226,7 +232,7 @@ def rank_at_most(rows: Sequence[Sequence[Rational]], cap: int) -> int:
 
 
 def _solve_equalities(
-    rows: Sequence[tuple[Sequence[Rational], Rational]], var_count: int
+    rows: Sequence[tuple[Row, Rational]], var_count: int
 ) -> tuple[str, Optional[list[Rational]]]:
     """Solve ``coeffs . x == rhs`` rows exactly.
 
@@ -236,7 +242,8 @@ def _solve_equalities(
     ("inconsistent", None).
     """
     basis: dict[int, dict[int, int]] = {}
-    for row in sorted((_int_row([*coeffs, rhs]) for coeffs, rhs in rows), key=len):
+    augmented = (_int_row({**coeffs, var_count: rhs}) for coeffs, rhs in rows)
+    for row in sorted(augmented, key=len):
         if _reduce_into(basis, row) == var_count:
             return "inconsistent", None
     if len(basis) < var_count:
@@ -364,9 +371,9 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     smallest-index rule, which guarantees termination.  Infeasible and
     unbounded inputs are reported as statuses, never exceptions.
     """
-    objective = [Fraction(c) for c in objective]
     if len(objective) != sys.var_count:
         raise InputError("objective length does not match variable count")
+    cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
 
     # Column layout: one column per nonnegative variable, a (+,-) pair per
     # free variable, then one slack per inequality row, then artificials.
@@ -383,14 +390,13 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     ncols += len(sys.ineq_rows)
     struct_cols = ncols
 
-    def expand(coeffs: Sequence[Rational]) -> list[Fraction]:
+    def expand(coeffs: Row) -> list[Fraction]:
         row = [Fraction(0)] * ncols
-        for v, c in enumerate(coeffs):
-            if c:
-                pos, neg = col_of_var[v]
-                row[pos] += Fraction(c)
-                if neg is not None:
-                    row[neg] -= Fraction(c)
+        for v, c in coeffs.items():
+            pos, neg = col_of_var[v]
+            row[pos] += c
+            if neg is not None:
+                row[neg] -= c
         return row
 
     rows: list[list[Fraction]] = []
@@ -447,13 +453,7 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
                 else:
                     tab.pivot(i, entry)
 
-    phase2_cost = [Fraction(0)] * total_cols
-    for v, c in enumerate(objective):
-        if c:
-            pos, neg = col_of_var[v]
-            phase2_cost[pos] += c
-            if neg is not None:
-                phase2_cost[neg] -= c
+    phase2_cost = expand(cost) + [Fraction(0)] * len(art_cols)
     status, zrow = tab.run(phase2_cost, allowed=struct_cols)
     if status == "unbounded":
         return LpResult(status="Unbounded")
@@ -465,7 +465,7 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     for v in range(sys.var_count):
         pos, neg = col_of_var[v]
         point.append(col_values[pos] - (col_values[neg] if neg is not None else 0))
-    value = _dot(objective, point)
+    value = _dot(cost, point)
 
     if not sys.is_feasible(point):  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")

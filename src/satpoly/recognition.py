@@ -287,7 +287,7 @@ _SWAP_23 = (0, 2, 1)
 
 
 def construct_wstar(
-    w: BlockPoint, c: ObjectiveVector, m: Optional[int] = None, n: Optional[int] = None
+    w: BlockPoint, c: ObjectiveVector
 ) -> tuple[BlockPoint, RenamingLedger]:
     """Rewrite a strengthened-system optimizer to positive top-left mass.
 
@@ -301,9 +301,8 @@ def construct_wstar(
     top-left mass everywhere it is returned unchanged with an identity
     ledger.
     """
-    m = w.m if m is None else m
-    n = w.n if n is None else n
-    if (w.m, w.n) != (m, n) or (c.m, c.n) != (m, n):
+    m, n = w.m, w.n
+    if (c.m, c.n) != (m, n):
         raise InputError("point and objective shapes disagree")
 
     if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
@@ -494,8 +493,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
-    check_balance(c)
-    pre = normalization_ledger(c)
+    pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
     flat = c0.flat()
     relaxed = lp_maximize(build_satp_lp(m, n), flat)

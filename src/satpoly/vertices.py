@@ -368,11 +368,10 @@ def enumerate_lp_vertices(
     # (row, bit): an equality row has bit 0; the sign constraint y_v >= 0
     # has bit 1 << v, the index of v in the rays' zero sets.
     constraints: list[tuple[dict[int, int], int]] = []
-    for idx, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows]):
-        slack = [0] * n_slack
-        if idx >= len(sys.eq_rows):
-            slack[idx - len(sys.eq_rows)] = 1
-        constraints.append((_int_row([*coeffs, *slack, -rhs]), 0))
+    for coeffs, rhs in sys.eq_rows:
+        constraints.append((_int_row({**coeffs, t: -rhs}), 0))
+    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
+        constraints.append((_int_row({**coeffs, n_struct + k: 1, t: -rhs}), 0))
     for v in range(dim):
         if v >= n_struct or sys.nonneg[v]:
             constraints.append(({v: 1}, 1 << v))

@@ -311,13 +311,16 @@ def test_criterion_11_negative_control():
         violated = [
             idx
             for idx, (coeffs, rhs) in enumerate(strong.ineq_rows)
-            if sum(c * x for c, x in zip(coeffs, flat) if c) > rhs
+            if sum(c * flat[j] for j, c in coeffs.items()) > rhs
         ]
         assert violated, "expected at least one violated strengthening row"
 
         # coefficients and coordinates are tiny ints, so integer matmul is exact
         rows = np.array(
-            [[int(c) for c in coeffs] for coeffs, _ in strong.ineq_rows],
+            [
+                [int(coeffs.get(j, 0)) for j in range(strong.var_count)]
+                for coeffs, _ in strong.ineq_rows
+            ],
             dtype=np.int64,
         )
         rng = random.Random(1111)

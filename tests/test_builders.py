@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from satpoly.builders import (
+    PolytopeId,
     bqp_pair_index,
     bqp_point_to_standard,
     bqp_standard_to_point,
@@ -84,7 +86,7 @@ def test_table9_vertex_cut_by_strengthening():
     violated = [
         idx
         for idx, (coeffs, rhs) in enumerate(strong.ineq_rows)
-        if sum(c * x for c, x in zip(coeffs, flat) if c) > rhs
+        if sum(c * flat[j] for j, c in coeffs.items()) > rhs
     ]
     assert violated  # the strengthening cuts this fractional vertex off
 
@@ -111,8 +113,9 @@ def test_met_counts_and_cutting():
     assert build_bqp_lp(3).is_feasible(half)
     assert not m3.is_feasible(half)
     first_triangle = m3.ineq_rows[12]
-    lhs = sum(c * x for c, x in zip(first_triangle[0], half))
-    assert lhs == Fraction(3, 2) and first_triangle[1] == 1
+    assert first_triangle == ({0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: -1}, 1)
+    lhs = sum(c * half[j] for j, c in first_triangle[0].items())
+    assert lhs == Fraction(3, 2)
     with pytest.raises(InputError):
         build_met(2)
 
@@ -188,6 +191,33 @@ def test_pair_index_layout():
     assert bqp_pair_index(1, 2, 3) == 5
     with pytest.raises(InputError):
         bqp_pair_index(1, 1, 3)
+
+
+# sha256[:16] of the text of each system, fixed when rows were dense lists:
+# the sparse rows must print the same bytes.
+BUILD_TEXT_DIGESTS = [
+    ("satp", 2, 3, "418f43e049a2d194"),
+    ("satp2", 3, 3, "db40fcacc5921f0f"),
+    ("bqp", None, 5, "f2928b3e37d749fa"),
+    ("bqp-std", None, 4, "2afb609d32d5ad1e"),
+    ("met", None, 5, "f96440e83f17f205"),
+]
+
+
+@pytest.mark.parametrize("kind,m,n,digest", BUILD_TEXT_DIGESTS)
+def test_build_text_digest(kind, m, n, digest):
+    text = PolytopeId(kind, m=m, n=n).build().to_text()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_builders_emit_sparse_integer_rows():
+    for sys in (build_satp2_lp(2, 3), build_met(4), build_bqp_standard(3)):
+        for coeffs, rhs in [*sys.eq_rows, *sys.ineq_rows]:
+            assert type(rhs) is int
+            assert all(type(c) is int and c in (1, -1) for c in coeffs.values())
+    block_sum, _ = build_satp_lp(2, 3).eq_rows[0]
+    assert block_sum == {j: 1 for j in range(6)}
+    assert all(len(c) == 12 for c, _ in build_satp2_lp(3, 3).ineq_rows)
 
 
 def test_builder_serialization_roundtrip():

@@ -1,4 +1,8 @@
-"""The sparse fraction-free kernel against a dense Fraction Gauss-Jordan."""
+"""The sparse fraction-free kernel against a dense Fraction Gauss-Jordan.
+
+The strategies draw dense rows, which the reference reads directly; the
+kernel gets them as sparse rows through :func:`sparse_rows`.
+"""
 
 from fractions import Fraction
 
@@ -48,6 +52,18 @@ def gauss_jordan(rows, var_count):
     return "unique", solution, len(pivots)
 
 
+def sparse_rows(rows, keep_zeros=False):
+    """Dense ``(coeffs, rhs)`` rows as sparse ``({column: coeff}, rhs)`` rows.
+
+    With ``keep_zeros`` every column is kept, so explicit zero entries reach
+    the kernel too.
+    """
+    return [
+        ({j: c for j, c in enumerate(coeffs) if keep_zeros or c}, rhs)
+        for coeffs, rhs in rows
+    ]
+
+
 # Mostly zeros and small integers (plain ints too, as the vertex census
 # passes them), some small fractions, and a few huge numerators/denominators.
 ENTRIES = st.one_of(
@@ -81,10 +97,11 @@ def systems(draw):
     return draw(st.permutations(rows)), n
 
 
-@given(systems())
-def test_kernel_matches_gauss_jordan(case):
+@given(systems(), st.booleans())
+def test_kernel_matches_gauss_jordan(case, keep_zeros):
     rows, n = case
     status, solution, ref_rank = gauss_jordan(rows, n)
+    rows = sparse_rows(rows, keep_zeros)
     coeff_rows = [coeffs for coeffs, _ in rows]
     assert rank(coeff_rows) == ref_rank
     for cap in range(ref_rank, n + 1):
@@ -96,5 +113,5 @@ def test_kernel_matches_gauss_jordan(case):
 def test_kernel_handles_negative_pivots_and_large_entries():
     big = Fraction(10**40 + 1, 3**50)
     rows = [([-2, big], -1), ([big, Fraction(-7, 5)], big), ([-4, 2 * big], -2)]
-    assert _solve_equalities(rows, 2) == gauss_jordan(rows, 2)[:2]
-    assert rank([coeffs for coeffs, _ in rows]) == 2
+    assert _solve_equalities(sparse_rows(rows), 2) == gauss_jordan(rows, 2)[:2]
+    assert rank([coeffs for coeffs, _ in sparse_rows(rows)]) == 2

@@ -28,7 +28,7 @@ from tests.conftest import (
     TABLE9_ROWS,
     grid_point,
 )
-from tests.test_elimination import gauss_jordan
+from tests.test_elimination import gauss_jordan, sparse_rows
 
 ONE = Fraction(1)
 
@@ -190,7 +190,7 @@ def test_is_edge_matches_adjacency_samples():
 
 
 def test_enumerate_lp_vertices_unit_simplex():
-    simplex = LinearSystem(3, eq_rows=[([ONE, ONE, ONE], ONE)])
+    simplex = LinearSystem(3, eq_rows=[({0: ONE, 1: ONE, 2: ONE}, ONE)])
     verts = enumerate_lp_vertices(simplex)
     assert len(verts) == 3
     assert all(sorted(v) == [0, 0, 1] for v in verts)
@@ -225,7 +225,7 @@ def test_blockpoint_text_roundtrip_and_errors():
 
 def test_enumerate_lp_vertices_with_inequalities():
     # 0 <= x, y; x + y <= 1: a triangle with three vertices
-    tri = LinearSystem(2, ineq_rows=[([ONE, ONE], ONE)])
+    tri = LinearSystem(2, ineq_rows=[({0: ONE, 1: ONE}, ONE)])
     verts = enumerate_lp_vertices(tri)
     assert sorted(tuple(v) for v in verts) == [
         (Fraction(0), Fraction(0)),
@@ -237,16 +237,18 @@ def test_enumerate_lp_vertices_with_inequalities():
 def brute_force_vertices(sys):
     """Reference: every feasible unique solution of all equalities plus a
     subset of the inequality and nonnegativity constraints made tight."""
-    units = [
-        ([int(u == v) for u in range(sys.var_count)], 0)
-        for v in range(sys.var_count)
-        if sys.nonneg[v]
-    ]
-    optional = [*sys.ineq_rows, *units]
+    n = sys.var_count
+
+    def dense(rows):
+        return [([coeffs.get(j, 0) for j in range(n)], rhs) for coeffs, rhs in rows]
+
+    eq_rows = dense(sys.eq_rows)
+    units = [([int(u == v) for u in range(n)], 0) for v in range(n) if sys.nonneg[v]]
+    optional = [*dense(sys.ineq_rows), *units]
     found = set()
     for size in range(len(optional) + 1):
         for subset in itertools.combinations(optional, size):
-            status, solution, _ = gauss_jordan([*sys.eq_rows, *subset], sys.var_count)
+            status, solution, _ = gauss_jordan([*eq_rows, *subset], n)
             if status == "unique" and sys.is_feasible(solution):
                 found.add(tuple(solution))
     return sorted(map(list, found))
@@ -271,7 +273,9 @@ def small_systems(draw):
         eq_rows.append(([f * c for c in coeffs], f * rhs))
     ineq_rows = draw(st.lists(row, max_size=3))
     nonneg = draw(st.lists(st.sampled_from((True, True, True, False)), min_size=n, max_size=n))
-    return LinearSystem(n, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
+    return LinearSystem(
+        n, eq_rows=sparse_rows(eq_rows), ineq_rows=sparse_rows(ineq_rows), nonneg=nonneg
+    )
 
 
 @settings(max_examples=300, deadline=None)
