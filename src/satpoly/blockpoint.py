@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from satpoly.errors import InputError
-from satpoly.rational import Rational, format_rational, parse_int, parse_rational
+from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
 
 
 def flat_index(i: int, j: int, k: int, l: int, n: int) -> int:
@@ -111,11 +111,7 @@ class BlockPoint:
 
     @staticmethod
     def from_text(text: str, expect_tag: str | None = None) -> "BlockPoint":
-        lines = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
+        lines = content_lines(text)
         if not lines:
             raise InputError("empty block-point text")
         header = lines[0].split()

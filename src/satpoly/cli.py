@@ -17,7 +17,7 @@ from satpoly.blockpoint import BlockPoint
 from satpoly.builders import PolytopeId
 from satpoly.errors import BudgetError, InputError, SatpolyError, SubclassError
 from satpoly.linsys import LinearSystem, lp_maximize
-from satpoly.rational import format_rational, format_vector, parse_rational
+from satpoly.rational import content_lines, format_rational, format_vector, parse_rational
 from satpoly import ecbgc as ecbgc_mod
 from satpoly import recognition, reductions, vertices
 
@@ -36,12 +36,7 @@ def _read(path: str) -> str:
 
 
 def _read_flat_vector(path: str) -> list:
-    tokens = []
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    return [parse_rational(t) for t in tokens]
+    return [parse_rational(t) for line in content_lines(_read(path)) for t in line.split()]
 
 
 def _cmd_build(args) -> int:

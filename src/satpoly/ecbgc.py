@@ -24,7 +24,7 @@ from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, SubclassError
-from satpoly.rational import Rational, parse_int
+from satpoly.rational import Rational, content_lines, parse_int
 from satpoly.recognition import pair_balances_column, recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
 from satpoly.vertices import DEFAULT_CODE_BUDGET
@@ -41,6 +41,8 @@ class EcbgcInstance:
     edges: tuple[tuple[int, int, PcTable], ...]  # (i, j) 1-based
 
     def __post_init__(self):
+        if self.u_count < 1 or self.v_count < 1:
+            raise InputError("instance sizes must be positive")
         seen = set()
         for i, j, _ in self.edges:
             if not (1 <= i <= self.u_count and 1 <= j <= self.v_count):
@@ -76,10 +78,7 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
     """
     header = None
     edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "ecbgc":
             if len(tokens) != 3:

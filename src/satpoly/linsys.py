@@ -2,8 +2,8 @@
 
 A :class:`LinearSystem` holds equality rows, ``<=`` inequality rows, and a
 per-variable nonnegativity flag.  Every row is a sparse :data:`Row`, a map
-from column to rational coefficient in which absent columns are zero; only
-the simplex tableau is dense, and it is internal to :func:`lp_maximize`.
+from column to rational coefficient in which absent columns are zero, and
+so is every row of the simplex tableau inside :func:`lp_maximize`.
 All arithmetic is exact; results satisfy their constraints with no
 tolerance anywhere.
 
@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from satpoly.errors import InputError, InternalInvariantError
-from satpoly.rational import Rational, format_rational, parse_int, parse_rational
+from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
 
 Row = dict[int, Rational]
 """A sparse row: column index to coefficient; absent columns are zero."""
@@ -109,13 +109,12 @@ class LinearSystem:
         nonneg = None
         eq_rows: list[tuple[Row, Rational]] = []
         ineq_rows: list[tuple[Row, Rational]] = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for line in content_lines(text):
             tokens = line.split()
             kind = tokens[0]
             if kind == "vars":
+                if var_count is not None:
+                    raise InputError("duplicate 'vars' header")
                 var_count = parse_int(tokens, 1, "'vars' header")
             elif kind == "nonneg":
                 if any(t not in ("0", "1") for t in tokens[1:]):
@@ -290,64 +289,53 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense rational simplex tableau with Bland's anti-cycling rule.
+    """Sparse rational simplex tableau with Bland's anti-cycling rule.
 
-    Row operations run in place and skip zero entries of the pivot row,
-    which dominates the cost on the sparse systems built here.
+    Every row is a :data:`Row` of ``Fraction`` entries whose right side is
+    column ``rhs``, past every variable column; entries that cancel are
+    dropped, so a stored zero is never chosen as a pivot.
     """
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
-        self.rows = rows  # each row: coefficients + rhs in last slot
+    def __init__(self, rows: list[Row], basis: list[int], rhs: int):
+        self.rows = rows
         self.basis = basis
-        self.ncols = len(rows[0]) - 1 if rows else 0
+        self.rhs = rhs
 
     def pivot(self, row: int, col: int) -> None:
         pivrow = self.rows[row]
         pv = pivrow[col]
         if pv != 1:
             inv = Fraction(1) / pv
-            for j, x in enumerate(pivrow):
-                if x:
-                    pivrow[j] = x * inv
-        nz = [(j, x) for j, x in enumerate(pivrow) if x]
+            for j, x in pivrow.items():
+                pivrow[j] = x * inv
         for i, ri in enumerate(self.rows):
-            if i == row:
-                continue
-            f = ri[col]
-            if f:
-                for j, x in nz:
-                    ri[j] -= f * x
+            f = ri.get(col)
+            if f and i != row:
+                _sub_scaled(ri, f, pivrow)
         self.basis[row] = col
 
-    def run(self, cost: list[Fraction], allowed: int) -> tuple[str, list[Fraction]]:
+    def run(self, cost: Row, allowed: int) -> tuple[str, Row]:
         """Maximize over columns [0, allowed); returns status and final z-row.
 
         ``cost`` is the objective over all columns; the z-row is kept in
         reduced form (entry j = z_j - c_j, optimal when all >= 0).
         """
-        rows, basis = self.rows, self.basis
-        zrow = [-c for c in cost] + [Fraction(0)]
+        rows, basis, rhs = self.rows, self.basis, self.rhs
+        zrow = {j: -c for j, c in cost.items()}
         for i, b in enumerate(basis):
-            f = zrow[b]
+            f = zrow.get(b)
             if f:
-                for j, x in enumerate(rows[i]):
-                    if x:
-                        zrow[j] -= f * x
-        zero = Fraction(0)
+                _sub_scaled(zrow, f, rows[i])
         while True:
-            enter = -1
-            for j in range(allowed):
-                if zrow[j] < zero:
-                    enter = j
-                    break
+            enter = min((j for j, x in zrow.items() if j < allowed and x < 0), default=-1)
             if enter < 0:
                 return "optimal", zrow
             leave = -1
             best: Optional[Fraction] = None
             for i, ri in enumerate(rows):
-                a = ri[enter]
-                if a > zero:
-                    ratio = ri[-1] / a
+                a = ri.get(enter)
+                if a is not None and a > 0:
+                    ratio = ri.get(rhs, 0) / a
                     if best is None or ratio < best or (
                         ratio == best and basis[i] < basis[leave]
                     ):
@@ -356,11 +344,22 @@ class _Tableau:
             if leave < 0:
                 return "unbounded", zrow
             self.pivot(leave, enter)
-            f = zrow[enter]
+            f = zrow.get(enter)
             if f:
-                for j, x in enumerate(rows[leave]):
-                    if x:
-                        zrow[j] -= f * x
+                _sub_scaled(zrow, f, rows[leave])
+
+
+def _sub_scaled(row: Row, f: Fraction, other: Row) -> None:
+    """``row -= f * other`` in place, dropping the entries that cancel."""
+    g = -f
+    for j, x in other.items():
+        y = row.get(j)
+        if y is None:
+            row[j] = g * x
+        elif y := y + g * x:
+            row[j] = y
+        else:
+            del row[j]
 
 
 def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
@@ -376,7 +375,8 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
 
     # Column layout: one column per nonnegative variable, a (+,-) pair per
-    # free variable, then one slack per inequality row, then artificials.
+    # free variable, one slack per inequality row, one artificial per row
+    # with no slack to start the basis on, then the right side.
     col_of_var: list[tuple[int, Optional[int]]] = []
     ncols = 0
     for flag in sys.nonneg:
@@ -387,84 +387,63 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
     slack0 = ncols
-    ncols += len(sys.ineq_rows)
-    struct_cols = ncols
+    struct_cols = ncols + len(sys.ineq_rows)
+    rhs_col = struct_cols + len(sys.eq_rows) + sum(rhs < 0 for _, rhs in sys.ineq_rows)
 
-    def expand(coeffs: Row) -> list[Fraction]:
-        row = [Fraction(0)] * ncols
+    def expand(coeffs: Row) -> Row:
+        row: Row = {}
         for v, c in coeffs.items():
-            pos, neg = col_of_var[v]
-            row[pos] += c
-            if neg is not None:
-                row[neg] -= c
+            if c:
+                pos, neg = col_of_var[v]
+                row[pos] = Fraction(c)
+                if neg is not None:
+                    row[neg] = -row[pos]
         return row
 
-    rows: list[list[Fraction]] = []
-    needs_artificial: list[bool] = []
-    for coeffs, rhs in sys.eq_rows:
-        row = expand(coeffs) + [Fraction(rhs)]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        rows.append(row)
-        needs_artificial.append(True)
-    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        row = expand(coeffs) + [Fraction(rhs)]
-        row[slack0 + k] = Fraction(1)
-        if row[-1] < 0:
-            row = [-x for x in row]
-            needs_artificial.append(True)  # slack coefficient became -1
-        else:
-            needs_artificial.append(False)
-        rows.append(row)
-
+    rows: list[Row] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for i, row in enumerate(rows):
-        if needs_artificial[i]:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-        else:
-            basis.append(slack0 + i - len(sys.eq_rows))
-    total_cols = ncols + len(art_cols)
-    for i, row in enumerate(rows):
-        row[-1:-1] = [Fraction(0)] * len(art_cols)
-        if needs_artificial[i]:
-            row[basis[i]] = Fraction(1)
+    art = struct_cols
+    # k counts from -len(eq_rows): negative on equalities, the slack index after.
+    for k, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows], -len(sys.eq_rows)):
+        row = expand(coeffs)
+        if k >= 0:
+            row[slack0 + k] = Fraction(1)
+        if rhs:
+            row[rhs_col] = Fraction(rhs)
+        if rhs < 0:
+            row = {j: -x for j, x in row.items()}
+        if k >= 0 and rhs >= 0:
+            basis.append(slack0 + k)
+        else:  # an equality, or a slack whose coefficient became -1
+            row[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        rows.append(row)
 
-    tab = _Tableau(rows, basis)
+    tab = _Tableau(rows, basis, rhs_col)
 
-    if art_cols:
-        phase1_cost = [Fraction(0)] * total_cols
-        for c in art_cols:
-            phase1_cost[c] = Fraction(-1)
+    if art > struct_cols:
+        phase1_cost = {c: Fraction(-1) for c in range(struct_cols, art)}
         status, zrow = tab.run(phase1_cost, allowed=struct_cols)
-        if status != "optimal" or zrow[-1] != 0:
+        if status != "optimal" or zrow.get(rhs_col):
             return LpResult(status="Infeasible")
         # Pivot remaining zero-level artificials out; drop redundant rows.
-        for i in list(range(len(tab.rows) - 1, -1, -1)):
-            if tab.basis[i] in art_cols:
-                entry = next(
-                    (j for j in range(struct_cols) if tab.rows[i][j] != 0), None
-                )
+        for i in range(len(tab.rows) - 1, -1, -1):
+            if tab.basis[i] >= struct_cols:
+                entry = min((j for j in tab.rows[i] if j < struct_cols), default=None)
                 if entry is None:
                     del tab.rows[i]
                     del tab.basis[i]
                 else:
                     tab.pivot(i, entry)
 
-    phase2_cost = expand(cost) + [Fraction(0)] * len(art_cols)
-    status, zrow = tab.run(phase2_cost, allowed=struct_cols)
+    status, zrow = tab.run(expand(cost), allowed=struct_cols)
     if status == "unbounded":
         return LpResult(status="Unbounded")
 
-    col_values = [Fraction(0)] * total_cols
-    for i, b in enumerate(tab.basis):
-        col_values[b] = tab.rows[i][-1]
-    point = []
-    for v in range(sys.var_count):
-        pos, neg = col_of_var[v]
-        point.append(col_values[pos] - (col_values[neg] if neg is not None else 0))
+    zero = Fraction(0)
+    col_values = {b: row.get(rhs_col, zero) for b, row in zip(tab.basis, tab.rows)}
+    point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
     value = _dot(cost, point)
 
     if not sys.is_feasible(point):  # pragma: no cover - exactness guard

@@ -42,6 +42,11 @@ def parse_int(tokens: Sequence[str], index: int, what: str) -> int:
         raise InputError(f"not an integer in {what}: {tokens[index]!r}") from None
 
 
+def content_lines(text: str) -> list[str]:
+    """The non-blank lines of ``text``, each stripped of a ``#`` comment."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
 def format_rational(value: Rational) -> str:
     """Render a rational as ``p`` or ``p/q`` (never a decimal)."""
     value = Fraction(value)

@@ -113,10 +113,16 @@ def point_to_code(p: BlockPoint) -> VertexCode:
     return VertexCode(row, col)
 
 
+def _check_grid(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise InputError("grid dimensions must be positive")
+
+
 def enumerate_integral_vertices(
     m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
 ) -> list[VertexCode]:
     """All ``2^m 3^n`` codes in lexicographic order, guarded by a budget."""
+    _check_grid(m, n)
     count = (2**m) * (3**n)
     if count > budget:
         raise BudgetError(f"{count} codes exceed budget {budget}")
@@ -195,6 +201,7 @@ def construct_clique(m: int, n: int) -> list[VertexCode]:
     (cols restricted to {0,1}) and are zero elsewhere; any two of them
     differ in both vectors, hence are pairwise adjacent.
     """
+    _check_grid(m, n)
     p = min(m, n)
     out = []
     for bits in itertools.product((0, 1), repeat=p):

@@ -233,6 +233,14 @@ MALFORMED_INTEGERS = {
         ["lp", "--system", "{a}", "--objective", "{b}"],
         ["vars 2\nnonneg 1 x\nle 1 1 | 1\n", "1 1\n"],
     ),
+    "vars-twice": (
+        ["lp", "--system", "{a}", "--objective", "{b}"],
+        ["vars 2\neq 1 1 | 1\nvars 3\n", "1 1 1\n"],
+    ),
+    "ecbgc-size": (["oracle", "ecbgc", "--instance", "{a}"], ["ecbgc -1 2\n"]),
+    "enumerate-size": (["vertices", "enumerate", "--m", "-1", "--n", "2"], []),
+    "enumerate-zero": (["vertices", "enumerate", "--m", "0", "--n", "0"], []),
+    "clique-size": (["vertices", "clique", "--m", "-1", "--n", "2"], []),
 }
 
 

@@ -1,12 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satpoly.builders import build_satp_lp
+from satpoly.builders import PolytopeId, build_satp_lp
 from satpoly.errors import InputError
 from satpoly.linsys import LinearSystem, lp_maximize, rank, unique_solution
+from satpoly.rational import format_rational, format_vector
 from satpoly.vertices import enumerate_lp_vertices, fractional_vertex
+from tests.test_elimination import sparse_rows
+from tests.test_vertices import COEFFS
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -146,6 +152,64 @@ def test_lp_handles_negative_rhs_and_redundancy():
     assert agreements >= 10
 
 
+@st.composite
+def boxed_lps(draw):
+    """A system over up to four variables, some free, each boxed by ``le``
+    rows so that the LP is optimal or infeasible, and an objective.  Entries
+    are rational, right sides of either sign, and explicit zero entries may
+    be kept in the rows."""
+    n = draw(st.integers(1, 4))
+    nonneg = draw(st.lists(st.sampled_from((True, True, False)), min_size=n, max_size=n))
+    row = st.tuples(st.lists(COEFFS, min_size=n, max_size=n), COEFFS)
+    keep_zeros = draw(st.booleans())
+    eq_rows = sparse_rows(draw(st.lists(row, max_size=2)), keep_zeros)
+    ineq_rows = sparse_rows(draw(st.lists(row, max_size=3)), keep_zeros)
+    for v in range(n):
+        ineq_rows.append(({v: 1}, draw(st.integers(1, 3))))
+        if not nonneg[v]:
+            ineq_rows.append(({v: -1}, draw(COEFFS)))  # x_v >= -rhs
+    objective = draw(st.lists(COEFFS, min_size=n, max_size=n))
+    return LinearSystem(n, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg), objective
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_lps())
+def test_lp_matches_vertex_enumeration_on_boxed_systems(lp):
+    sys, objective = lp
+    res = lp_maximize(sys, objective)
+    verts = enumerate_lp_vertices(sys)
+    if not verts:
+        assert res.status == "Infeasible"
+        return
+    assert res.status == "Optimal"
+    assert res.value == max(sum(c * x for c, x in zip(objective, v)) for v in verts)
+    assert type(res.value) is Fraction
+    assert all(type(x) is Fraction for x in res.point)
+    assert sys.is_feasible(res.point)
+
+
+# sha256[:16] of the `satpoly lp` output for the objective (7v mod 5) - 2.
+LP_DIGESTS = {
+    ("satp", 3, 3): "c82c066127808527",
+    ("satp2", 3, 3): "a19e2131cf775700",
+    ("bqp", None, 6): "fcf9dab18fd840af",
+    ("met", None, 6): "719cee9a3a75994d",
+}
+
+
+@pytest.mark.parametrize("kind,m,n", LP_DIGESTS)
+def test_lp_output_digest(kind, m, n):
+    sys = PolytopeId(kind, m=m, n=n).build()
+    res = lp_maximize(sys, [(7 * v) % 5 - 2 for v in range(sys.var_count)])
+    text = (
+        f"status {res.status}\n"
+        f"value {format_rational(res.value)}\n"
+        f"point {format_vector(res.point)}\n"
+        f"tight {' '.join(str(i) for i in sorted(res.tight_set))}\n"
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == LP_DIGESTS[kind, m, n]
+
+
 def test_satp_systems_never_unbounded():
     rng = random.Random(5)
     sys = build_satp_lp(2, 2)
@@ -208,6 +272,8 @@ def test_system_from_text_rejects_malformed():
         LinearSystem.from_text("eq 1 1 | 1\n")  # no header
     with pytest.raises(InputError):
         LinearSystem.from_text("vars 2\neq 1 | 1\n")  # wrong width
+    with pytest.raises(InputError, match="duplicate 'vars' header"):
+        LinearSystem.from_text("vars 2\neq 1 1 | 1\nvars 3\n")
 
 
 def test_constructor_rejects_rows_outside_the_sparse_format():
