@@ -168,17 +168,10 @@ def build_satp2_lp(m: int, n: int) -> LinearSystem:
     """The strengthened relaxation: base system plus 2 m(m-1) n(n-1) rows.
 
     For ``m < 2`` or ``n < 2`` the inequalities need two distinct block
-    rows and columns, so the base system is returned unchanged.
+    rows and columns, so there are none.
     """
     base = build_satp_lp(m, n)
-    if m < 2 or n < 2:
-        return base
-    return LinearSystem(
-        base.var_count,
-        eq_rows=base.eq_rows,
-        ineq_rows=satp2_inequality_rows(m, n),
-        nonneg=base.nonneg,
-    )
+    return LinearSystem(base.var_count, base.eq_rows, satp2_inequality_rows(m, n), base.nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +213,28 @@ def build_bqp_lp(n: int) -> LinearSystem:
     return LinearSystem(nvars, ineq_rows=ineq, nonneg=[True] * nvars)
 
 
-def build_met(n: int) -> LinearSystem:
-    """Metric strengthening: the quadric relaxation plus triangle rows.
-
-    For every triple i < j < k the four triangle inequalities are appended
-    (4 * C(n,3) rows), stated over the original variables.
-    """
-    if n < 3:
-        raise InputError("n must be at least 3")
-    base = build_bqp_lp(n)
-    ineq = list(base.ineq_rows)
+def met_triangle_rows(n: int) -> list[tuple[Row, Rational]]:
+    """The four triangle rows of every triple i < j < k (4 * C(n,3) rows)."""
+    rows: list[tuple[Row, Rational]] = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 pij = bqp_pair_index(i, j, n)
                 pik = bqp_pair_index(i, k, n)
                 pjk = bqp_pair_index(j, k, n)
-                ineq.append(({i: 1, j: 1, k: 1, pij: -1, pik: -1, pjk: -1}, 1))
-                ineq.append(({i: -1, pij: 1, pik: 1, pjk: -1}, 0))
-                ineq.append(({j: -1, pij: 1, pik: -1, pjk: 1}, 0))
-                ineq.append(({k: -1, pij: -1, pik: 1, pjk: 1}, 0))
+                rows.append(({i: 1, j: 1, k: 1, pij: -1, pik: -1, pjk: -1}, 1))
+                rows.append(({i: -1, pij: 1, pik: 1, pjk: -1}, 0))
+                rows.append(({j: -1, pij: 1, pik: -1, pjk: 1}, 0))
+                rows.append(({k: -1, pij: -1, pik: 1, pjk: 1}, 0))
+    return rows
+
+
+def build_met(n: int) -> LinearSystem:
+    """Metric strengthening: the quadric relaxation's rows, then the triangle rows."""
+    if n < 3:
+        raise InputError("n must be at least 3")
+    base = build_bqp_lp(n)
+    ineq = base.ineq_rows + met_triangle_rows(n)
     return LinearSystem(base.var_count, ineq_rows=ineq, nonneg=base.nonneg)
 
 

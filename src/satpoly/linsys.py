@@ -67,9 +67,8 @@ class LinearSystem:
         for coeffs, rhs in self.eq_rows:
             if _dot(coeffs, point) != rhs:
                 return False
-        for coeffs, rhs in self.ineq_rows:
-            if _dot(coeffs, point) > rhs:
-                return False
+        if violated_rows(self.ineq_rows, point):
+            return False
         for v, flag in enumerate(self.nonneg):
             if flag and point[v] < 0:
                 return False
@@ -153,6 +152,11 @@ def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
 
 def _dot(coeffs: Row, point: Sequence[Rational]) -> Rational:
     return sum((c * point[j] for j, c in coeffs.items()), Fraction(0))
+
+
+def violated_rows(rows: Sequence[tuple[Row, Rational]], point: Sequence[Rational]) -> list[int]:
+    """Indices of the ``<=`` rows that ``point`` violates, in row order."""
+    return [k for k, (coeffs, rhs) in enumerate(rows) if _dot(coeffs, point) > rhs]
 
 
 # ---------------------------------------------------------------------------

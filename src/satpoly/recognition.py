@@ -7,6 +7,11 @@ column-balanced objectives: every block column j owns a pair of block
 rows (a_j, b_j) with ``c^{a,1} + c^{b,2} = c^{a,2} + c^{b,1}`` in every
 block row i.
 
+The strengthened optimum is found by separation (Dantzig, Fulkerson and
+Johnson 1954): the strengthening rows the base optimizer violates become
+cuts, and the base rows plus all cuts are solved again until no row is
+violated, so the full strengthened system never reaches the simplex.
+
 When the two optima agree, a maximizing integral vertex is extracted
 constructively: the optimizer of the strengthened system is rewritten,
 by per-row column swaps, per-column row permutations, and
@@ -27,12 +32,13 @@ from typing import Optional
 from satpoly.blockpoint import BlockPoint, ObjectiveVector, objective_value
 from satpoly.builders import (
     build_bqp_lp,
-    build_met,
+    build_met,  # unused here; perfbench/tracing.py wraps this name
     build_satp_lp,
     build_satp2_lp,
     bqp_pair_index,
     bqp_var_count,
-    satp2_inequality_rows,  # unused here; perfbench/tracing.py wraps this name
+    met_triangle_rows,
+    satp2_inequality_rows,
 )
 from satpoly.errors import (
     BalanceError,
@@ -40,7 +46,7 @@ from satpoly.errors import (
     InputError,
     InternalInvariantError,
 )
-from satpoly.linsys import lp_maximize
+from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize, violated_rows
 from satpoly.rational import Rational
 from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point
 
@@ -481,6 +487,33 @@ class RecognitionOutcome:
     strengthened_value: Rational
 
 
+def _separate(
+    base: LinearSystem, rows: list[tuple[Row, Rational]], objective: list[Rational]
+) -> tuple[LpResult, LpResult]:
+    """Optima over ``base`` and over ``base`` plus the ``<=`` rows ``rows``.
+
+    The second comes by separation: the rows the optimizer violates join
+    the cuts, and the base rows plus all cuts are solved again from scratch
+    until no row is violated.  That optimizer is feasible for the full
+    system and optimal for a relaxation of it.  An optimizer meets its own
+    cuts, so each round adds a row and the loop ends.
+    """
+    relaxed = result = lp_maximize(base, objective)
+    cuts: set[int] = set()
+    while result.status == "Optimal" and (violated := violated_rows(rows, result.point)):
+        if not cuts.isdisjoint(violated):
+            raise InternalInvariantError("LP optimizer violates one of its own cuts")
+        cuts.update(violated)
+        ineq = base.ineq_rows + [rows[k] for k in sorted(cuts)]
+        system = LinearSystem(base.var_count, base.eq_rows, ineq, base.nonneg)
+        result = lp_maximize(system, objective)
+    if relaxed.status != "Optimal" or result.status != "Optimal":
+        raise InternalInvariantError("base and cut systems are bounded and nonempty")
+    if result.value > relaxed.value:  # pragma: no cover - sandwich guard
+        raise InternalInvariantError("strengthened optimum exceeded the relaxation")
+    return relaxed, result
+
+
 def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     """Integer recognition over the block relaxation for balanced objectives.
 
@@ -488,20 +521,19 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     (2, 3); the base relaxation is invariant under that renaming, and the
     back-renamed strengthened system is an equally valid tightening with
     the same integral vertices, so comparing the two optima in normalized
-    coordinates decides integral attainment.  A positive answer comes with
-    a maximizing integral witness in the caller's coordinates.
+    coordinates decides integral attainment.  The strengthened optimum is
+    computed by separating the rows of :func:`satp2_inequality_rows` from
+    the base optimizer; its optimizer is also the point handed to
+    :func:`construct_wstar`.  A positive answer comes with a maximizing
+    integral witness in the caller's coordinates.
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
     pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
-    flat = c0.flat()
-    relaxed = lp_maximize(build_satp_lp(m, n), flat)
-    strengthened = lp_maximize(build_satp2_lp(m, n), flat)
-    if relaxed.status != "Optimal" or strengthened.status != "Optimal":
-        raise InternalInvariantError("block systems are bounded and nonempty")
-    if strengthened.value > relaxed.value:  # pragma: no cover - sandwich guard
-        raise InternalInvariantError("strengthened optimum exceeded the relaxation")
+    relaxed, strengthened = _separate(
+        build_satp_lp(m, n), satp2_inequality_rows(m, n), c0.flat()
+    )
     answer = relaxed.value == strengthened.value
     witness = None
     if answer:
@@ -522,15 +554,16 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
 
 
 def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
-    """Integer recognition over the quadric relaxation via its metric tightening."""
+    """Integer recognition over the quadric relaxation via its metric tightening.
+
+    The tightened optimum is computed by separating the triangle rows of
+    :func:`met_triangle_rows` from the quadric relaxation's optimizer.
+    """
     if n < 3:
         raise InputError("quadric recognition needs n >= 3")
     if len(objective) != bqp_var_count(n):
         raise InputError("objective has wrong dimension")
-    relaxed = lp_maximize(build_bqp_lp(n), objective)
-    tightened = lp_maximize(build_met(n), objective)
-    if relaxed.status != "Optimal" or tightened.status != "Optimal":
-        raise InternalInvariantError("quadric systems are bounded and nonempty")
+    relaxed, tightened = _separate(build_bqp_lp(n), met_triangle_rows(n), objective)
     return RecognitionOutcome(
         answer=relaxed.value == tightened.value,
         lp_value=relaxed.value,

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.errors import InputError
-from satpoly.rational import Rational, parse_int
+from satpoly.rational import Rational, content_lines, parse_int
 
 Literal = tuple[int, bool]  # (variable index 1..m, negated)
 
@@ -47,12 +47,15 @@ class Assignment:
 
 
 def parse_cnf3(text: str) -> Cnf3Formula:
-    """Parse the DIMACS-style subset: ``p cnf m n`` then n 3-literal lines."""
+    """Parse the DIMACS-style subset: ``p cnf m n`` then n 3-literal lines.
+
+    DIMACS ``c`` comment lines are skipped, and ``#`` starts a comment as
+    in every other text format.
+    """
     header = None
     clauses: list[tuple[Literal, Literal, Literal]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
+    for line in content_lines(text):
+        if line.startswith("c"):
             continue
         if line.startswith("p"):
             tokens = line.split()

@@ -17,6 +17,7 @@ from satpoly.builders import (
     build_met,
     build_satp_lp,
     build_satp2_lp,
+    met_triangle_rows,
     project_satp_face_to_bqp,
 )
 from satpoly.errors import FaceMembershipError, InputError
@@ -116,6 +117,9 @@ def test_met_counts_and_cutting():
     assert first_triangle == ({0: 1, 1: 1, 2: 1, 3: -1, 4: -1, 5: -1}, 1)
     lhs = sum(c * half[j] for j, c in first_triangle[0].items())
     assert lhs == Fraction(3, 2)
+    assert met_triangle_rows(3) == m3.ineq_rows[12:]
+    assert len(met_triangle_rows(5)) == 4 * 10
+    assert met_triangle_rows(2) == []
     with pytest.raises(InputError):
         build_met(2)
 

@@ -133,6 +133,15 @@ def test_reduce_recognize_oracle_pipeline(tmp_path):
     assert code == 3
 
 
+def test_reduce_reads_hash_comments_in_cnf(tmp_path):
+    cnf = tmp_path / "formula.cnf"
+    cnf.write_text("c DIMACS comment\np cnf 3 1\n1 2 3 0 # first clause\n")
+    code, out = invoke("reduce", "max3sat", "--cnf", str(cnf))
+    assert code == 0
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    assert invoke("reduce", "max3sat", "--cnf", str(cnf)) == (0, out)
+
+
 def test_recognize_zero_objective(tmp_path):
     objective = tmp_path / "objective.txt"
     objective.write_text("objective 2 2\n" + "\n".join(["0 0 0 0"] * 6) + "\n")

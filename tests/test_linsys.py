@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from satpoly.builders import PolytopeId, build_satp_lp
 from satpoly.errors import InputError
-from satpoly.linsys import LinearSystem, lp_maximize, rank, unique_solution
+from satpoly.linsys import LinearSystem, lp_maximize, rank, unique_solution, violated_rows
 from satpoly.rational import format_rational, format_vector
 from satpoly.vertices import enumerate_lp_vertices, fractional_vertex
 from tests.test_elimination import sparse_rows
@@ -301,3 +301,11 @@ def test_tight_rows_share_rows_and_emit_unit_rows():
         ({2: 1}, 0),
     ]
     assert tight.nonneg == [False] * 3
+
+
+def test_violated_rows_lists_strict_violations_in_row_order():
+    rows = [({0: 1, 1: 1}, 1), ({0: 1}, 0), ({1: -1}, 0), ({}, -1), ({0: 2}, 1)]
+    point = [Fraction(1, 2), Fraction(1, 2)]
+    # a row met with equality is not violated; an empty row reads 0
+    assert violated_rows(rows, point) == [1, 3]
+    assert violated_rows([], point) == []

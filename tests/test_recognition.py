@@ -1,12 +1,22 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from satpoly.blockpoint import BlockPoint, objective_value
-from satpoly.builders import build_satp_lp, build_satp2_lp
+from satpoly.builders import (
+    bqp_pair_index,
+    bqp_var_count,
+    build_bqp_lp,
+    build_met,
+    build_satp_lp,
+    build_satp2_lp,
+    met_triangle_rows,
+    satp2_inequality_rows,
+)
 from satpoly.errors import BalanceError, InputError
-from satpoly.linsys import lp_maximize
+from satpoly.linsys import lp_maximize, violated_rows
 from satpoly.recognition import (
     RenamingLedger,
     bqp_brute_force_max,
@@ -15,6 +25,7 @@ from satpoly.recognition import (
     construct_wstar,
     decompose,
     integer_max_oracle,
+    normalization_ledger,
     recognize_bqp,
     recognize_satp,
 )
@@ -254,6 +265,77 @@ def test_recognize_agrees_with_oracle_sample():
         else:
             assert out.witness is None
             assert oracle_value <= out.strengthened_value < out.relaxation_value
+
+
+def test_separation_matches_full_strengthened_lp():
+    # the full SATP^2 LP is the reference; about one objective in thirty
+    # has a base optimizer that violates a strengthening row, so the
+    # sample is large enough to run the cut rounds several times
+    rng = random.Random(6060)
+    cut_path = 0
+    for m, n in [(2, 2)] * 100 + [(2, 3)] * 30 + [(3, 2)] * 30 + [(3, 3)] * 5:
+        c = random_balanced_objective(rng, m, n)
+        flat = normalization_ledger(c).apply_point(c).flat()
+        base = lp_maximize(build_satp_lp(m, n), flat)
+        cut_path += bool(violated_rows(satp2_inequality_rows(m, n), base.point))
+        out = recognize_satp(c, m, n)
+        assert out.relaxation_value == base.value
+        assert out.strengthened_value == lp_maximize(build_satp2_lp(m, n), flat).value
+    assert cut_path >= 3
+
+
+def _switch(objective, n, s):
+    """The objective after the substitution x_s -> 1 - x_s, up to a constant.
+
+    The substitution (with x_sj -> x_j - x_sj) maps the quadric and the
+    metric polytopes onto themselves and the triangle row family 0 onto
+    family s + 1 (first triple at n = 3).
+    """
+    out = list(objective)
+    out[s] = -objective[s]
+    for j in range(n):
+        if j != s:
+            p = bqp_pair_index(min(s, j), max(s, j), n)
+            out[j] += objective[p]
+            out[p] = -objective[p]
+    return out
+
+
+def test_separation_matches_full_metric_lp():
+    # random objectives rarely need every triangle family, so the sample
+    # also holds the all-half objective of n = 3 and its three switchings,
+    # whose base optimizers each violate a row of a different family
+    rng = random.Random(6161)
+    half = [Fraction(1)] * 3 + [Fraction(-2)] * 3
+    sample = [(3, half)] + [(3, _switch(half, 3, s)) for s in range(3)]
+    for n in (3,) * 20 + (4,) * 15 + (5,) * 10 + (6,) * 6:
+        sample.append((n, [Fraction(rng.randint(-3, 3)) for _ in range(bqp_var_count(n))]))
+    cut_path = 0
+    for n, objective in sample:
+        base = lp_maximize(build_bqp_lp(n), objective)
+        cut_path += bool(violated_rows(met_triangle_rows(n), base.point))
+        out = recognize_bqp(objective, n)
+        assert out.relaxation_value == base.value
+        assert out.strengthened_value == lp_maximize(build_met(n), objective).value
+    assert cut_path >= 3
+
+
+def test_recognize_6x6_matches_oracle():
+    # seed 1 is the first seed whose base optimizer violates strengthening
+    # rows (34 of them, one cut round); the full 6x6 strengthened LP of
+    # 1,956 rows runs for minutes
+    c = random_balanced_objective(random.Random(1), 6, 6)
+    start = time.monotonic()
+    outcome = recognize_satp(c, 6, 6)
+    elapsed = time.monotonic() - start
+    oracle_value, _ = integer_max_oracle(c, 6, 6)
+    assert outcome.answer == (oracle_value == outcome.relaxation_value)
+    assert oracle_value <= outcome.strengthened_value <= outcome.relaxation_value
+    if outcome.answer:
+        assert objective_value(c, code_to_point(outcome.witness)) == outcome.lp_value
+    else:
+        assert outcome.witness is None
+    assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
 def test_recognize_rejects_unbalanced():
