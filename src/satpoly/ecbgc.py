@@ -25,7 +25,7 @@ from typing import Optional
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, SubclassError
 from satpoly.rational import Rational, content_lines, parse_int
-from satpoly.recognition import pair_balances_column, recognize_satp
+from satpoly.recognition import BALANCING_PAIRS, pair_balances_column, recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
 from satpoly.vertices import DEFAULT_CODE_BUDGET
 
@@ -81,8 +81,8 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
     for line in content_lines(text):
         tokens = line.split()
         if tokens[0] == "ecbgc":
-            if len(tokens) != 3:
-                raise InputError(f"bad header: {line!r}")
+            if header is not None or len(tokens) != 3:
+                raise InputError(f"bad or repeated header: {line!r}")
             header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
         elif tokens[0] == "edge":
             if header is None:
@@ -125,9 +125,6 @@ class ConditionCheck:
         return self.pairs is not None
 
 
-_VPAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-
-
 def _pair_ok_for_edge(pc: PcTable, a: int, b: int) -> bool:
     left = pc[0][a - 1] and pc[1][b - 1]
     right = pc[1][a - 1] and pc[0][b - 1]
@@ -147,7 +144,7 @@ def check_condition(inst: EcbgcInstance) -> ConditionCheck:
     pairs = []
     for j in range(1, inst.v_count + 1):
         tables = by_vertex.get(j, [])
-        for a, b in _VPAIRS:
+        for a, b in BALANCING_PAIRS:
             if all(_pair_ok_for_edge(pc, a, b) for pc in tables):
                 pairs.append((a, b))
                 break

@@ -116,9 +116,10 @@ class LinearSystem:
                     raise InputError("duplicate 'vars' header")
                 var_count = parse_int(tokens, 1, "'vars' header")
             elif kind == "nonneg":
-                if any(t not in ("0", "1") for t in tokens[1:]):
-                    raise InputError(f"nonneg flags must be 0 or 1: {line!r}")
-                nonneg = [t == "1" for t in tokens[1:]]
+                flags = tokens[1:]
+                if nonneg is not None or not flags or any(t not in ("0", "1") for t in flags):
+                    raise InputError(f"expected one 'nonneg' line of 0/1 flags: {line!r}")
+                nonneg = [t == "1" for t in flags]
             elif kind in ("eq", "le"):
                 if var_count is None:
                     raise InputError("constraint row before 'vars' header")

@@ -50,7 +50,9 @@ from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize, violated_ro
 from satpoly.rational import Rational
 from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point
 
-_PAIRS_1BASED = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+#: Candidate balancing pairs of block rows (1-based), in the lexicographic
+#: order every pair search takes them.
+BALANCING_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ def check_balance(c: ObjectiveVector) -> BalanceCertificate:
     """Lexicographically smallest balancing pair per column, or BalanceError."""
     pairs = []
     for j in range(c.n):
-        for a, b in _PAIRS_1BASED:
+        for a, b in BALANCING_PAIRS:
             if pair_balances_column(c, j, a, b):
                 pairs.append((a, b))
                 break
@@ -109,6 +111,10 @@ class RenamingLedger:
 
     def cell_map(self, i: int, j: int, k: int, l: int) -> tuple[int, int]:
         return self.col_perm[j][k], (1 - l) if self.row_swap[i] else l
+
+    def cell_source(self, i: int, j: int, k: int, l: int) -> tuple[int, int]:
+        """The inverse of :meth:`cell_map`: the original cell shown at ``(k, l)``."""
+        return self.col_perm[j].index(k), (1 - l) if self.row_swap[i] else l
 
     def apply_point(self, p: BlockPoint) -> BlockPoint:
         """Map a point from original coordinates into ledger coordinates."""
@@ -155,19 +161,12 @@ def normalization_ledger(c: ObjectiveVector) -> RenamingLedger:
     balancing pair (a, b) to (2, 3).
     """
     ledger = RenamingLedger.identity(c.m, c.n)
-    for j in range(c.n):
+    for j, (a, b) in enumerate(check_balance(c).pairs):
         if pair_balances_column(c, j, 2, 3):
             continue
-        for a, b in _PAIRS_1BASED:
-            if pair_balances_column(c, j, a, b):
-                sigma: list[Optional[int]] = [None, None, None]
-                sigma[a - 1] = 1
-                sigma[b - 1] = 2
-                sigma[next(k for k in range(3) if sigma[k] is None)] = 0
-                ledger.col_perm[j] = tuple(sigma)  # type: ignore[assignment]
-                break
-        else:
-            raise BalanceError(j)
+        sigma = [0, 0, 0]
+        sigma[a - 1], sigma[b - 1] = 1, 2
+        ledger.col_perm[j] = tuple(sigma)  # type: ignore[assignment]
     return ledger
 
 
@@ -184,108 +183,72 @@ _U, _V = (2, 0), (2, 1)
 class _Rewriter:
     """Working state for the positive-top-left rewriting procedure.
 
-    Starts from a point feasible for the canonical strengthened system and
-    an objective balanced by the pair (2, 3) in every column; all later
-    renamings keep the tracked pairs and the ledger image of the system in
-    step with the point.
+    The point ``p`` keeps the normalized coordinates throughout, where it
+    meets the canonical strengthened system and the objective is balanced
+    by the row pair (2, 3) in every column.  A renaming only updates
+    ``ledger``; the procedure reads and writes cells in ledger
+    coordinates, each one mapped back to its cell of ``p`` by
+    :meth:`RenamingLedger.cell_source`.  The rewritten point is
+    ``ledger.apply_point(p)``.
     """
 
-    def __init__(self, w: BlockPoint, c: ObjectiveVector):
-        self.m, self.n = w.m, w.n
-        self.p = w.copy()
-        self.c = c.copy()
-        self.ledger = RenamingLedger.identity(self.m, self.n)
-        # Current balancing pair per column, 0-based block rows.
-        self.pairs: list[tuple[int, int]] = [(1, 2)] * self.n
+    def __init__(self, w: BlockPoint):
+        self.p = w
+        self.ledger = RenamingLedger.identity(w.m, w.n)
         self.rotated: list[int] = []  # columns moved to the positive prefix
 
     # -- renamings ---------------------------------------------------------
 
     def lswap(self, i: int) -> None:
-        for j in range(self.n):
-            for blk in (self.p.cells[i][j], self.c.cells[i][j]):
-                for k in range(3):
-                    blk[k][0], blk[k][1] = blk[k][1], blk[k][0]
         self.ledger.row_swap[i] = not self.ledger.row_swap[i]
 
     def kperm(self, j: int, sigma: tuple[int, int, int]) -> None:
-        for i in range(self.m):
-            for grid in (self.p.cells, self.c.cells):
-                old = grid[i][j]
-                new = [None, None, None]
-                for k in range(3):
-                    new[sigma[k]] = old[k]
-                grid[i][j] = new  # type: ignore[assignment]
-        old_perm = self.ledger.col_perm[j]
-        self.ledger.col_perm[j] = tuple(sigma[old_perm[k]] for k in range(3))
-        a, b = self.pairs[j]
-        self.pairs[j] = (sigma[a], sigma[b])
+        self.ledger.col_perm[j] = tuple(sigma[k] for k in self.ledger.col_perm[j])
 
     # -- views -------------------------------------------------------------
 
     def cell(self, i: int, j: int, kl) -> Fraction:
-        return self.p.cells[i][j][kl[0]][kl[1]]
+        k, l = self.ledger.cell_source(i, j, *kl)
+        return self.p.cells[i][j][k][l]
 
     def row_sum(self, j: int, k: int) -> Fraction:
-        blk = self.p.cells[0][j]
-        return blk[k][0] + blk[k][1]
+        return self.cell(0, j, (k, 0)) + self.cell(0, j, (k, 1))
 
     def left_col_sum(self, i: int) -> Fraction:
-        blk = self.p.cells[i][0]
-        return blk[0][0] + blk[1][0] + blk[2][0]
+        return self.cell(i, 0, _X) + self.cell(i, 0, _Z) + self.cell(i, 0, _U)
 
     # -- the objective-preserving four-cell exchange ------------------------
 
     def eps_fix(self, i: int, j: int, target) -> None:
-        """Shift mass within block (i, j) so that ``target`` becomes positive.
+        """Shift mass in block (i, j) until ledger cell ``target`` is positive.
 
-        The four cells of the column's balancing pair move by +/- eps; the
-        balance identity keeps the objective unchanged, and the shift
-        cancels inside every row sum, left-column sum, and strengthening
-        row, so eps is limited only by the two decreased cells.
+        The four cells of the balancing rows (2, 3) of ``p`` move by +/- eps
+        along the two diagonals; the balance identity keeps the objective
+        unchanged, and the shift cancels inside every row sum, left-column
+        sum, and strengthening row, so eps is limited only by the two
+        decreased cells.
         """
-        a, b = self.pairs[j]
-        plus = ((a, 0), (b, 1))
-        minus = ((a, 1), (b, 0))
+        plus = ((1, 0), (2, 1))
+        minus = ((1, 1), (2, 0))
+        target = self.ledger.cell_source(i, j, *target)
         if target in plus:
             inc, dec = plus, minus
         elif target in minus:
             inc, dec = minus, plus
         else:
             raise InternalInvariantError("exchange target outside the balanced pair")
-        cblk = self.c.cells[i][j]
-        if (
-            cblk[plus[0][0]][plus[0][1]] + cblk[plus[1][0]][plus[1][1]]
-            != cblk[minus[0][0]][minus[0][1]] + cblk[minus[1][0]][minus[1][1]]
-        ):
-            raise InternalInvariantError("tracked pair lost the balance identity")
-        d0 = self.cell(i, j, dec[0])
-        d1 = self.cell(i, j, dec[1])
+        blk = self.p.cells[i][j]
+        d0 = blk[dec[0][0]][dec[0][1]]
+        d1 = blk[dec[1][0]][dec[1][1]]
         if d0 <= 0 or d1 <= 0:
             raise InternalInvariantError(
                 "exchange needs strictly positive cells to draw from"
             )
         eps = min(d0, d1) / 2
-        blk = self.p.cells[i][j]
         for k, l in inc:
             blk[k][l] += eps
         for k, l in dec:
             blk[k][l] -= eps
-
-    # -- verification ------------------------------------------------------
-
-    def check_current(self, reference_value: Fraction) -> None:
-        # The base rows are invariant under renamings, and a renamed
-        # strengthening row dotted with the point equals the canonical row
-        # dotted with its pullback: the pullback meets the canonical
-        # strengthened system exactly when the point meets the renamed one.
-        original = self.ledger.pullback_point(self.p)
-        if not build_satp2_lp(self.m, self.n).is_feasible(original.flat()):
-            raise InternalInvariantError(
-                "rewritten point violates the renamed strengthened system"
-            )
-        if objective_value(self.c, self.p) != reference_value:
-            raise InternalInvariantError("rewriting changed the objective value")
 
 
 _ROTATE = (2, 0, 1)  # block rows move up one slot; the top row wraps to the bottom
@@ -300,22 +263,18 @@ def construct_wstar(
     ``c`` is first normalized so every column is balanced by the row pair
     (2, 3); ``w`` must be feasible for the correspondingly renamed
     strengthened system (for an already-normalized objective that is the
-    canonical one, which is what :func:`recognize_satp` passes).  Returns
-    the rewritten point in renamed coordinates together with the composed
-    ledger of all renamings applied, including the normalization.  The
-    objective value is preserved exactly.  If ``w`` already has positive
-    top-left mass everywhere it is returned unchanged with an identity
-    ledger.
+    canonical one, which is what :func:`recognize_satp` passes), and that
+    is checked first.  If ``w`` then already has positive top-left mass
+    everywhere it is returned unchanged with an identity ledger.
+    Otherwise the renamed point stays fixed while the rewriting renames
+    only the ledger and shifts mass by objective-preserving exchanges.
+    Returns the rewritten point in ledger coordinates together with the
+    composed ledger of all renamings applied, including the normalization.
+    The objective value is preserved exactly.
     """
     m, n = w.m, w.n
     if (c.m, c.n) != (m, n):
         raise InputError("point and objective shapes disagree")
-
-    if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
-        if not build_satp2_lp(m, n).is_feasible(w.flat()):
-            raise InputError("point is not feasible for the strengthened system")
-        return w.copy(), RenamingLedger.identity(m, n)
-
     pre = normalization_ledger(c)
     w0 = pre.apply_point(w)
     c0 = pre.apply_point(c)
@@ -326,9 +285,11 @@ def construct_wstar(
         raise InputError(
             "point is not feasible for the normalized strengthened system"
         )
+    if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
+        return w.copy(), RenamingLedger.identity(m, n)
 
-    state = _Rewriter(w0, c0)
     value = objective_value(c0, w0)
+    state = _Rewriter(w0)
 
     # Rows whose left cell column carries no mass get their columns swapped.
     for i in range(m):
@@ -429,8 +390,15 @@ def construct_wstar(
             "rewriting case analysis exhausted on a feasible point"
         )
 
-    state.check_current(value)
-    return state.p, compose_ledgers(state.ledger, pre)
+    # p meets the canonical strengthened system exactly when its ledger
+    # image meets the renamed one, so the stored point is checked directly.
+    if not build_satp2_lp(m, n).is_feasible(state.p.flat()):
+        raise InternalInvariantError(
+            "rewritten point violates the renamed strengthened system"
+        )
+    if objective_value(c0, state.p) != value:
+        raise InternalInvariantError("rewriting changed the objective value")
+    return state.ledger.apply_point(state.p), compose_ledgers(state.ledger, pre)
 
 
 def decompose(

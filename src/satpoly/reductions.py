@@ -59,8 +59,8 @@ def parse_cnf3(text: str) -> Cnf3Formula:
             continue
         if line.startswith("p"):
             tokens = line.split()
-            if len(tokens) != 4 or tokens[0] != "p" or tokens[1] != "cnf":
-                raise InputError(f"bad problem line: {line!r}")
+            if header is not None or len(tokens) != 4 or tokens[:2] != ["p", "cnf"]:
+                raise InputError(f"bad or repeated problem line: {line!r}")
             header = tuple(parse_int(tokens, k, "problem line") for k in (2, 3))
             continue
         if header is None:

@@ -246,6 +246,19 @@ MALFORMED_INTEGERS = {
         ["lp", "--system", "{a}", "--objective", "{b}"],
         ["vars 2\neq 1 1 | 1\nvars 3\n", "1 1 1\n"],
     ),
+    "nonneg-twice": (
+        ["lp", "--system", "{a}", "--objective", "{b}"],
+        ["vars 2\nnonneg 0 0\nnonneg 1 1\nle 1 1 | 1\n", "1 1\n"],
+    ),
+    "nonneg-bare": (
+        ["lp", "--system", "{a}", "--objective", "{b}"],
+        ["vars 2\nnonneg\nle 1 1 | 1\n", "1 1\n"],
+    ),
+    "p-cnf-twice": (["reduce", "max3sat", "--cnf", "{a}"], ["p cnf 3 1\n1 2 3 0\np cnf 5 1\n"]),
+    "ecbgc-twice": (
+        ["ecbgc", "solve", "--instance", "{a}"],
+        ["ecbgc 1 1\nedge 1 1 : ++++++\necbgc 2 2\n"],
+    ),
     "ecbgc-size": (["oracle", "ecbgc", "--instance", "{a}"], ["ecbgc -1 2\n"]),
     "enumerate-size": (["vertices", "enumerate", "--m", "-1", "--n", "2"], []),
     "enumerate-zero": (["vertices", "enumerate", "--m", "0", "--n", "0"], []),

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -194,6 +195,78 @@ def test_wstar_witness_in_rotated_column():
     assert all(wstar.cells[i][j][0][0] > 0 for i in range(2) for j in range(2))
     assert build_satp_lp(2, 2).is_feasible(wstar.flat())
     _assert_renamed_strengthening_holds(wstar, ledger)
+
+
+def test_wstar_checks_positive_point_in_normalized_coordinates():
+    # only rows (1, 2) balance the first column, so normalization rotates
+    # it; feasibility is judged after that renaming, also for a point that
+    # already has positive top-left mass everywhere
+    c = BlockPoint.zeros(2, 2)
+    for i in range(2):
+        blk = c.cells[i][0]
+        blk[0][0], blk[1][0], blk[2][0] = Fraction(1), Fraction(1), Fraction(5)
+    pre = normalization_ledger(c)
+    assert pre.col_perm == [(1, 2, 0), (0, 1, 2)]
+    w = _point_from_sixtuples(
+        {
+            (0, 0): (1, 7, 7, 1, 1, 1),
+            (0, 1): (1, 7, 1, 1, 7, 1),
+            (1, 0): (7, 1, 1, 7, 1, 1),
+            (1, 1): (1, 7, 1, 1, 7, 1),
+        },
+        2,
+        2,
+        denominator=18,
+    )
+    strong = build_satp2_lp(2, 2)
+    assert not strong.is_feasible(w.flat())
+    assert strong.is_feasible(pre.apply_point(w).flat())
+    wstar, ledger = construct_wstar(w, c)
+    assert wstar == w
+    assert ledger.is_identity()
+    # the canonically feasible image of w is infeasible once renamed
+    w0 = pre.apply_point(w)
+    assert all(w0.cells[i][j][0][0] > 0 for i in range(2) for j in range(2))
+    assert not strong.is_feasible(pre.apply_point(w0).flat())
+    with pytest.raises(InputError):
+        construct_wstar(w0, c)
+
+
+# sha256[:16] over the rewritten point, the ledger and the decomposition of
+# a seeded sample, fixed before the rewriting moved from cells to the ledger:
+# every exchange and every eps must stay the same.
+WSTAR_DIGEST = "6a43edeb6919e926"
+
+
+def test_construct_wstar_digest():
+    rng = random.Random(1)
+    cases = []
+    for m, n, count in ((2, 2, 8), (2, 3, 4), (3, 2, 4), (3, 3, 2)):
+        strong = build_satp2_lp(m, n)
+        for _ in range(count):
+            c = random_balanced_objective(rng, m, n)
+            c0 = normalization_ledger(c).apply_point(c)
+            w = BlockPoint.from_flat(lp_maximize(strong, c0.flat()).point, m, n)
+            cases.append((w, c0))
+    # under the zero objective every feasible point is an optimizer
+    for m, n in ((2, 3), (3, 3)) * 12:
+        codes = enumerate_integral_vertices(m, n)
+        picks = rng.sample(codes, rng.randint(2, 4))
+        weights = [Fraction(rng.randint(1, 4)) for _ in picks]
+        w = BlockPoint.zeros(m, n)
+        for code, weight in zip(picks, weights):
+            for i, j, k, l, val in code_to_point(code).iter_cells():
+                w.cells[i][j][k][l] += val * weight / sum(weights)
+        cases.append((w, BlockPoint.zeros(m, n)))
+    digest = hashlib.sha256()
+    rewritten = 0
+    for w, c in cases:
+        wstar, ledger = construct_wstar(w, c)
+        rewritten += wstar != w
+        for part in (wstar.to_text(), repr(ledger), repr(decompose(wstar, ledger))):
+            digest.update(part.encode())
+    assert rewritten >= 30
+    assert digest.hexdigest()[:16] == WSTAR_DIGEST
 
 
 def test_recognition_on_degenerate_grids():
