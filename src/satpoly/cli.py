@@ -83,7 +83,7 @@ def _cmd_vertices(args) -> int:
         print(graph.diameter())
         return EXIT_OK
     if action == "clique":
-        for code in vertices.construct_clique(args.m, args.n):
+        for code in vertices.construct_clique(args.m, args.n, budget=args.budget):
             print(code)
         return EXIT_OK
     # fractional

@@ -17,17 +17,16 @@ balancing), and are solved by integer recognition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
-from satpoly.errors import BudgetError, InputError, InternalInvariantError, SubclassError
+from satpoly.errors import InputError, InternalInvariantError, SubclassError
 from satpoly.rational import Rational, content_lines, parse_int
 from satpoly.recognition import BALANCING_PAIRS, pair_balances_column, recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
-from satpoly.vertices import DEFAULT_CODE_BUDGET
+from satpoly.vertices import DEFAULT_CODE_BUDGET, integral_codes
 
 #: pc tables are indexed [u_color][v_color], 0-based: pc[s][k] for
 #: s in {0,1} (U side) and k in {0,1,2} (V side); True means permitted.
@@ -220,14 +219,10 @@ def brute_force_coloring(
     inst: EcbgcInstance, budget: int = DEFAULT_CODE_BUDGET
 ) -> Optional[Coloring]:
     """First valid coloring in lexicographic order, or None."""
-    count = (2**inst.u_count) * (3**inst.v_count)
-    if count > budget:
-        raise BudgetError(f"{count} colorings exceed budget {budget}")
     emap = inst.edge_map()
-    for u in itertools.product((1, 2), repeat=inst.u_count):
-        for v in itertools.product((1, 2, 3), repeat=inst.v_count):
-            if all(pc[u[i - 1] - 1][v[j - 1] - 1] for (i, j), pc in emap.items()):
-                return Coloring(u, v)
+    for row, col in integral_codes(inst.u_count, inst.v_count, budget):
+        if all(pc[row[i - 1]][col[j - 1]] for (i, j), pc in emap.items()):
+            return Coloring(tuple(r + 1 for r in row), tuple(k + 1 for k in col))
     return None
 
 

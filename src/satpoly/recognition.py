@@ -40,19 +40,16 @@ from satpoly.builders import (
     met_triangle_rows,
     satp2_inequality_rows,
 )
-from satpoly.errors import (
-    BalanceError,
-    BudgetError,
-    InputError,
-    InternalInvariantError,
-)
+from satpoly.errors import BalanceError, InputError, InternalInvariantError
 from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize, violated_rows
 from satpoly.rational import Rational
-from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point
+from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, integral_codes
 
 #: Candidate balancing pairs of block rows (1-based), in the lexicographic
-#: order every pair search takes them.
-BALANCING_PAIRS = ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+#: order every pair search takes them.  The balance identity is symmetric
+#: in a and b, so a reversed pair such as (2, 1) balances exactly when
+#: (1, 2) does and would never be found first.
+BALANCING_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -268,9 +265,10 @@ def construct_wstar(
     everywhere it is returned unchanged with an identity ledger.
     Otherwise the renamed point stays fixed while the rewriting renames
     only the ledger and shifts mass by objective-preserving exchanges.
-    Returns the rewritten point in ledger coordinates together with the
-    composed ledger of all renamings applied, including the normalization.
-    The objective value is preserved exactly.
+    Returns ``wstar`` with a ledger from the caller's coordinates (those
+    of ``w`` and ``c``) to those of ``wstar``: all renamings applied, the
+    normalization included; when ``w`` comes back unchanged that map is
+    the identity.  The objective value is preserved exactly.
     """
     m, n = w.m, w.n
     if (c.m, c.n) != (m, n):
@@ -556,24 +554,17 @@ def integer_max_oracle(
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
-    count = (2**m) * (3**n)
-    if count > budget:
-        raise BudgetError(f"{count} codes exceed budget {budget}")
     best_val: Optional[Fraction] = None
-    best_code: Optional[VertexCode] = None
-    for row in itertools.product((0, 1), repeat=m):
-        for col in itertools.product((0, 1, 2), repeat=n):
-            total = Fraction(0)
-            for i in range(m):
-                ri = row[i]
-                crow = c.cells[i]
-                for j in range(n):
-                    total += crow[j][col[j]][ri]
-            if best_val is None or total > best_val:
-                best_val = total
-                best_code = VertexCode(row, col)
-    assert best_val is not None and best_code is not None
-    return best_val, best_code
+    for row, col in integral_codes(m, n, budget):
+        total = Fraction(0)
+        for i in range(m):
+            ri = row[i]
+            crow = c.cells[i]
+            for j in range(n):
+                total += crow[j][col[j]][ri]
+        if best_val is None or total > best_val:
+            best_val, best_code = total, (row, col)
+    return best_val, VertexCode(*best_code)
 
 
 def bqp_brute_force_max(

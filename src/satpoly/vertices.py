@@ -16,7 +16,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from typing import Iterator
 
 from satpoly.blockpoint import BlockPoint
 from satpoly.builders import build_satp_lp
@@ -82,35 +83,25 @@ def code_to_point(code: VertexCode) -> BlockPoint:
 
 
 def point_to_code(p: BlockPoint) -> VertexCode:
-    """Inverse of :func:`code_to_point`; rejects non-vertex points."""
-    units: list[list[tuple[int, int]]] = []
-    for i in range(p.m):
-        row_units = []
-        for j in range(p.n):
-            found = None
-            for k in range(3):
-                for l in range(2):
-                    v = p.cells[i][j][k][l]
-                    if v == 0:
-                        continue
-                    if v != 1 or found is not None:
-                        raise NotAVertexError(
-                            f"block ({i + 1},{j + 1}) is not a unit block"
-                        )
-                    found = (k, l)
-            if found is None:
-                raise NotAVertexError(f"block ({i + 1},{j + 1}) is all zero")
-            row_units.append(found)
-        units.append(row_units)
-    row = tuple(units[i][0][1] for i in range(p.m))
-    col = tuple(units[0][j][0] for j in range(p.n))
-    for i in range(p.m):
-        for j in range(p.n):
-            if units[i][j] != (col[j], row[i]):
-                raise NotAVertexError(
-                    f"block ({i + 1},{j + 1}) is inconsistent with row/col codes"
-                )
-    return VertexCode(row, col)
+    """Inverse of :func:`code_to_point`; rejects every point outside its image.
+
+    ``row`` is read off the units of block column 1 and ``col`` off those
+    of block row 1; the point is accepted only if it re-encodes exactly.
+    """
+
+    def unit(i: int, j: int) -> tuple[int, int]:
+        blk = p.cells[i][j]
+        nonzero = [(k, l) for k in range(3) for l in range(2) if blk[k][l]]
+        if len(nonzero) != 1:
+            raise NotAVertexError(f"block ({i + 1},{j + 1}) is not a unit block")
+        return nonzero[0]
+
+    row = tuple(unit(i, 0)[1] for i in range(p.m))
+    col = tuple(unit(0, j)[0] for j in range(p.n))
+    code = VertexCode(row, col)
+    if code_to_point(code) != p:
+        raise NotAVertexError(f"point is not the integral vertex {code}")
+    return code
 
 
 def _check_grid(m: int, n: int) -> None:
@@ -118,19 +109,30 @@ def _check_grid(m: int, n: int) -> None:
         raise InputError("grid dimensions must be positive")
 
 
-def enumerate_integral_vertices(
+def integral_codes(
     m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
-) -> list[VertexCode]:
-    """All ``2^m 3^n`` codes in lexicographic order, guarded by a budget."""
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All ``2^m 3^n`` codes as raw ``(row, col)`` tuples, lexicographically.
+
+    The grid shape and the budget are checked on the call; the codes
+    themselves are generated lazily.
+    """
     _check_grid(m, n)
     count = (2**m) * (3**n)
     if count > budget:
         raise BudgetError(f"{count} codes exceed budget {budget}")
-    out = []
-    for row in itertools.product((0, 1), repeat=m):
-        for col in itertools.product((0, 1, 2), repeat=n):
-            out.append(VertexCode(row, col))
-    return out
+    return (
+        (row, col)
+        for row in itertools.product((0, 1), repeat=m)
+        for col in itertools.product((0, 1, 2), repeat=n)
+    )
+
+
+def enumerate_integral_vertices(
+    m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
+) -> list[VertexCode]:
+    """All ``2^m 3^n`` codes in lexicographic order, guarded by a budget."""
+    return [VertexCode(row, col) for row, col in integral_codes(m, n, budget)]
 
 
 def adjacent(u: VertexCode, v: VertexCode) -> bool:
@@ -183,8 +185,15 @@ class SkeletonGraph:
 
 
 def skeleton(m: int, n: int, budget: int = DEFAULT_CODE_BUDGET) -> SkeletonGraph:
-    """Full 1-skeleton over all integral vertices."""
-    codes = enumerate_integral_vertices(m, n, budget=budget)
+    """Full 1-skeleton over all integral vertices.
+
+    ``budget`` bounds the cells of the adjacency matrix, the square of the
+    vertex count, which is refused before anything is built.
+    """
+    try:
+        codes = enumerate_integral_vertices(m, n, budget=isqrt(max(budget, 0)))
+    except BudgetError:
+        raise BudgetError(f"the {m}x{n} skeleton exceeds budget {budget}") from None
     size = len(codes)
     adj = [[False] * size for _ in range(size)]
     for a in range(size):
@@ -194,8 +203,10 @@ def skeleton(m: int, n: int, budget: int = DEFAULT_CODE_BUDGET) -> SkeletonGraph
     return SkeletonGraph(codes, adj)
 
 
-def construct_clique(m: int, n: int) -> list[VertexCode]:
-    """A clique of size ``2^min(m,n)`` in the 1-skeleton.
+def construct_clique(
+    m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
+) -> list[VertexCode]:
+    """A clique of size ``2^min(m,n)`` in the 1-skeleton, guarded by a budget.
 
     Codes agree between row and col on the first ``min(m, n)`` coordinates
     (cols restricted to {0,1}) and are zero elsewhere; any two of them
@@ -203,6 +214,8 @@ def construct_clique(m: int, n: int) -> list[VertexCode]:
     """
     _check_grid(m, n)
     p = min(m, n)
+    if 2**p > budget:
+        raise BudgetError(f"{2**p} codes exceed budget {budget}")
     out = []
     for bits in itertools.product((0, 1), repeat=p):
         row = tuple(bits) + (0,) * (m - p)

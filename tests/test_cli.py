@@ -64,9 +64,18 @@ def test_diameter_and_clique():
     assert out.splitlines() == ["00:00", "01:01", "10:10", "11:11"]
 
 
-def test_budget_refusal_exit_code():
-    code, _ = invoke("vertices", "enumerate", "--m", "3", "--n", "2", "--budget", "10")
-    assert code == 3
+BUDGET_REFUSALS = {
+    "enumerate": ["vertices", "enumerate", "--m", "3", "--n", "2", "--budget", "10"],
+    # the 36 x 36 adjacency matrix exceeds 100 cells
+    "diameter": ["vertices", "diameter", "--m", "2", "--n", "2", "--budget", "100"],
+    "clique": ["vertices", "clique", "--m", "5", "--n", "5", "--budget", "4"],
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_REFUSALS)
+def test_budget_refusal_exit_code(capsys, case):
+    assert invoke(*BUDGET_REFUSALS[case]) == (3, "")
+    assert capsys.readouterr().err.startswith("refused: ")
 
 
 def test_build_and_lp_pipeline(tmp_path):
@@ -180,6 +189,38 @@ def test_ecbgc_cli(tmp_path):
     assert code == 3  # outside the tractable subclass
     code, oracle_out = invoke("oracle", "ecbgc", "--instance", str(instance))
     assert code in (0, 1)
+
+
+# Each case: CLI arguments, the instance text, the exit code and the output.
+ECBGC_OUTCOMES = {
+    "oracle-coloring": (
+        ["oracle", "ecbgc"],
+        "ecbgc 1 2\nedge 1 1 : ---+--\nedge 1 2 : -----+\n",
+        0,
+        "u 1 2\nv 1 1\nv 2 3\n",
+    ),
+    "check-violating": (["ecbgc", "check"], "ecbgc 1 1\nedge 1 1 : ++--++\n", 1, "violating 1\n"),
+    "solve-no-coloring": (["ecbgc", "solve"], "ecbgc 1 1\nedge 1 1 : ------\n", 1, "no coloring\n"),
+}
+
+
+@pytest.mark.parametrize("case", ECBGC_OUTCOMES)
+def test_ecbgc_outcomes(tmp_path, case):
+    args, text, code, out = ECBGC_OUTCOMES[case]
+    instance = tmp_path / "instance.txt"
+    instance.write_text(text)
+    assert invoke(*args, "--instance", str(instance)) == (code, out)
+
+
+def test_input_from_stdin(tmp_path, monkeypatch):
+    instance = tmp_path / "instance.txt"
+    instance.write_text(TABLE16_INSTANCE)
+    from_file = invoke("ecbgc", "check", "--instance", str(instance))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(TABLE16_INSTANCE))
+    assert invoke("ecbgc", "check", "--instance", "-") == from_file == (
+        0,
+        "v 1 pair 1 2\nv 2 pair 1 2\n",
+    )
 
 
 def test_recognize_agrees_with_oracle_via_cli(tmp_path):

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from satpoly.blockpoint import BlockPoint
 from satpoly.ecbgc import (
     Coloring,
+    ConditionCheck,
     EcbgcInstance,
     brute_force_coloring,
     check_condition,
@@ -16,7 +19,7 @@ from satpoly.ecbgc import (
     scale_edge_weights,
     solve_ecbgc,
 )
-from satpoly.errors import InputError, SubclassError
+from satpoly.errors import BalanceError, InputError, SubclassError
 from satpoly.recognition import check_balance, integer_max_oracle
 from satpoly.reductions import Cnf3Formula, parse_cnf3, x3sat_oracle
 from tests.conftest import (
@@ -185,3 +188,58 @@ def test_weighted_edges_keep_balance_and_scale_value():
         assert coloring_is_valid(inst, coloring)
     with pytest.raises(InputError):
         scale_edge_weights(c, inst, {(1, 1): Fraction(0)})
+
+
+def _first_ordered_pair(linked):
+    """Reference search: the first of all six ordered pairs (a, b) that is linked."""
+    return next((ab for ab in itertools.permutations((1, 2, 3), 2) if linked(*ab)), None)
+
+
+def test_pair_searches_match_six_ordered_pairs():
+    rng = random.Random(8)
+    balanced = linked = 0
+    for _ in range(600):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        c = BlockPoint.from_flat([rng.randint(0, 1) for _ in range(6 * m * n)], m, n)
+        columns = [[c.cells[i][j] for i in range(m)] for j in range(n)]
+        expected = [
+            _first_ordered_pair(
+                lambda a, b: all(
+                    blk[a - 1][0] + blk[b - 1][1] == blk[a - 1][1] + blk[b - 1][0]
+                    for blk in column
+                )
+            )
+            for column in columns
+        ]
+        if None in expected:
+            with pytest.raises(BalanceError):
+                check_balance(c)
+        else:
+            assert check_balance(c).pairs == tuple(expected)
+            balanced += 1
+
+        edges = tuple(
+            (i, j, tuple(tuple(rng.random() < 0.7 for _ in range(3)) for _ in range(2)))
+            for i in range(1, m + 1)
+            for j in range(1, n + 1)
+            if rng.random() < 0.6
+        )
+        expected = [
+            _first_ordered_pair(
+                lambda a, b: all(
+                    (pc[0][a - 1] and pc[1][b - 1]) == (pc[1][a - 1] and pc[0][b - 1])
+                    for _, jj, pc in edges
+                    if jj == j
+                )
+            )
+            for j in range(1, n + 1)
+        ]
+        if None in expected:
+            violating = expected.index(None) + 1
+            assert check_condition(EcbgcInstance(m, n, edges)) == ConditionCheck(None, violating)
+        else:
+            assert check_condition(EcbgcInstance(m, n, edges)) == ConditionCheck(
+                tuple(expected), None
+            )
+            linked += 1
+    assert balanced >= 100 and linked >= 100

@@ -16,6 +16,7 @@ from satpoly.vertices import (
     enumerate_integral_vertices,
     enumerate_lp_vertices,
     fractional_vertex,
+    integral_codes,
     is_edge,
     point_to_code,
     skeleton,
@@ -65,6 +66,14 @@ def test_point_to_code_rejects_bad_points():
     q.set(1, 1, 1, 1, 1)  # inconsistent with the row/col codes
     with pytest.raises(NotAVertexError):
         point_to_code(q)
+    r = code_to_point(VertexCode((0, 1), (2, 0)))
+    r.set(0, 0, 2, 0, 2)  # the unit of block (1,1) holds a 2
+    with pytest.raises(NotAVertexError):
+        point_to_code(r)
+    z = code_to_point(VertexCode((0, 1), (2, 0)))
+    z.set(1, 1, 0, 1, 0)  # block (2,2), outside block row and column 1, all zero
+    with pytest.raises(NotAVertexError):
+        point_to_code(z)
 
 
 def test_enumeration_counts_and_budget():
@@ -76,6 +85,30 @@ def test_enumeration_counts_and_budget():
     assert len(enumerate_integral_vertices(3, 2)) == 72
     with pytest.raises(BudgetError):
         enumerate_integral_vertices(3, 2, budget=10)
+
+
+def test_integral_codes_checks_on_call_and_stays_lazy():
+    with pytest.raises(BudgetError):
+        integral_codes(40, 40)  # refused before the first code is asked for
+    with pytest.raises(InputError):
+        integral_codes(0, 2)
+    # 2^30 3^30 codes: only a lazy walk returns the first two at once
+    codes = integral_codes(30, 30, budget=10**30)
+    assert next(codes) == ((0,) * 30, (0,) * 30)
+    assert next(codes) == ((0,) * 30, (0,) * 29 + (1,))
+
+
+def test_skeleton_and_clique_budgets():
+    assert len(skeleton(2, 2, budget=36 * 36).codes) == 36
+    with pytest.raises(BudgetError):
+        skeleton(2, 2, budget=36 * 36 - 1)  # the adjacency matrix has 36^2 cells
+    with pytest.raises(BudgetError):
+        skeleton(2, 2, budget=-1)
+    assert len(construct_clique(5, 5, budget=32)) == 32
+    with pytest.raises(BudgetError):
+        construct_clique(5, 5, budget=31)
+    with pytest.raises(BudgetError):
+        construct_clique(40, 40)
 
 
 def test_adjacency_trichotomy_examples():
