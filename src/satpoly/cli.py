@@ -29,10 +29,13 @@ EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _read_flat_vector(path: str) -> list:

@@ -10,7 +10,10 @@ tolerance anywhere.
 Rank and equation solving share one exact kernel: rows become sparse
 integer rows, and fraction-free elimination (Bareiss 1968, Edmonds 1967)
 reduces them into an echelon basis.  Only the back-substitution of a
-unique solution divides, in ``Fraction``.
+unique solution divides, in ``Fraction``.  Row tests at a point scale the
+point once by the lcm of its denominators and then work in integers.  The
+text reader parses only the nonzero tokens of a dense row and keeps
+integral values as ``int``s, the form the builders emit.
 """
 
 from __future__ import annotations
@@ -64,15 +67,12 @@ class LinearSystem:
         """Exact membership test."""
         if len(point) != self.var_count:
             raise InputError("point has wrong dimension")
-        for coeffs, rhs in self.eq_rows:
-            if _dot(coeffs, point) != rhs:
-                return False
-        if violated_rows(self.ineq_rows, point):
+        if any(flag and x < 0 for flag, x in zip(self.nonneg, point)):
             return False
-        for v, flag in enumerate(self.nonneg):
-            if flag and point[v] < 0:
-                return False
-        return True
+        xs, scale = _scaled(point)
+        if any(sum(c * xs[j] for j, c in a.items()) != b * scale for a, b in self.eq_rows):
+            return False
+        return not violated_rows(self.ineq_rows, point)
 
     def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
         """Equality system of all constraints active at every one of ``points``.
@@ -82,9 +82,10 @@ class LinearSystem:
         is zero at each point.
         """
         rows = list(self.eq_rows)
-        for coeffs, rhs in self.ineq_rows:
-            if all(_dot(coeffs, p) == rhs for p in points):
-                rows.append((coeffs, rhs))
+        scaled = [_scaled(p) for p in points]
+        for a, b in self.ineq_rows:
+            if all(sum(c * xs[j] for j, c in a.items()) == b * scale for xs, scale in scaled):
+                rows.append((a, b))
         for v, flag in enumerate(self.nonneg):
             if flag and all(p[v] == 0 for p in points):
                 rows.append(({v: 1}, 0))
@@ -143,21 +144,32 @@ def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
     """A dense text row (``c1 ... cN | rhs``) as a sparse row and its right side."""
     if "|" not in tokens:
         raise InputError("constraint row missing '|' separator")
-    bar = tokens.index("|")
-    coeffs = [parse_rational(t) for t in tokens[:bar]]
-    rest = tokens[bar + 1 :]
-    if len(coeffs) != var_count or len(rest) != 1:
+    if tokens.index("|") != var_count or len(tokens) != var_count + 2:
         raise InputError("constraint row has wrong shape")
-    return {j: c for j, c in enumerate(coeffs) if c}, parse_rational(rest[0])
+    row = {j: c for j in range(var_count) if tokens[j] != "0" and (c := _parse_value(tokens[j]))}
+    return row, _parse_value(tokens[-1])
 
 
-def _dot(coeffs: Row, point: Sequence[Rational]) -> Rational:
-    return sum((c * point[j] for j, c in coeffs.items()), Fraction(0))
+def _parse_value(token: str) -> Rational:
+    value = parse_rational(token)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
+    """``point`` times the lcm ``L`` of its denominators, as ints, and ``L``.
+
+    As L > 0, ``a.x`` compares with ``b`` exactly as ``a.xs`` compares with ``b*L``.
+    """
+    scale = lcm(*(x.denominator for x in point))
+    return [x.numerator * (scale // x.denominator) for x in point], scale
 
 
 def violated_rows(rows: Sequence[tuple[Row, Rational]], point: Sequence[Rational]) -> list[int]:
     """Indices of the ``<=`` rows that ``point`` violates, in row order."""
-    return [k for k, (coeffs, rhs) in enumerate(rows) if _dot(coeffs, point) > rhs]
+    xs, scale = _scaled(point)
+    return [
+        k for k, (a, b) in enumerate(rows) if sum(c * xs[j] for j, c in a.items()) > b * scale
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +461,14 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     zero = Fraction(0)
     col_values = {b: row.get(rhs_col, zero) for b, row in zip(tab.basis, tab.rows)}
     point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
-    value = _dot(cost, point)
+    xs, scale = _scaled(point)
+    value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
 
     if not sys.is_feasible(point):  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
     tight = set(range(len(sys.eq_rows)))
     base = len(sys.eq_rows)
     for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        if _dot(coeffs, point) == rhs:
+        if sum(c * xs[j] for j, c in coeffs.items()) == rhs * scale:
             tight.add(base + k)
     return LpResult(status="Optimal", value=value, point=point, tight_set=tight)

@@ -24,12 +24,13 @@ def parse_rational(text: str) -> Rational:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise InputError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:  # int() refuses more digits than sys.get_int_max_str_digits() allows
+        return Fraction(int(num), int(den or 1))
+    except ValueError:
+        raise InputError(f"rational literal too long: {len(text)} characters") from None
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator: {text!r}") from None
 
 
 def parse_int(tokens: Sequence[str], index: int, what: str) -> int:

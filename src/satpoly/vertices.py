@@ -13,7 +13,6 @@ equals the variable count).  Edges are faces of dimension one.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -164,23 +163,25 @@ class SkeletonGraph:
     adjacency: list[list[bool]]
 
     def diameter(self) -> int:
-        """Exact diameter by BFS from every vertex."""
-        size = len(self.codes)
+        """Exact diameter by BFS from every vertex; a BFS level ORs int bitmask rows."""
+        masks = [sum(1 << b for b, edge in enumerate(row) if edge) for row in self.adjacency]
+        everything = (1 << len(masks)) - 1
         best = 0
-        for start in range(size):
-            dist = [-1] * size
-            dist[start] = 0
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for nxt, edge in enumerate(self.adjacency[cur]):
-                    if edge and dist[nxt] < 0:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            ecc = max(dist)
-            if min(dist) < 0:
-                raise InternalInvariantError("skeleton graph is disconnected")
-            best = max(best, ecc)
+        for start in range(len(masks)):
+            seen = frontier = 1 << start
+            depth = 0
+            while seen != everything:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= masks[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~seen
+                if not frontier:
+                    raise InternalInvariantError("skeleton graph is disconnected")
+                seen |= frontier
+                depth += 1
+            best = max(best, depth)
         return best
 
 

@@ -307,13 +307,16 @@ MALFORMED_INTEGERS = {
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_INTEGERS)
-def test_malformed_integer_fields_are_input_errors(tmp_path, case):
-    args, files = MALFORMED_INTEGERS[case]
+def assert_input_error_in_a_process(tmp_path, args, files):
+    """Run the CLI in its own process on ``files`` (texts or bytes, bound to
+    {a} and {b} in ``args``): exit 2 with an ``error:`` line, no traceback."""
     paths = {}
-    for key, text in zip("ab", files):
+    for key, content in zip("ab", files):
         paths[key] = tmp_path / f"{key}.txt"
-        paths[key].write_text(text)
+        if isinstance(content, bytes):
+            paths[key].write_bytes(content)
+        else:
+            paths[key].write_text(content)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
@@ -325,3 +328,23 @@ def test_malformed_integer_fields_are_input_errors(tmp_path, case):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", MALFORMED_INTEGERS)
+def test_malformed_integer_fields_are_input_errors(tmp_path, case):
+    assert_input_error_in_a_process(tmp_path, *MALFORMED_INTEGERS[case])
+
+
+LP = ["lp", "--system", "{a}", "--objective", "{b}"]
+UNREADABLE_INPUTS = {
+    # past the interpreter's digit limit for int() of a string
+    "long-literal": (LP, ["vars 1\neq 1 | " + "7" * 5000 + "\n", "1\n"]),
+    "long-objective": (LP, ["vars 1\nle 1 | 1\n", "1/" + "3" * 5000 + "\n"]),
+    "not-utf8": (LP, [b"vars 2\n\xff\n", "1 1\n"]),
+    "not-utf8-cnf": (["reduce", "max3sat", "--cnf", "{a}"], [b"p cnf 3 1\n\xfe 2 3 0\n"]),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_INPUTS)
+def test_unreadable_inputs_are_input_errors(tmp_path, case):
+    assert_input_error_in_a_process(tmp_path, *UNREADABLE_INPUTS[case])

@@ -309,3 +309,132 @@ def test_violated_rows_lists_strict_violations_in_row_order():
     # a row met with equality is not violated; an empty row reads 0
     assert violated_rows(rows, point) == [1, 3]
     assert violated_rows([], point) == []
+
+
+def reference_value(coeffs, point):
+    """``coeffs . point`` summed term by term in ``Fraction``."""
+    return sum((Fraction(c) * Fraction(point[j]) for j, c in coeffs.items()), Fraction(0))
+
+
+POINT_ENTRIES = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=6)
+)
+
+
+@st.composite
+def systems_at_points(draw):
+    """A system, two points with mixed denominators and negative entries, and
+    an objective.  Each right side sits at, above or below its row's value at
+    the first point, so rows are met with equality, slack and violated; rows
+    may be empty or keep explicit zeros, and entries mix ``int`` and ``p/q``."""
+    n = draw(st.integers(1, 4))
+    point = draw(st.lists(POINT_ENTRIES, min_size=n, max_size=n))
+    other = draw(st.one_of(st.just(point), st.lists(POINT_ENTRIES, min_size=n, max_size=n)))
+    offsets = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 5), Fraction(-2, 3)])
+
+    def rows(max_size):
+        row = st.dictionaries(st.integers(0, n - 1), COEFFS, max_size=n)
+        coeffs = draw(st.lists(row, max_size=max_size))
+        rhs = [reference_value(c, point) + draw(offsets) for c in coeffs]
+        return [(c, int(b) if b.denominator == 1 else b) for c, b in zip(coeffs, rhs)]
+
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    system = LinearSystem(n, eq_rows=rows(2), ineq_rows=rows(5), nonneg=nonneg)
+    objective = draw(st.lists(COEFFS, min_size=n, max_size=n))
+    return system, point, other, objective
+
+
+def reference_tight_rows(system, points):
+    rows = list(system.eq_rows)
+    rows += [
+        (coeffs, rhs)
+        for coeffs, rhs in system.ineq_rows
+        if all(reference_value(coeffs, p) == rhs for p in points)
+    ]
+    rows += [
+        ({v: 1}, 0)
+        for v, flag in enumerate(system.nonneg)
+        if flag and all(p[v] == 0 for p in points)
+    ]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_at_points())
+def test_row_tests_match_a_fraction_reference(case):
+    system, point, other, objective = case
+    violated = [
+        k
+        for k, (coeffs, rhs) in enumerate(system.ineq_rows)
+        if reference_value(coeffs, point) > rhs
+    ]
+    assert violated_rows(system.ineq_rows, point) == violated
+    feasible = (
+        all(reference_value(coeffs, point) == rhs for coeffs, rhs in system.eq_rows)
+        and not violated
+        and all(x >= 0 for flag, x in zip(system.nonneg, point) if flag)
+    )
+    assert system.is_feasible(point) == feasible
+    for points in ([point], [point, other]):
+        assert system.tight_rows(*points).eq_rows == reference_tight_rows(system, points)
+
+    # Box every variable into [-3, 3], so that the LP is optimal or infeasible.
+    boxes = [({v: sign}, 3) for v in range(system.var_count) for sign in (1, -1)]
+    boxed = LinearSystem(
+        system.var_count,
+        eq_rows=system.eq_rows,
+        ineq_rows=system.ineq_rows + boxes,
+        nonneg=system.nonneg,
+    )
+    res = lp_maximize(boxed, objective)
+    if res.status == "Optimal":
+        e = len(boxed.eq_rows)
+        assert res.tight_set == set(range(e)) | {
+            e + k
+            for k, (coeffs, rhs) in enumerate(boxed.ineq_rows)
+            if reference_value(coeffs, res.point) == rhs
+        }
+        assert res.value == reference_value(dict(enumerate(objective)), res.point)
+    else:  # the point lies in the box, so a feasible point keeps the LP feasible
+        assert res.status == "Infeasible" and not feasible
+
+
+BUILDER_KINDS = [
+    ("satp", 2, 3),
+    ("satp2", 2, 2),
+    ("bqp", None, 4),
+    ("bqp-std", None, 3),
+    ("met", None, 4),
+]
+
+
+@pytest.mark.parametrize("kind,m,n", BUILDER_KINDS)
+def test_builder_text_roundtrip_keeps_int_values(kind, m, n):
+    sys = PolytopeId(kind, m=m, n=n).build()
+    back = LinearSystem.from_text(sys.to_text())
+    assert back == sys
+    rows = back.eq_rows + back.ineq_rows
+    values = [v for coeffs, rhs in rows for v in (*coeffs.values(), rhs)]
+    assert values and all(type(v) is int for v in values)
+
+
+def test_row_reader_drops_zero_values_and_keeps_validation():
+    back = LinearSystem.from_text("vars 4\neq 00 -0 0/7 3/6 | 4/2\nle 0 -2 0 0 | 0\n")
+    assert back.eq_rows == [({3: Fraction(1, 2)}, 2)]
+    assert back.ineq_rows == [({1: -2}, 0)]
+    assert [type(v) for v in (back.eq_rows[0][1], back.ineq_rows[0][0][1])] == [int, int]
+    bad_rows = [
+        "1/0 0 0 0 | 1",
+        "0.0 0 0 0 | 1",
+        "+1 0 0 0 | 1",
+        "x 0 0 0 | 1",
+        "0 0 0 0 | 0.0",
+        "0 0 0 0 1",  # no '|'
+        "0 0 0 | 1",  # short
+        "0 0 0 0 0 | 1",  # long
+        "0 0 0 0 | 1 2",
+        "0 0 0 0 |",
+    ]
+    for row in bad_rows:
+        with pytest.raises(InputError):
+            LinearSystem.from_text(f"vars 4\nle {row}\n")

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly.builders import build_satp_lp
-from satpoly.errors import BudgetError, InputError, NotAVertexError
+from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import LinearSystem
 from satpoly.vertices import (
+    SkeletonGraph,
     VertexCode,
     adjacent,
     code_to_point,
@@ -143,6 +145,41 @@ def test_skeleton_two_by_two():
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
 def test_skeleton_diameter_two_on_small_grids(m, n):
     assert skeleton(m, n).diameter() == 2
+
+
+def reference_diameter(adjacency):
+    """Diameter by a queue BFS from every vertex over the dense rows."""
+    best = 0
+    for start in range(len(adjacency)):
+        dist = {start: 0}
+        queue = deque([start])
+        while queue:
+            cur = queue.popleft()
+            for nxt, edge in enumerate(adjacency[cur]):
+                if edge and nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        assert len(dist) == len(adjacency), "disconnected"
+        best = max(best, *dist.values())
+    return best
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3)])
+def test_diameter_matches_a_queue_bfs(m, n):
+    graph = skeleton(m, n)
+    assert graph.diameter() == reference_diameter(graph.adjacency)
+
+
+def test_diameter_of_hand_built_graphs():
+    def graph(edges):
+        adjacency = [[{a, b} in edges for b in range(4)] for a in range(4)]
+        return SkeletonGraph(enumerate_integral_vertices(1, 1)[:4], adjacency)
+
+    # the path 0 - 3 - 1 - 2: the last vertex is not an end, so its BFS alone gives 2
+    path = graph([{0, 3}, {3, 1}, {1, 2}])
+    assert path.diameter() == reference_diameter(path.adjacency) == 3
+    with pytest.raises(InternalInvariantError, match="disconnected"):
+        graph([{0, 1}, {2, 3}]).diameter()
 
 
 def test_construct_clique_examples():
