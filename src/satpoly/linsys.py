@@ -2,15 +2,16 @@
 
 A :class:`LinearSystem` holds equality rows, ``<=`` inequality rows, and a
 per-variable nonnegativity flag.  Every row is a sparse :data:`Row`, a map
-from column to rational coefficient in which absent columns are zero, and
-so is every row of the simplex tableau inside :func:`lp_maximize`.
+from column to rational coefficient in which absent columns are zero.
 All arithmetic is exact; results satisfy their constraints with no
 tolerance anywhere.
 
-Rank and equation solving share one exact kernel: rows become sparse
-integer rows, and fraction-free elimination (Bareiss 1968, Edmonds 1967)
-reduces them into an echelon basis.  Only the back-substitution of a
-unique solution divides, in ``Fraction``.  Row tests at a point scale the
+Rank, equation solving and the simplex share one exact row update:
+fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
+1967), content divided out.  Rank and solving reduce rows into an echelon
+basis; :func:`lp_maximize` keeps each tableau row over its basic entry.
+Only a unique solution's back-substitution and the optimum read off the
+final tableau divide, in ``Fraction``.  Row tests at a point scale the
 point once by the lcm of its denominators and then work in integers.  The
 text reader parses only the nonzero tokens of a dense row and keeps
 integral values as ``int``s, the form the builders emit.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -160,7 +162,7 @@ def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
 
     As L > 0, ``a.x`` compares with ``b`` exactly as ``a.xs`` compares with ``b*L``.
     """
-    scale = lcm(*(x.denominator for x in point))
+    scale = reduce(lcm, (x.denominator for x in point), 1)
     return [x.numerator * (scale // x.denominator) for x in point], scale
 
 
@@ -177,29 +179,53 @@ def violated_rows(rows: Sequence[tuple[Row, Rational]], point: Sequence[Rational
 # ---------------------------------------------------------------------------
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """``row`` divided by its content, the gcd of its entries (often 1 after a few)."""
+    g = 0
+    for v in row.values():
+        if (g := gcd(g, v)) == 1:
+            return row
+    return {j: v // g for j, v in row.items()} if g else row
+
+
 def _int_row(values: Row) -> dict[int, int]:
-    """Primitive integer multiple of a rational row.
+    """Primitive positive integer multiple of a rational row.
 
     Zeros are dropped, denominators cleared and the content divided out;
     scaling a row changes neither its span nor its solutions.
     """
     row = {j: v for j, v in values.items() if v}
-    if row:
-        scale = lcm(*(v.denominator for v in row.values()))
-        row = {j: v.numerator * (scale // v.denominator) for j, v in row.items()}
-        g = gcd(*row.values())
-        if g > 1:
-            row = {j: v // g for j, v in row.items()}
-    return row
+    nums, _ = _scaled(list(row.values()))
+    return _primitive(dict(zip(row, nums)))
+
+
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """``row`` with its ``col`` entry cleared against ``pivot_row``; ``row`` is consumed.
+
+    With ``a/p = row[col] / pivot_row[col]`` in lowest terms, the result is
+    ``p*row - a*pivot_row`` over its content: for ``p > 0`` a positive
+    multiple of the rational row ``row - (a/p)*pivot_row``.
+    """
+    g = gcd(pivot_row[col], row[col])
+    p, a = pivot_row[col] // g, row[col] // g
+    if p != 1:
+        row = {j: p * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        x = row.get(j, 0) - a * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    return _primitive(row)
 
 
 def _reduce_into(basis: dict[int, dict[int, int]], row: dict[int, int]) -> Optional[int]:
     """Add ``row`` to an echelon ``basis``; returns its pivot, None if dependent.
 
     ``basis`` maps each pivot column to a row whose lowest column it is.
-    The row's lowest column is eliminated fraction-free against the basis
-    row pivoting there, content divided out, until it is empty (a linear
-    combination of the basis) or its lowest column is new.
+    The row's lowest column is eliminated against the basis row pivoting
+    there until the row is empty (a linear combination of the basis) or its
+    lowest column is new.
     """
     while row:
         col = min(row)
@@ -207,20 +233,7 @@ def _reduce_into(basis: dict[int, dict[int, int]], row: dict[int, int]) -> Optio
         if pivot_row is None:
             basis[col] = row
             return col
-        g = gcd(pivot_row[col], row[col])
-        a, b = pivot_row[col] // g, row[col] // g
-        new = {j: a * v for j, v in row.items()}
-        for j, v in pivot_row.items():
-            x = new.get(j, 0) - b * v
-            if x:
-                new[j] = x
-            else:
-                del new[j]
-        if new:
-            g = gcd(*new.values())
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
-        row = new
+        row = _eliminate(row, pivot_row, col)
     return None
 
 
@@ -306,77 +319,58 @@ class LpResult:
 
 
 class _Tableau:
-    """Sparse rational simplex tableau with Bland's anti-cycling rule.
+    """Sparse integer simplex tableau with Bland's anti-cycling rule.
 
-    Every row is a :data:`Row` of ``Fraction`` entries whose right side is
-    column ``rhs``, past every variable column; entries that cancel are
-    dropped, so a stored zero is never chosen as a pivot.
+    Row ``i`` is an integer row, right side in column ``rhs`` past every
+    variable column, standing for ``rows[i] / rows[i][basis[i]]``: its basic
+    entry, kept positive by every pivot, is its denominator.  Entries that
+    cancel are dropped, so a stored zero is never chosen as a pivot.
     """
 
-    def __init__(self, rows: list[Row], basis: list[int], rhs: int):
+    def __init__(self, rows: list[dict[int, int]], basis: list[int], rhs: int):
         self.rows = rows
         self.basis = basis
         self.rhs = rhs
 
     def pivot(self, row: int, col: int) -> None:
-        pivrow = self.rows[row]
-        pv = pivrow[col]
-        if pv != 1:
-            inv = Fraction(1) / pv
-            for j, x in pivrow.items():
-                pivrow[j] = x * inv
-        for i, ri in enumerate(self.rows):
-            f = ri.get(col)
-            if f and i != row:
-                _sub_scaled(ri, f, pivrow)
+        rows = self.rows
+        pivrow = rows[row]
+        if pivrow[col] < 0:
+            pivrow = rows[row] = {j: -x for j, x in pivrow.items()}
+        for i, ri in enumerate(rows):
+            if col in ri and i != row:
+                rows[i] = _eliminate(ri, pivrow, col)
         self.basis[row] = col
 
-    def run(self, cost: Row, allowed: int) -> tuple[str, Row]:
+    def run(self, cost: Row, allowed: int) -> tuple[str, dict[int, int]]:
         """Maximize over columns [0, allowed); returns status and final z-row.
 
-        ``cost`` is the objective over all columns; the z-row is kept in
-        reduced form (entry j = z_j - c_j, optimal when all >= 0).
+        ``cost`` is the objective over all columns; the z-row is a positive
+        multiple of the reduced costs (z_j - c_j, optimal when all >= 0).
         """
         rows, basis, rhs = self.rows, self.basis, self.rhs
-        zrow = {j: -c for j, c in cost.items()}
+        zrow = _int_row({j: -c for j, c in cost.items()})
         for i, b in enumerate(basis):
-            f = zrow.get(b)
-            if f:
-                _sub_scaled(zrow, f, rows[i])
+            if b in zrow:
+                zrow = _eliminate(zrow, rows[i], b)
         while True:
             enter = min((j for j, x in zrow.items() if j < allowed and x < 0), default=-1)
             if enter < 0:
                 return "optimal", zrow
-            leave = -1
-            best: Optional[Fraction] = None
+            # rhs_i / a_i, in which the row scale cancels, against the best, cross-multiplied
+            leave = best_rhs = best_a = -1
             for i, ri in enumerate(rows):
                 a = ri.get(enter)
                 if a is not None and a > 0:
-                    ratio = ri.get(rhs, 0) / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    r = ri.get(rhs, 0)
+                    diff = r * best_a - best_rhs * a
+                    if leave < 0 or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave, best_rhs, best_a = i, r, a
             if leave < 0:
                 return "unbounded", zrow
             self.pivot(leave, enter)
-            f = zrow.get(enter)
-            if f:
-                _sub_scaled(zrow, f, rows[leave])
-
-
-def _sub_scaled(row: Row, f: Fraction, other: Row) -> None:
-    """``row -= f * other`` in place, dropping the entries that cancel."""
-    g = -f
-    for j, x in other.items():
-        y = row.get(j)
-        if y is None:
-            row[j] = g * x
-        elif y := y + g * x:
-            row[j] = y
-        else:
-            del row[j]
+            if enter in zrow:
+                zrow = _eliminate(zrow, rows[leave], enter)
 
 
 def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
@@ -412,35 +406,35 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
         for v, c in coeffs.items():
             if c:
                 pos, neg = col_of_var[v]
-                row[pos] = Fraction(c)
+                row[pos] = c
                 if neg is not None:
-                    row[neg] = -row[pos]
+                    row[neg] = -c
         return row
 
-    rows: list[Row] = []
+    rows: list[dict[int, int]] = []
     basis: list[int] = []
     art = struct_cols
     # k counts from -len(eq_rows): negative on equalities, the slack index after.
     for k, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows], -len(sys.eq_rows)):
         row = expand(coeffs)
         if k >= 0:
-            row[slack0 + k] = Fraction(1)
+            row[slack0 + k] = 1
         if rhs:
-            row[rhs_col] = Fraction(rhs)
+            row[rhs_col] = rhs
         if rhs < 0:
             row = {j: -x for j, x in row.items()}
         if k >= 0 and rhs >= 0:
             basis.append(slack0 + k)
         else:  # an equality, or a slack whose coefficient became -1
-            row[art] = Fraction(1)
+            row[art] = 1
             basis.append(art)
             art += 1
-        rows.append(row)
+        rows.append(_int_row(row))
 
     tab = _Tableau(rows, basis, rhs_col)
 
     if art > struct_cols:
-        phase1_cost = {c: Fraction(-1) for c in range(struct_cols, art)}
+        phase1_cost = {c: -1 for c in range(struct_cols, art)}
         status, zrow = tab.run(phase1_cost, allowed=struct_cols)
         if status != "optimal" or zrow.get(rhs_col):
             return LpResult(status="Infeasible")
@@ -459,7 +453,7 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
         return LpResult(status="Unbounded")
 
     zero = Fraction(0)
-    col_values = {b: row.get(rhs_col, zero) for b, row in zip(tab.basis, tab.rows)}
+    col_values = {b: Fraction(row.get(rhs_col, 0), row[b]) for b, row in zip(tab.basis, tab.rows)}
     point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
     xs, scale = _scaled(point)
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)

@@ -9,6 +9,7 @@ decimals are never read or written.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,9 +52,14 @@ def content_lines(text: str) -> list[str]:
 def format_rational(value: Rational) -> str:
     """Render a rational as ``p`` or ``p/q`` (never a decimal)."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # str() refuses ints past sys.get_int_max_str_digits()
+        # decimal reads an int's binary digits, so its str() has no such limit
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def format_vector(values) -> str:

@@ -2,10 +2,13 @@ import io
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpoly import cli
 from satpoly.cli import run
@@ -307,9 +310,9 @@ MALFORMED_INTEGERS = {
 }
 
 
-def assert_input_error_in_a_process(tmp_path, args, files):
+def run_in_a_process(tmp_path, args, files):
     """Run the CLI in its own process on ``files`` (texts or bytes, bound to
-    {a} and {b} in ``args``): exit 2 with an ``error:`` line, no traceback."""
+    {a} and {b} in ``args``); returns the completed process."""
     paths = {}
     for key, content in zip("ab", files):
         paths[key] = tmp_path / f"{key}.txt"
@@ -319,12 +322,17 @@ def assert_input_error_in_a_process(tmp_path, args, files):
             paths[key].write_text(content)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "satpoly.cli", *(arg.format(**paths) for arg in args)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def assert_input_error_in_a_process(tmp_path, args, files):
+    """Exit 2 with an ``error:`` line and no traceback; see :func:`run_in_a_process`."""
+    proc = run_in_a_process(tmp_path, args, files)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -348,3 +356,103 @@ UNREADABLE_INPUTS = {
 @pytest.mark.parametrize("case", UNREADABLE_INPUTS)
 def test_unreadable_inputs_are_input_errors(tmp_path, case):
     assert_input_error_in_a_process(tmp_path, *UNREADABLE_INPUTS[case])
+
+
+def parse_long_int(text):
+    """An int from its decimal text, read in slices short enough for int()."""
+    value = 0
+    for k in range(0, len(text), 1000):
+        piece = text[k : k + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+SEVENS = "7" * 3000  # each literal parses; the optimum has 6,000 digits
+
+
+@pytest.mark.parametrize(
+    "system, objective, expected",
+    [
+        (f"vars 1\nle 1 | {SEVENS}\n", SEVENS, (parse_long_int(SEVENS) ** 2, 1)),
+        (f"vars 1\nle {SEVENS} | 1\n", "1/" + SEVENS, (1, parse_long_int(SEVENS) ** 2)),
+    ],
+    ids=["numerator", "denominator"],
+)
+def test_lp_prints_answers_past_the_int_digit_limit(tmp_path, system, objective, expected):
+    proc = run_in_a_process(tmp_path, LP, [system, objective + "\n"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "status Optimal"
+    num, _, den = lines[1].removeprefix("value ").partition("/")
+    assert (parse_long_int(num), parse_long_int(den or "1")) == expected
+    assert len(den or num) == 6000
+    assert lines[3] == "tight 0"
+
+
+# Tokens for fuzzing the system and objective texts of `satpoly lp`.  Free
+# text leaves out decimal digits, so no drawn `vars` count is large: the
+# count is allocated before any row is read.
+NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5).map(str),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    st.sampled_from(["00", "-0", "0/5", "1/0", "1.5", "+1", "1_0", "\u0661", "x", ""]),
+)
+TOKENS = st.one_of(
+    VALUES,
+    st.sampled_from(["vars", "nonneg", "eq", "le", "|", "#", "/", "-", "--1"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), min_size=1, max_size=3),
+)
+
+
+@st.composite
+def lp_texts(draw):
+    """A system text and an objective text: well formed, or with values,
+    lengths, headers and lines out of place or replaced by free text."""
+    n = draw(st.integers(0, 3))
+    fuzz = draw(st.booleans())
+    values = VALUES if fuzz else NUMBERS
+    header = draw(st.sampled_from([n, n, n, -1, "x", ""])) if fuzz else n
+    lines = [f"vars {header}"]
+    if draw(st.booleans()):
+        flags = st.sampled_from("0011x" if fuzz else "01")
+        size = {} if fuzz else {"min_size": n, "max_size": n}
+        lines.append("nonneg " + " ".join(draw(st.lists(flags, **size))))
+    dense_row = st.lists(values, min_size=n, max_size=n)
+    shaped = st.tuples(st.sampled_from(["eq", "le"]), dense_row, values)
+    for kind, coeffs, rhs in draw(st.lists(shaped, max_size=5)):
+        lines.append(" ".join([kind, *coeffs, "|", rhs]))
+    count = n
+    if fuzz:
+        for line in draw(st.lists(st.lists(TOKENS, max_size=6).map(" ".join), max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        if draw(st.booleans()):
+            lines = draw(st.permutations(lines))
+        count = draw(st.sampled_from([n, n + 1, max(n - 1, 0)]))
+        values = st.one_of(VALUES, TOKENS)
+    objective = draw(st.lists(values, min_size=count, max_size=count))
+    separator = draw(st.sampled_from([" ", "\n", "  # c\n"]))
+    return "\n".join(lines) + "\n", separator.join(objective) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_texts())
+def test_lp_on_fuzzed_texts_exits_cleanly(texts):
+    """Every text gives an answer (0), a negative one (1) or an input error (2)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("system.txt", "objective.txt")]
+        for path, text in zip(paths, texts):
+            Path(path).write_text(text, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["lp", "--system", paths[0], "--objective", paths[1]])
+    status = out.getvalue().split("\n", 1)[0]
+    assert (code, status) in {
+        (0, "status Optimal"),
+        (1, "status Infeasible"),
+        (1, "status Unbounded"),
+        (2, ""),
+    }
+    assert err.getvalue().startswith("error: ") == (code == 2)

@@ -33,3 +33,17 @@ def test_roundtrip_is_canonical(num, den):
     assert parse_rational(text) == q
     # canonical form is unique: re-rendering the parsed value is stable
     assert format_rational(parse_rational(text)) == text
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "den, den_text",
+    [(1, ""), (3, "3"), (10**4400 + 1, "1" + "0" * 4399 + "1")],
+    ids=["int", "short-den", "long-den"],
+)
+def test_format_past_the_int_digit_limit(sign, den, den_text):
+    """The expected texts are built from digit strings, never by str() of a long int."""
+    text = format_rational(Fraction(sign * (10**5000 + 7), den))
+    num_text, _, tail = text.partition("/")
+    assert num_text == ("-" if sign < 0 else "") + "1" + "0" * 4999 + "7"
+    assert tail == den_text

@@ -1,0 +1,202 @@
+"""The integer simplex tableau against the ``Fraction`` tableau it replaced.
+
+The reference below is the rational tableau and two-phase driver that
+:func:`satpoly.linsys.lp_maximize` ran on before its rows became integer
+rows.  Both must make the same pivots, in the same order, and return equal
+results.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from satpoly.linsys import LinearSystem, LpResult, _Tableau, lp_maximize
+from tests.test_vertices import COEFFS
+
+
+class FractionTableau:
+    """Reference: sparse ``Fraction`` tableau with Bland's rule."""
+
+    def __init__(self, rows, basis, rhs):
+        self.rows = rows
+        self.basis = basis
+        self.rhs = rhs
+
+    def pivot(self, row, col):
+        pivrow = self.rows[row]
+        pv = pivrow[col]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            for j, x in pivrow.items():
+                pivrow[j] = x * inv
+        for i, ri in enumerate(self.rows):
+            f = ri.get(col)
+            if f and i != row:
+                sub_scaled(ri, f, pivrow)
+        self.basis[row] = col
+
+    def run(self, cost, allowed):
+        rows, basis, rhs = self.rows, self.basis, self.rhs
+        zrow = {j: -c for j, c in cost.items()}
+        for i, b in enumerate(basis):
+            f = zrow.get(b)
+            if f:
+                sub_scaled(zrow, f, rows[i])
+        while True:
+            enter = min((j for j, x in zrow.items() if j < allowed and x < 0), default=-1)
+            if enter < 0:
+                return "optimal", zrow
+            leave = -1
+            best = None
+            for i, ri in enumerate(rows):
+                a = ri.get(enter)
+                if a is not None and a > 0:
+                    ratio = ri.get(rhs, 0) / a
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded", zrow
+            self.pivot(leave, enter)
+            f = zrow.get(enter)
+            if f:
+                sub_scaled(zrow, f, rows[leave])
+
+
+def sub_scaled(row, f, other):
+    """``row -= f * other`` in place, dropping the entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+
+
+def fraction_lp_maximize(sys, objective):
+    """Reference: the two-phase simplex over :class:`FractionTableau`."""
+    cost = {v: Fraction(c) for v, c in enumerate(objective) if c}
+    col_of_var = []
+    ncols = 0
+    for flag in sys.nonneg:
+        col_of_var.append((ncols, None) if flag else (ncols, ncols + 1))
+        ncols += 1 if flag else 2
+    slack0 = ncols
+    struct_cols = ncols + len(sys.ineq_rows)
+    rhs_col = struct_cols + len(sys.eq_rows) + sum(rhs < 0 for _, rhs in sys.ineq_rows)
+
+    def expand(coeffs):
+        row = {}
+        for v, c in coeffs.items():
+            if c:
+                pos, neg = col_of_var[v]
+                row[pos] = Fraction(c)
+                if neg is not None:
+                    row[neg] = -row[pos]
+        return row
+
+    rows, basis = [], []
+    art = struct_cols
+    for k, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows], -len(sys.eq_rows)):
+        row = expand(coeffs)
+        if k >= 0:
+            row[slack0 + k] = Fraction(1)
+        if rhs:
+            row[rhs_col] = Fraction(rhs)
+        if rhs < 0:
+            row = {j: -x for j, x in row.items()}
+        if k >= 0 and rhs >= 0:
+            basis.append(slack0 + k)
+        else:
+            row[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+        rows.append(row)
+
+    tab = FractionTableau(rows, basis, rhs_col)
+    if art > struct_cols:
+        status, zrow = tab.run({c: Fraction(-1) for c in range(struct_cols, art)}, struct_cols)
+        if status != "optimal" or zrow.get(rhs_col):
+            return LpResult(status="Infeasible")
+        for i in range(len(tab.rows) - 1, -1, -1):
+            if tab.basis[i] >= struct_cols:
+                entry = min((j for j in tab.rows[i] if j < struct_cols), default=None)
+                if entry is None:
+                    del tab.rows[i]
+                    del tab.basis[i]
+                else:
+                    tab.pivot(i, entry)
+
+    status, _ = tab.run(expand(cost), struct_cols)
+    if status == "unbounded":
+        return LpResult(status="Unbounded")
+    zero = Fraction(0)
+    col_values = {b: row.get(rhs_col, zero) for b, row in zip(tab.basis, tab.rows)}
+    point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
+    value = sum((c * point[v] for v, c in cost.items()), zero)
+    tight = set(range(len(sys.eq_rows)))
+    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
+        if sum(c * point[j] for j, c in coeffs.items()) == rhs:
+            tight.add(len(sys.eq_rows) + k)
+    return LpResult(status="Optimal", value=value, point=point, tight_set=tight)
+
+
+@contextmanager
+def recorded_pivots(cls):
+    """The ``(row, col)`` of every ``cls.pivot`` call inside the block, in order."""
+    pivots = []
+    original = cls.pivot
+
+    def pivot(self, row, col):
+        pivots.append((row, col))
+        original(self, row, col)
+
+    cls.pivot = pivot
+    try:
+        yield pivots
+    finally:
+        cls.pivot = original
+
+
+@st.composite
+def lp_problems(draw):
+    """A system over up to four variables, some free, with p/q entries,
+    right sides of either sign, and maybe a repeated or doubled row (ties in
+    the ratio test); unbounded and infeasible problems are frequent."""
+    n = draw(st.integers(1, 4))
+    nonneg = draw(st.lists(st.sampled_from((True, True, False)), min_size=n, max_size=n))
+    row = st.tuples(st.dictionaries(st.integers(0, n - 1), COEFFS, max_size=n), COEFFS)
+    eq_rows = draw(st.lists(row, max_size=2))
+    ineq_rows = draw(st.lists(row, max_size=5))
+    for rows in (eq_rows, ineq_rows):
+        if rows and draw(st.booleans()):
+            coeffs, rhs = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, 2, Fraction(1, 3))))
+            rows.append(({j: scale * c for j, c in coeffs.items()}, scale * rhs))
+    objective = draw(st.lists(COEFFS, min_size=n, max_size=n))
+    return LinearSystem(n, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg), objective
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_problems())
+@example((LinearSystem(1, eq_rows=[({0: 1}, -1)]), [1]))  # infeasible
+@example((LinearSystem(2, ineq_rows=[({0: 1, 1: -1}, 1)]), [1, 1]))  # unbounded
+@example(  # a tie in the ratio test, broken by the lower basic column
+    (LinearSystem(2, ineq_rows=[({0: 1}, 1), ({0: 2, 1: 1}, 2), ({1: 1}, 0)]), [1, 1])
+)
+@example(  # an artificial left at level zero, pivoted out on a negative entry
+    (LinearSystem(2, eq_rows=[({0: -1, 1: -1}, 0)], ineq_rows=[({0: 1, 1: 2}, 4)]), [1, -1])
+)
+def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
+    sys, objective = problem
+    with recorded_pivots(_Tableau) as pivots:
+        result = lp_maximize(sys, objective)
+    with recorded_pivots(FractionTableau) as reference_pivots:
+        reference = fraction_lp_maximize(sys, objective)
+    assert pivots == reference_pivots
+    assert result == reference
+    if result.status == "Optimal":
+        assert type(result.value) is Fraction
+        assert all(type(x) is Fraction for x in result.point)
