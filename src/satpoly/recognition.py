@@ -5,7 +5,8 @@ compares against the metric strengthening; over the block relaxation it
 compares against the O(m^2 n^2)-row strengthening, restricted to
 column-balanced objectives: every block column j owns a pair of block
 rows (a_j, b_j) with ``c^{a,1} + c^{b,2} = c^{a,2} + c^{b,1}`` in every
-block row i.
+block row i.  :func:`recognize_satp` normalizes once, renaming each
+column's pair onto rows (2, 3), and all later work is in those coordinates.
 
 The strengthened optimum is found by separation (Dantzig, Fulkerson and
 Johnson 1954): the strengthening rows the base optimizer violates become
@@ -17,9 +18,9 @@ constructively: the optimizer of the strengthened system is rewritten,
 by per-row column swaps, per-column row permutations, and
 objective-preserving four-cell exchanges, into a point with positive
 top-left mass in every block, which then splits as a convex combination
-``alpha * q + (1 - alpha) * h`` with q integral.  All renamings are
-recorded in an invertible ledger so the witness comes back in the
-caller's coordinates.
+``alpha * q + (1 - alpha) * h`` with q integral.  The normalization and
+the rewriting renamings are recorded in invertible ledgers, so the witness
+comes back in the caller's coordinates.
 """
 
 from __future__ import annotations
@@ -59,27 +60,31 @@ class BalanceCertificate:
     pairs: tuple[tuple[int, int], ...]
 
 
+def _row_differences(c: ObjectiveVector, j: int) -> list[tuple[Rational, ...]]:
+    """``d_k = (c^{k,1}_{ij} - c^{k,2}_{ij})_i`` of column j; (a, b) balances it iff d_a == d_b."""
+    return [tuple(row[j][k][0] - row[j][k][1] for row in c.cells) for k in range(3)]
+
+
 def pair_balances_column(c: ObjectiveVector, j: int, a: int, b: int) -> bool:
     """Check ``c^{a,1} + c^{b,2} == c^{a,2} + c^{b,1}`` for every block row (a, b 1-based)."""
-    a0, b0 = a - 1, b - 1
-    for i in range(c.m):
-        blk = c.cells[i][j]
-        if blk[a0][0] + blk[b0][1] != blk[a0][1] + blk[b0][0]:
-            return False
-    return True
+    d = _row_differences(c, j)
+    return d[a - 1] == d[b - 1]
+
+
+def _column_pairs(c: ObjectiveVector) -> list[list[tuple[int, int]]]:
+    """Per column, the pairs of :data:`BALANCING_PAIRS` balancing it; BalanceError if none."""
+    out = []
+    for j in range(c.n):
+        d = _row_differences(c, j)
+        out.append([(a, b) for a, b in BALANCING_PAIRS if d[a - 1] == d[b - 1]])
+        if not out[-1]:
+            raise BalanceError(j)
+    return out
 
 
 def check_balance(c: ObjectiveVector) -> BalanceCertificate:
     """Lexicographically smallest balancing pair per column, or BalanceError."""
-    pairs = []
-    for j in range(c.n):
-        for a, b in BALANCING_PAIRS:
-            if pair_balances_column(c, j, a, b):
-                pairs.append((a, b))
-                break
-        else:
-            raise BalanceError(j)
-    return BalanceCertificate(tuple(pairs))
+    return BalanceCertificate(tuple(pairs[0] for pairs in _column_pairs(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +160,13 @@ def normalization_ledger(c: ObjectiveVector) -> RenamingLedger:
 
     Columns already balanced by the pair (2, 3) keep the identity; the
     others get the permutation sending their lexicographically smallest
-    balancing pair (a, b) to (2, 3).
+    balancing pair (a, b) to (2, 3).  Raises BalanceError for the first
+    column no pair balances.
     """
     ledger = RenamingLedger.identity(c.m, c.n)
-    for j, (a, b) in enumerate(check_balance(c).pairs):
-        if pair_balances_column(c, j, 2, 3):
-            continue
-        sigma = [0, 0, 0]
-        sigma[a - 1], sigma[b - 1] = 1, 2
-        ledger.col_perm[j] = tuple(sigma)  # type: ignore[assignment]
+    for j, pairs in enumerate(_column_pairs(c)):
+        if (2, 3) not in pairs:  # pairs[0] is (1, b): rows 1 and b go to 2 and 3
+            ledger.col_perm[j] = (1, 2, 0) if pairs[0] == (1, 2) else (1, 0, 2)
     return ledger
 
 
@@ -257,37 +260,30 @@ def construct_wstar(
 ) -> tuple[BlockPoint, RenamingLedger]:
     """Rewrite a strengthened-system optimizer to positive top-left mass.
 
-    ``c`` is first normalized so every column is balanced by the row pair
-    (2, 3); ``w`` must be feasible for the correspondingly renamed
-    strengthened system (for an already-normalized objective that is the
-    canonical one, which is what :func:`recognize_satp` passes), and that
-    is checked first.  If ``w`` then already has positive top-left mass
-    everywhere it is returned unchanged with an identity ledger.
-    Otherwise the renamed point stays fixed while the rewriting renames
-    only the ledger and shifts mass by objective-preserving exchanges.
-    Returns ``wstar`` with a ledger from the caller's coordinates (those
-    of ``w`` and ``c``) to those of ``wstar``: all renamings applied, the
-    normalization included; when ``w`` comes back unchanged that map is
-    the identity.  The objective value is preserved exactly.
+    Works in normalized coordinates: every column of ``c`` must be balanced
+    by the row pair (2, 3) (:func:`normalization_ledger` renames a balanced
+    objective there), and ``w`` must be feasible for the canonical
+    strengthened system; both are checked first.  If ``w`` already has
+    positive top-left mass everywhere it is returned unchanged with an
+    identity ledger.  Otherwise ``w`` stays fixed while the rewriting
+    renames only the ledger and shifts mass by objective-preserving
+    exchanges.  Returns ``wstar`` with the ledger from the coordinates of
+    ``w`` and ``c`` to those of ``wstar``; the objective value is preserved
+    exactly.
     """
     m, n = w.m, w.n
     if (c.m, c.n) != (m, n):
         raise InputError("point and objective shapes disagree")
-    pre = normalization_ledger(c)
-    w0 = pre.apply_point(w)
-    c0 = pre.apply_point(c)
-    for j in range(n):
-        if not pair_balances_column(c0, j, 2, 3):  # pragma: no cover
-            raise InternalInvariantError("normalization failed to balance a column")
-    if not build_satp2_lp(m, n).is_feasible(w0.flat()):
-        raise InputError(
-            "point is not feasible for the normalized strengthened system"
-        )
+    if not all(pair_balances_column(c, j, 2, 3) for j in range(n)):
+        raise InputError("the row pair (2, 3) must balance every block column")
+    strong = build_satp2_lp(m, n)
+    if not strong.is_feasible(w.flat()):
+        raise InputError("point is not feasible for the strengthened system")
     if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
         return w.copy(), RenamingLedger.identity(m, n)
 
-    value = objective_value(c0, w0)
-    state = _Rewriter(w0)
+    value = objective_value(c, w)
+    state = _Rewriter(w.copy())
 
     # Rows whose left cell column carries no mass get their columns swapped.
     for i in range(m):
@@ -390,13 +386,13 @@ def construct_wstar(
 
     # p meets the canonical strengthened system exactly when its ledger
     # image meets the renamed one, so the stored point is checked directly.
-    if not build_satp2_lp(m, n).is_feasible(state.p.flat()):
+    if not strong.is_feasible(state.p.flat()):
         raise InternalInvariantError(
             "rewritten point violates the renamed strengthened system"
         )
-    if objective_value(c0, state.p) != value:
+    if objective_value(c, state.p) != value:
         raise InternalInvariantError("rewriting changed the objective value")
-    return state.ledger.apply_point(state.p), compose_ledgers(state.ledger, pre)
+    return state.ledger.apply_point(state.p), state.ledger
 
 
 def decompose(

@@ -30,6 +30,7 @@ from satpoly.recognition import (
     bqp_brute_force_max,
     construct_wstar,
     integer_max_oracle,
+    normalization_ledger,
     recognize_bqp,
     recognize_satp,
 )
@@ -235,6 +236,7 @@ def test_criterion_8_recognition_soundness():
         for _ in range(20):
             m, n = rng2.choice([(2, 2), (2, 3)])
             c = random_balanced_objective(rng2, m, n)
+            c = normalization_ledger(c).apply_point(c)
             res = lp_maximize(build_satp2_lp(m, n), c.flat())
             relaxed = lp_maximize(build_satp_lp(m, n), c.flat())
             if res.value != relaxed.value:

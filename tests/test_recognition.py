@@ -1,10 +1,15 @@
+import collections
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import satpoly.recognition as recognition
 from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import (
     bqp_pair_index,
@@ -57,6 +62,57 @@ def test_check_balance_rejects_exactly_one_objective():
         check_balance(w)
 
 
+# set partitions of the block rows {0, 1, 2} into classes of equal row
+# differences: the pairs inside one class balance the column
+_DIFFERENCE_CLASSES = ((0, 1, 2), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 0, 0))
+
+
+@st.composite
+def patterned_objectives(draw):
+    """Small-integer objectives whose columns each get a drawn balance pattern."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    c = BlockPoint.zeros(m, n)
+    for j in range(n):
+        classes = draw(st.sampled_from(_DIFFERENCE_CLASSES))
+        diffs = [[draw(small) for _ in range(m)] for _ in range(3)]
+        for i in range(m):
+            for k in range(3):
+                right = draw(small)
+                c.cells[i][j][k] = [Fraction(right + diffs[classes[k]][i]), Fraction(right)]
+    return c
+
+
+def _balances(c, j, a, b):
+    return all(
+        row[j][a - 1][0] + row[j][b - 1][1] == row[j][a - 1][1] + row[j][b - 1][0]
+        for row in c.cells
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterned_objectives())
+def test_balance_decision_matches_brute_force(c):
+    expected = [
+        next((p for p in itertools.combinations((1, 2, 3), 2) if _balances(c, j, *p)), None)
+        for j in range(c.n)
+    ]
+    if None in expected:
+        for decide in (check_balance, normalization_ledger):
+            with pytest.raises(BalanceError) as err:
+                decide(c)
+            assert err.value.column == expected.index(None)
+        return
+    assert check_balance(c).pairs == tuple(expected)
+    ledger = normalization_ledger(c)
+    assert not any(ledger.row_swap)
+    c0 = ledger.apply_point(c)
+    for j in range(c.n):
+        if _balances(c, j, 2, 3):
+            assert ledger.col_perm[j] == (0, 1, 2)
+        assert _balances(c0, j, 2, 3)
+
+
 def test_wstar_identity_on_positive_point():
     # barycenter of all integral vertices has every coordinate positive
     codes = enumerate_integral_vertices(2, 2)
@@ -93,6 +149,7 @@ def test_wstar_postconditions_on_lp_optimizers():
     ran = 0
     for _ in range(30):
         c = random_balanced_objective(rng, 2, 2)
+        c = normalization_ledger(c).apply_point(c)
         res = lp_maximize(strong22, c.flat())
         relaxed = lp_maximize(base22, c.flat())
         if res.value != relaxed.value:
@@ -103,6 +160,7 @@ def test_wstar_postconditions_on_lp_optimizers():
         pulled = ledger.pullback_point(wstar)
         assert objective_value(c, pulled) == objective_value(c, w)
         assert base22.is_feasible(wstar.flat())
+        _assert_renamed_strengthening_holds(wstar, ledger)
         ran += 1
     assert ran >= 10
 
@@ -198,9 +256,9 @@ def test_wstar_witness_in_rotated_column():
 
 
 def test_wstar_checks_positive_point_in_normalized_coordinates():
-    # only rows (1, 2) balance the first column, so normalization rotates
-    # it; feasibility is judged after that renaming, also for a point that
-    # already has positive top-left mass everywhere
+    # only rows (1, 2) balance the first column, so construct_wstar refuses
+    # the objective; after normalization rotates that column, the positive
+    # shortcut's identity ledger is exact: its pullback meets SATP^2
     c = BlockPoint.zeros(2, 2)
     for i in range(2):
         blk = c.cells[i][0]
@@ -220,16 +278,19 @@ def test_wstar_checks_positive_point_in_normalized_coordinates():
     )
     strong = build_satp2_lp(2, 2)
     assert not strong.is_feasible(w.flat())
-    assert strong.is_feasible(pre.apply_point(w).flat())
-    wstar, ledger = construct_wstar(w, c)
-    assert wstar == w
-    assert ledger.is_identity()
-    # the canonically feasible image of w is infeasible once renamed
-    w0 = pre.apply_point(w)
+    for point in (w, pre.apply_point(w)):
+        with pytest.raises(InputError):
+            construct_wstar(point, c)
+    c0, w0 = pre.apply_point(c), pre.apply_point(w)
+    assert strong.is_feasible(w0.flat())
     assert all(w0.cells[i][j][0][0] > 0 for i in range(2) for j in range(2))
-    assert not strong.is_feasible(pre.apply_point(w0).flat())
+    wstar, ledger = construct_wstar(w0, c0)
+    assert wstar == w0
+    assert ledger.is_identity()
+    _assert_renamed_strengthening_holds(wstar, ledger)
+    # a point outside the canonical strengthened system is refused
     with pytest.raises(InputError):
-        construct_wstar(w0, c)
+        construct_wstar(w, c0)
 
 
 # sha256[:16] over the rewritten point, the ledger and the decomposition of
@@ -303,6 +364,7 @@ def test_decompose_reconstruction_identity():
     strong = build_satp2_lp(2, 2)
     for _ in range(10):
         c = random_balanced_objective(rng, 2, 2)
+        c = normalization_ledger(c).apply_point(c)
         res = lp_maximize(strong, c.flat())
         w = BlockPoint.from_flat(res.point, 2, 2)
         wstar, ledger = construct_wstar(w, c)
@@ -411,6 +473,31 @@ def test_recognize_6x6_matches_oracle():
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
 
+def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
+    # a positive call normalizes once and builds each system once; only
+    # decompose may build the base system a second time
+    counts = collections.Counter()
+
+    def counted(name):
+        inner = getattr(recognition, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    names = ("normalization_ledger", "satp2_inequality_rows", "build_satp2_lp", "build_satp_lp")
+    for name in names:
+        monkeypatch.setattr(recognition, name, counted(name))
+    c = random_balanced_objective(random.Random(1), 3, 3)
+    assert recognize_satp(c, 3, 3).answer
+    assert counts["normalization_ledger"] == 1
+    assert counts["satp2_inequality_rows"] == 1
+    assert counts["build_satp2_lp"] == 1
+    assert 1 <= counts["build_satp_lp"] <= 2
+
+
 def test_recognize_rejects_unbalanced():
     with pytest.raises(BalanceError):
         recognize_satp(objective_x3sat(parse_cnf3(FORMULA_18)), 4, 3)
@@ -432,8 +519,6 @@ def test_sandwich_for_arbitrary_objectives():
 
 def test_ledger_composition_and_inverse():
     rng = random.Random(13)
-    import itertools
-
     perms = list(itertools.permutations((0, 1, 2)))
     for _ in range(20):
         l1 = RenamingLedger(
