@@ -15,15 +15,22 @@ final tableau divide, in ``Fraction``.  Row tests at a point scale the
 point once by the lcm of its denominators and then work in integers.  The
 text reader parses only the nonzero tokens of a dense row and keeps
 integral values as ``int``s, the form the builders emit.
+
+Phase 1 of the simplex depends only on the system.  Its feasible tableau,
+or the finding that there is none, is kept in a process-wide store keyed by
+the system's content and bounded by the entries it holds, so a system
+solved for many objectives runs phase 1 once while it stays in the store.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from satpoly.errors import InputError, InternalInvariantError
 from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
@@ -69,12 +76,12 @@ class LinearSystem:
         """Exact membership test."""
         if len(point) != self.var_count:
             raise InputError("point has wrong dimension")
-        if any(flag and x < 0 for flag, x in zip(self.nonneg, point)):
-            return False
         xs, scale = _scaled(point)
+        if any(flag and x < 0 for flag, x in zip(self.nonneg, xs)):
+            return False
         if any(sum(c * xs[j] for j, c in a.items()) != b * scale for a, b in self.eq_rows):
             return False
-        return not violated_rows(self.ineq_rows, point)
+        return next(_violated(self.ineq_rows, xs, scale), None) is None
 
     def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
         """Equality system of all constraints active at every one of ``points``.
@@ -162,16 +169,19 @@ def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
 
     As L > 0, ``a.x`` compares with ``b`` exactly as ``a.xs`` compares with ``b*L``.
     """
-    scale = reduce(lcm, (x.denominator for x in point), 1)
-    return [x.numerator * (scale // x.denominator) for x in point], scale
+    dens = [x.denominator for x in point]
+    scale = reduce(lcm, set(dens), 1)
+    return [x.numerator * (scale // d) for x, d in zip(point, dens)], scale
+
+
+def _violated(rows: Sequence[tuple[Row, Rational]], xs: list[int], scale: int) -> Iterator[int]:
+    """Indices of the ``<=`` rows that the point ``xs / scale`` violates, in row order."""
+    return (k for k, (a, b) in enumerate(rows) if sum(c * xs[j] for j, c in a.items()) > b * scale)
 
 
 def violated_rows(rows: Sequence[tuple[Row, Rational]], point: Sequence[Rational]) -> list[int]:
     """Indices of the ``<=`` rows that ``point`` violates, in row order."""
-    xs, scale = _scaled(point)
-    return [
-        k for k, (a, b) in enumerate(rows) if sum(c * xs[j] for j, c in a.items()) > b * scale
-    ]
+    return list(_violated(rows, *_scaled(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +383,64 @@ class _Tableau:
                 zrow = _eliminate(zrow, rows[leave], enter)
 
 
-def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
-    """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
+_Rows = tuple[tuple[tuple[tuple[int, Rational], ...], Rational], ...]
+_Snapshot = tuple[tuple[bool, ...], _Rows, _Rows]
 
-    Two-phase simplex: phase 1 drives auxiliary variables out of the basis
-    (uniform handling of equality rows), phase 2 optimizes with Bland's
-    smallest-index rule, which guarantees termination.  Infeasible and
-    unbounded inputs are reported as statuses, never exceptions.
+
+def _snapshot(sys: LinearSystem) -> _Snapshot:
+    """The content of ``sys``: ``nonneg``, then its equality and inequality rows
+    as ``(row items, rhs)`` pairs; hashable, and equal for equal systems."""
+    return (
+        tuple(sys.nonneg),
+        tuple((tuple(a.items()), b) for a, b in sys.eq_rows),
+        tuple((tuple(a.items()), b) for a, b in sys.ineq_rows),
+    )
+
+
+@dataclass(frozen=True)
+class _Ready:
+    """What no objective changes: a system's feasible tableau, ready for phase 2.
+
+    ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
+    of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
+    artificials and never enter again.  ``rows`` are shared by every solve
+    of the system, so phase 2 pivots a copy.
     """
-    if len(objective) != sys.var_count:
-        raise InputError("objective length does not match variable count")
-    cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
 
+    col_of_var: list[tuple[int, Optional[int]]]
+    struct_cols: int
+    rhs: int
+    rows: list[dict[int, int]]
+    basis: list[int]
+
+
+def _expand(
+    col_of_var: list[tuple[int, Optional[int]]], coeffs: Iterable[tuple[int, Rational]]
+) -> Row:
+    """The ``(variable, coefficient)`` pairs ``coeffs`` as a row over the columns."""
+    row: Row = {}
+    for v, c in coeffs:
+        if c:
+            pos, neg = col_of_var[v]
+            row[pos] = c
+            if neg is not None:
+                row[neg] = -c
+    return row
+
+
+def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optional[_Ready]:
+    """Lay out the columns, expand the rows and run phase 1; None if infeasible.
+
+    The rows are ``(row items, rhs)`` pairs.  Phase 1 drives auxiliary
+    variables out of the basis (uniform handling of equality rows), pivots
+    out the artificials left at level zero and drops the redundant rows.
+    """
     # Column layout: one column per nonnegative variable, a (+,-) pair per
     # free variable, one slack per inequality row, one artificial per row
     # with no slack to start the basis on, then the right side.
     col_of_var: list[tuple[int, Optional[int]]] = []
     ncols = 0
-    for flag in sys.nonneg:
+    for flag in nonneg:
         if flag:
             col_of_var.append((ncols, None))
             ncols += 1
@@ -398,25 +448,15 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
     slack0 = ncols
-    struct_cols = ncols + len(sys.ineq_rows)
-    rhs_col = struct_cols + len(sys.eq_rows) + sum(rhs < 0 for _, rhs in sys.ineq_rows)
-
-    def expand(coeffs: Row) -> Row:
-        row: Row = {}
-        for v, c in coeffs.items():
-            if c:
-                pos, neg = col_of_var[v]
-                row[pos] = c
-                if neg is not None:
-                    row[neg] = -c
-        return row
+    struct_cols = ncols + len(ineq_rows)
+    rhs_col = struct_cols + len(eq_rows) + sum(rhs < 0 for _, rhs in ineq_rows)
 
     rows: list[dict[int, int]] = []
     basis: list[int] = []
     art = struct_cols
     # k counts from -len(eq_rows): negative on equalities, the slack index after.
-    for k, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows], -len(sys.eq_rows)):
-        row = expand(coeffs)
+    for k, (coeffs, rhs) in enumerate([*eq_rows, *ineq_rows], -len(eq_rows)):
+        row = _expand(col_of_var, coeffs)
         if k >= 0:
             row[slack0 + k] = 1
         if rhs:
@@ -431,30 +471,107 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
             art += 1
         rows.append(_int_row(row))
 
-    tab = _Tableau(rows, basis, rhs_col)
-
     if art > struct_cols:
+        tab = _Tableau(rows, basis, rhs_col)
         phase1_cost = {c: -1 for c in range(struct_cols, art)}
         status, zrow = tab.run(phase1_cost, allowed=struct_cols)
         if status != "optimal" or zrow.get(rhs_col):
-            return LpResult(status="Infeasible")
+            return None
         # Pivot remaining zero-level artificials out; drop redundant rows.
-        for i in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[i] >= struct_cols:
-                entry = min((j for j in tab.rows[i] if j < struct_cols), default=None)
+        for i in range(len(rows) - 1, -1, -1):
+            if basis[i] >= struct_cols:
+                entry = min((j for j in rows[i] if j < struct_cols), default=None)
                 if entry is None:
-                    del tab.rows[i]
-                    del tab.basis[i]
+                    del rows[i]
+                    del basis[i]
                 else:
                     tab.pivot(i, entry)
+    return _Ready(col_of_var, struct_cols, rhs_col, rows, basis)
 
-    status, zrow = tab.run(expand(cost), allowed=struct_cols)
+
+#: The most entries the phase-1 store holds: every coefficient of a stored
+#: tableau and of the snapshot keying it, plus one per variable.  With small
+#: coefficients an entry takes about 80 bytes, so the store stays near
+#: 1.5 MiB; the base system of a 6x6 grid takes 2,866 entries.
+_PHASE1_STORE_ENTRIES = 20_000
+
+
+class _Phase1Store:
+    """Phase-1 results by system snapshot, the least recently used dropped first.
+
+    Phase 1 never reads the objective, so a system solved again starts
+    phase 2 from its stored tableau and makes exactly the pivots a cold
+    solve makes in phase 2.  A result larger than the bound is not stored.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.results: OrderedDict[_Snapshot, tuple[Optional[_Ready], int]] = OrderedDict()
+        self.entries = 0
+        self.lock = threading.Lock()
+
+    def ready(self, snapshot: _Snapshot) -> Optional[_Ready]:
+        with self.lock:
+            stored = self.results.get(snapshot)
+            if stored is not None:
+                self.results.move_to_end(snapshot)
+                return stored[0]
+            ready = _phase1(*snapshot)
+            size = len(snapshot[0]) + sum(len(a) + 1 for part in snapshot[1:] for a, _ in part)
+            if ready is not None:
+                size += sum(map(len, ready.rows))
+            if size <= self.limit:
+                self.results[snapshot] = ready, size
+                self.entries += size
+                while self.entries > self.limit:
+                    _, (_, dropped) = self.results.popitem(last=False)
+                    self.entries -= dropped
+            return ready
+
+    def clear(self) -> None:
+        with self.lock:
+            self.results.clear()
+            self.entries = 0
+
+
+_PHASE1_STORE = _Phase1Store(_PHASE1_STORE_ENTRIES)
+
+
+def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
+    """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
+
+    Two-phase simplex: phase 1 (:func:`_phase1`) finds a feasible basis,
+    phase 2 optimizes with Bland's smallest-index rule, which guarantees
+    termination.  Infeasible and unbounded inputs are reported as
+    statuses, never exceptions.
+
+    Phase 1 never reads the objective, so its result is kept in a
+    process-wide store, least recently used out first, that holds at most
+    ``_PHASE1_STORE_ENTRIES`` entries (about 1.5 MiB).  Solving a system
+    again starts phase 2 from a copy of the stored tableau: it makes
+    exactly the phase-2 pivots of a cold solve and returns the same result.
+    """
+    if len(objective) != sys.var_count:
+        raise InputError("objective length does not match variable count")
+    cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
+    ready = _PHASE1_STORE.ready(_snapshot(sys))
+    if ready is None:
+        return LpResult(status="Infeasible")
+
+    # _eliminate consumes the rows it updates, and the stored ones are shared.
+    tab = _Tableau([dict(row) for row in ready.rows], list(ready.basis), ready.rhs)
+    status, zrow = tab.run(_expand(ready.col_of_var, cost.items()), allowed=ready.struct_cols)
     if status == "unbounded":
         return LpResult(status="Unbounded")
 
+    col_values = {b: Fraction(row.get(tab.rhs, 0), row[b]) for b, row in zip(tab.basis, tab.rows)}
     zero = Fraction(0)
-    col_values = {b: Fraction(row.get(rhs_col, 0), row[b]) for b, row in zip(tab.basis, tab.rows)}
-    point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
+    point = [
+        col_values.get(pos, zero)
+        if neg is None  # a free variable is its + column less its - column
+        else col_values.get(pos, zero) - col_values.get(neg, zero)
+        for pos, neg in ready.col_of_var
+    ]
     xs, scale = _scaled(point)
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
 

@@ -35,7 +35,7 @@ from satpoly.builders import (
     build_bqp_lp,
     build_met,  # unused here; perfbench/tracing.py wraps this name
     build_satp_lp,
-    build_satp2_lp,
+    build_satp2_lp,  # unused here; perfbench/tracing.py wraps this name
     bqp_pair_index,
     bqp_var_count,
     met_triangle_rows,
@@ -255,15 +255,26 @@ _ROTATE = (2, 0, 1)  # block rows move up one slot; the top row wraps to the bot
 _SWAP_23 = (0, 2, 1)
 
 
+def _satp2_member(base: LinearSystem, rows: list[tuple[Row, Rational]], p: BlockPoint) -> bool:
+    """Exact membership of ``p`` in ``base`` plus the ``<=`` rows ``rows``."""
+    flat = p.flat()
+    return base.is_feasible(flat) and not violated_rows(rows, flat)
+
+
 def construct_wstar(
-    w: BlockPoint, c: ObjectiveVector
+    w: BlockPoint,
+    c: ObjectiveVector,
+    base: LinearSystem,
+    rows: list[tuple[Row, Rational]],
 ) -> tuple[BlockPoint, RenamingLedger]:
     """Rewrite a strengthened-system optimizer to positive top-left mass.
 
     Works in normalized coordinates: every column of ``c`` must be balanced
     by the row pair (2, 3) (:func:`normalization_ledger` renames a balanced
     objective there), and ``w`` must be feasible for the canonical
-    strengthened system; both are checked first.  If ``w`` already has
+    strengthened system, the base system ``base`` (:func:`build_satp_lp`)
+    plus the ``<=`` rows ``rows`` (:func:`satp2_inequality_rows`) of the
+    grid of ``w``; both are checked first.  If ``w`` already has
     positive top-left mass everywhere it is returned unchanged with an
     identity ledger.  Otherwise ``w`` stays fixed while the rewriting
     renames only the ledger and shifts mass by objective-preserving
@@ -276,8 +287,7 @@ def construct_wstar(
         raise InputError("point and objective shapes disagree")
     if not all(pair_balances_column(c, j, 2, 3) for j in range(n)):
         raise InputError("the row pair (2, 3) must balance every block column")
-    strong = build_satp2_lp(m, n)
-    if not strong.is_feasible(w.flat()):
+    if not _satp2_member(base, rows, w):
         raise InputError("point is not feasible for the strengthened system")
     if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
         return w.copy(), RenamingLedger.identity(m, n)
@@ -386,7 +396,7 @@ def construct_wstar(
 
     # p meets the canonical strengthened system exactly when its ledger
     # image meets the renamed one, so the stored point is checked directly.
-    if not strong.is_feasible(state.p.flat()):
+    if not _satp2_member(base, rows, state.p):
         raise InternalInvariantError(
             "rewritten point violates the renamed strengthened system"
         )
@@ -396,14 +406,15 @@ def construct_wstar(
 
 
 def decompose(
-    wstar: BlockPoint, ledger: RenamingLedger
+    wstar: BlockPoint, ledger: RenamingLedger, base: LinearSystem
 ) -> tuple[Rational, VertexCode, BlockPoint]:
     """Split a positive-top-left point as ``alpha * q + (1 - alpha) * h``.
 
     ``alpha`` is the minimum top-left cell over all blocks, ``q`` is the
     integral vertex whose renamed point is the all-top-left unit point
     (returned in original coordinates via the inverse ledger), and ``h``
-    stays feasible for the base relaxation, in ledger coordinates.
+    stays feasible for the base relaxation ``base`` (:func:`build_satp_lp`
+    of the grid), in ledger coordinates.
     """
     m, n = wstar.m, wstar.n
     if len(ledger.row_swap) != m or len(ledger.col_perm) != n:
@@ -422,7 +433,7 @@ def decompose(
             h.cells[i][j][k][l] = (val - alpha) / scale
         else:
             h.cells[i][j][k][l] = val / scale
-    if not build_satp_lp(m, n).is_feasible(h.flat()):  # pragma: no cover
+    if not base.is_feasible(h.flat()):  # pragma: no cover
         raise InternalInvariantError("decomposition residual left the base system")
     return alpha, q, h
 
@@ -493,18 +504,16 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
         raise InputError("objective shape disagrees with the grid")
     pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
-    relaxed, strengthened = _separate(
-        build_satp_lp(m, n), satp2_inequality_rows(m, n), c0.flat()
-    )
+    base, rows = build_satp_lp(m, n), satp2_inequality_rows(m, n)
+    relaxed, strengthened = _separate(base, rows, c0.flat())
     answer = relaxed.value == strengthened.value
     witness = None
     if answer:
-        wstar, ledger = construct_wstar(
-            BlockPoint.from_flat(strengthened.point, m, n), c0
-        )
-        decompose(wstar, ledger)  # checks the residual stays in the base system
+        w = BlockPoint.from_flat(strengthened.point, m, n)
+        wstar, ledger = construct_wstar(w, c0, base, rows)
+        decompose(wstar, ledger, base)  # checks the residual stays in the base system
         witness = compose_ledgers(ledger, pre).allones_preimage()
-        if objective_value(c, code_to_point(witness)) != relaxed.value:
+        if _code_value(c, witness.row, witness.col) != relaxed.value:
             raise InternalInvariantError("extracted witness misses the optimum")
     return RecognitionOutcome(
         answer=answer,
@@ -540,6 +549,15 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
 # ---------------------------------------------------------------------------
 
 
+def _code_value(c: ObjectiveVector, row: tuple[int, ...], col: tuple[int, ...]) -> Rational:
+    """``c`` at the integral vertex coded ``(row, col)``: the m*n cells it selects."""
+    total = Fraction(0)
+    for ri, crow in zip(row, c.cells):
+        for cj, block in zip(col, crow):
+            total += block[cj][ri]
+    return total
+
+
 def integer_max_oracle(
     c: ObjectiveVector, m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
 ) -> tuple[Rational, VertexCode]:
@@ -552,12 +570,7 @@ def integer_max_oracle(
         raise InputError("objective shape disagrees with the grid")
     best_val: Optional[Fraction] = None
     for row, col in integral_codes(m, n, budget):
-        total = Fraction(0)
-        for i in range(m):
-            ri = row[i]
-            crow = c.cells[i]
-            for j in range(n):
-                total += crow[j][col[j]][ri]
+        total = _code_value(c, row, col)
         if best_val is None or total > best_val:
             best_val, best_code = total, (row, col)
     return best_val, VertexCode(*best_code)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from satpoly.blockpoint import BlockPoint, objective_value
-from satpoly.builders import build_satp_lp, build_satp2_lp
+from satpoly.builders import build_satp_lp, build_satp2_lp, satp2_inequality_rows
 from satpoly.cli import run as cli_run
 from satpoly.ecbgc import (
     brute_force_coloring,
@@ -242,7 +242,9 @@ def test_criterion_8_recognition_soundness():
             if res.value != relaxed.value:
                 continue
             w = BlockPoint.from_flat(res.point, m, n)
-            wstar, ledger = construct_wstar(w, c)
+            wstar, ledger = construct_wstar(
+                w, c, build_satp_lp(m, n), satp2_inequality_rows(m, n)
+            )
             assert all(
                 wstar.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)
             )

@@ -3,15 +3,19 @@
 The reference below is the rational tableau and two-phase driver that
 :func:`satpoly.linsys.lp_maximize` ran on before its rows became integer
 rows.  Both must make the same pivots, in the same order, and return equal
-results.
+results.  A cold solve, from an empty phase-1 store, makes every pivot; a
+warm one makes only the phase-2 pivots of the cold solve.
 """
 
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from sys import getswitchinterval, setswitchinterval
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satpoly.linsys as linsys
 from satpoly.linsys import LinearSystem, LpResult, _Tableau, lp_maximize
 from tests.test_vertices import COEFFS
 
@@ -191,6 +195,7 @@ def lp_problems(draw):
 )
 def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
     sys, objective = problem
+    linsys._PHASE1_STORE.clear()  # a cold solve, phase 1 included
     with recorded_pivots(_Tableau) as pivots:
         result = lp_maximize(sys, objective)
     with recorded_pivots(FractionTableau) as reference_pivots:
@@ -200,3 +205,89 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
     if result.status == "Optimal":
         assert type(result.value) is Fraction
         assert all(type(x) is Fraction for x in result.point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_problems())
+def test_warm_solve_makes_only_the_cold_phase_2_pivots(problem):
+    sys, objective = problem
+    linsys._PHASE1_STORE.clear()
+    with recorded_pivots(_Tableau) as cold_pivots:
+        cold = lp_maximize(sys, objective)
+    with recorded_pivots(_Tableau) as phase1_pivots:
+        ready = linsys._phase1(*linsys._snapshot(sys))
+    with recorded_pivots(_Tableau) as warm_pivots:
+        warm = lp_maximize(sys, objective)
+    assert warm == cold
+    assert cold_pivots == phase1_pivots + warm_pivots
+    assert (ready is None) == (cold.status == "Infeasible")
+
+
+def test_store_keys_on_rhs_and_nonneg():
+    # the same rows with another right side or other sign constraints are
+    # another system: a stale entry would answer 2, not 3, or Infeasible
+    rows = [({0: 1, 1: 1}, 2)]
+    linsys._PHASE1_STORE.clear()
+    assert lp_maximize(LinearSystem(2, ineq_rows=rows), [1, 0]).value == 2
+    assert lp_maximize(LinearSystem(2, ineq_rows=[({0: 1, 1: 1}, 3)]), [1, 0]).value == 3
+    assert lp_maximize(LinearSystem(2, eq_rows=rows), [0, -1]).value == 0
+    assert lp_maximize(LinearSystem(2, eq_rows=[({0: 1, 1: 1}, -1)]), [0, -1]).status == (
+        "Infeasible"
+    )
+    free = LinearSystem(2, eq_rows=[({0: 1, 1: 1}, -1)], nonneg=[True, False])
+    assert lp_maximize(free, [-1, 0]).value == 0
+    assert len(linsys._PHASE1_STORE.results) == 5
+
+
+def test_store_stays_under_its_bound():
+    # a store of the same kind with a small bound, fed many distinct systems
+    store = linsys._Phase1Store(limit=400)
+    first = linsys._snapshot(LinearSystem(2, ineq_rows=[({0: 1, 1: 1}, 1)]))
+    store.ready(first)
+    for n in range(1, 12):
+        for rhs in range(1, 12):
+            rows = [({j: 1, j + 1: -1}, rhs) for j in range(n)] + [({0: 1}, rhs)]
+            store.ready(linsys._snapshot(LinearSystem(n + 1, ineq_rows=rows)))
+            store.ready(first)  # the most recently used entry is never dropped
+            assert first in store.results
+            assert store.entries <= store.limit
+    assert store.entries == sum(size for _, size in store.results.values())
+    assert store.entries > store.limit // 2
+    # a result over the bound is not stored, and flushes nothing
+    big = linsys._snapshot(LinearSystem(401, ineq_rows=[({0: 1}, 1)]))
+    assert store.ready(big) is not None
+    assert big not in store.results and first in store.results
+
+
+def test_store_is_consistent_under_threads():
+    # four threads share one small store; a lost update would leave its
+    # entry count off the sum of its results' sizes, or over the bound
+    store = linsys._Phase1Store(limit=300)
+    chains = [
+        [({j: 1, j + 1: -1}, rhs) for j in range(n)] for n in range(1, 8) for rhs in range(1, 5)
+    ]
+    snapshots = [linsys._snapshot(LinearSystem(len(rows) + 1, ineq_rows=rows)) for rows in chains]
+    cold = [linsys._phase1(*snapshot) for snapshot in snapshots]
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(200):
+                i = (offset + 7 * k) % len(snapshots)
+                assert store.ready(snapshots[i]) == cold[i]
+        except AssertionError as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert store.entries == sum(size for _, size in store.results.values()) <= store.limit
