@@ -122,12 +122,14 @@ class BlockPoint:
         m, n = (parse_int(header, k, "block-point header") for k in (1, 2))
         if len(lines) != 1 + 3 * m:
             raise InputError("wrong number of block-matrix lines")
+        rows = [line.split() for line in lines[1:]]
+        # The widths bound n by the text's length before the grid is allocated.
+        if any(len(tokens) != 2 * n for tokens in rows):
+            raise InputError("block-matrix line has wrong width")
         p = BlockPoint.zeros(m, n)
         for i in range(m):
             for k in range(3):
-                tokens = lines[1 + i * 3 + k].split()
-                if len(tokens) != 2 * n:
-                    raise InputError("block-matrix line has wrong width")
+                tokens = rows[3 * i + k]
                 for j in range(n):
                     for l in range(2):
                         p.cells[i][j][k][l] = parse_rational(tokens[2 * j + l])

@@ -9,12 +9,12 @@ tolerance anywhere.
 Rank, equation solving and the simplex share one exact row update:
 fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
 1967), content divided out.  Rank and solving reduce rows into an echelon
-basis; :func:`lp_maximize` keeps each tableau row over its basic entry.
-Only a unique solution's back-substitution and the optimum read off the
-final tableau divide, in ``Fraction``.  Row tests at a point scale the
-point once by the lcm of its denominators and then work in integers.  The
-text reader parses only the nonzero tokens of a dense row and keeps
-integral values as ``int``s, the form the builders emit.
+basis; the simplex's one state type, :class:`_Tableau`, keeps each row
+over its basic entry.  Only a unique solution's back-substitution and the
+point read off the final tableau divide, in ``Fraction``.  Row tests at a
+point scale the point once by the lcm of its denominators and then work
+in integers.  The text reader parses only the nonzero tokens of a dense
+row and keeps integral values as ``int``s, the form the builders emit.
 
 Phase 1 of the simplex depends only on the system.  Its feasible tableau,
 or the finding that there is none, is kept in a process-wide store keyed by
@@ -26,17 +26,21 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from satpoly.errors import InputError, InternalInvariantError
+from satpoly.errors import BudgetError, InputError, InternalInvariantError
 from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
 
 Row = dict[int, Rational]
 """A sparse row: column index to coefficient; absent columns are zero."""
+
+#: The largest ``vars`` header :meth:`LinearSystem.from_text` accepts, checked before
+#: any per-variable allocation; the SATP system of a 10x10 grid has 600 variables.
+MAX_TEXT_VARS = 10**6
 
 
 @dataclass
@@ -125,6 +129,8 @@ class LinearSystem:
                 if var_count is not None:
                     raise InputError("duplicate 'vars' header")
                 var_count = parse_int(tokens, 1, "'vars' header")
+                if var_count > MAX_TEXT_VARS:
+                    raise BudgetError(f"'vars' header over the limit of {MAX_TEXT_VARS}")
             elif kind == "nonneg":
                 flags = tokens[1:]
                 if nonneg is not None or not flags or any(t not in ("0", "1") for t in flags):
@@ -328,19 +334,47 @@ class LpResult:
     tight_set: Optional[set[int]] = None
 
 
+@dataclass
 class _Tableau:
     """Sparse integer simplex tableau with Bland's anti-cycling rule.
 
-    Row ``i`` is an integer row, right side in column ``rhs`` past every
-    variable column, standing for ``rows[i] / rows[i][basis[i]]``: its basic
-    entry, kept positive by every pivot, is its denominator.  Entries that
-    cancel are dropped, so a stored zero is never chosen as a pivot.
+    ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
+    of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
+    artificials, which never enter.  Row ``i`` is an integer row, right side
+    in column ``rhs``, standing for ``rows[i] / rows[i][basis[i]]``: its
+    basic entry, kept positive by every pivot, is its denominator.  Entries
+    that cancel are dropped, so a stored zero is never chosen as a pivot.
     """
 
-    def __init__(self, rows: list[dict[int, int]], basis: list[int], rhs: int):
-        self.rows = rows
-        self.basis = basis
-        self.rhs = rhs
+    col_of_var: list[tuple[int, Optional[int]]]
+    struct_cols: int
+    rhs: int
+    rows: list[dict[int, int]]
+    basis: list[int]
+
+    def copy(self) -> "_Tableau":
+        """A tableau to pivot: :func:`_eliminate` consumes the rows it updates."""
+        return replace(self, rows=[dict(row) for row in self.rows], basis=list(self.basis))
+
+    def expand(self, coeffs: Iterable[tuple[int, Rational]]) -> Row:
+        """The ``(variable, coefficient)`` pairs ``coeffs`` as a row over the columns."""
+        row: Row = {}
+        for v, c in coeffs:
+            if c:
+                pos, neg = self.col_of_var[v]
+                row[pos] = c
+                if neg is not None:
+                    row[neg] = -c
+        return row
+
+    def point(self) -> list[Fraction]:
+        """The basic solution: each variable's value, a free one's ``+`` less its ``-``."""
+        rhs, zero = self.rhs, Fraction(0)
+        values = {b: Fraction(row.get(rhs, 0), row[b]) for b, row in zip(self.basis, self.rows)}
+        return [
+            values.get(pos, zero) if neg is None else values.get(pos, zero) - values.get(neg, zero)
+            for pos, neg in self.col_of_var
+        ]
 
     def pivot(self, row: int, col: int) -> None:
         rows = self.rows
@@ -352,19 +386,19 @@ class _Tableau:
                 rows[i] = _eliminate(ri, pivrow, col)
         self.basis[row] = col
 
-    def run(self, cost: Row, allowed: int) -> tuple[str, dict[int, int]]:
-        """Maximize over columns [0, allowed); returns status and final z-row.
+    def run(self, cost: Row) -> tuple[str, dict[int, int]]:
+        """Maximize over the columns below ``struct_cols``; returns status and final z-row.
 
         ``cost`` is the objective over all columns; the z-row is a positive
         multiple of the reduced costs (z_j - c_j, optimal when all >= 0).
         """
-        rows, basis, rhs = self.rows, self.basis, self.rhs
+        rows, basis, rhs, struct_cols = self.rows, self.basis, self.rhs, self.struct_cols
         zrow = _int_row({j: -c for j, c in cost.items()})
         for i, b in enumerate(basis):
             if b in zrow:
                 zrow = _eliminate(zrow, rows[i], b)
         while True:
-            enter = min((j for j, x in zrow.items() if j < allowed and x < 0), default=-1)
+            enter = min((j for j, x in zrow.items() if j < struct_cols and x < 0), default=-1)
             if enter < 0:
                 return "optimal", zrow
             # rhs_i / a_i, in which the row scale cancels, against the best, cross-multiplied
@@ -397,38 +431,7 @@ def _snapshot(sys: LinearSystem) -> _Snapshot:
     )
 
 
-@dataclass(frozen=True)
-class _Ready:
-    """What no objective changes: a system's feasible tableau, ready for phase 2.
-
-    ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
-    of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
-    artificials and never enter again.  ``rows`` are shared by every solve
-    of the system, so phase 2 pivots a copy.
-    """
-
-    col_of_var: list[tuple[int, Optional[int]]]
-    struct_cols: int
-    rhs: int
-    rows: list[dict[int, int]]
-    basis: list[int]
-
-
-def _expand(
-    col_of_var: list[tuple[int, Optional[int]]], coeffs: Iterable[tuple[int, Rational]]
-) -> Row:
-    """The ``(variable, coefficient)`` pairs ``coeffs`` as a row over the columns."""
-    row: Row = {}
-    for v, c in coeffs:
-        if c:
-            pos, neg = col_of_var[v]
-            row[pos] = c
-            if neg is not None:
-                row[neg] = -c
-    return row
-
-
-def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optional[_Ready]:
+def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optional[_Tableau]:
     """Lay out the columns, expand the rows and run phase 1; None if infeasible.
 
     The rows are ``(row items, rhs)`` pairs.  Phase 1 drives auxiliary
@@ -451,12 +454,12 @@ def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optio
     struct_cols = ncols + len(ineq_rows)
     rhs_col = struct_cols + len(eq_rows) + sum(rhs < 0 for _, rhs in ineq_rows)
 
-    rows: list[dict[int, int]] = []
-    basis: list[int] = []
+    tab = _Tableau(col_of_var, struct_cols, rhs_col, rows=[], basis=[])
+    rows, basis = tab.rows, tab.basis
     art = struct_cols
     # k counts from -len(eq_rows): negative on equalities, the slack index after.
     for k, (coeffs, rhs) in enumerate([*eq_rows, *ineq_rows], -len(eq_rows)):
-        row = _expand(col_of_var, coeffs)
+        row = tab.expand(coeffs)
         if k >= 0:
             row[slack0 + k] = 1
         if rhs:
@@ -472,9 +475,7 @@ def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optio
         rows.append(_int_row(row))
 
     if art > struct_cols:
-        tab = _Tableau(rows, basis, rhs_col)
-        phase1_cost = {c: -1 for c in range(struct_cols, art)}
-        status, zrow = tab.run(phase1_cost, allowed=struct_cols)
+        status, zrow = tab.run({c: -1 for c in range(struct_cols, art)})
         if status != "optimal" or zrow.get(rhs_col):
             return None
         # Pivot remaining zero-level artificials out; drop redundant rows.
@@ -486,7 +487,7 @@ def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optio
                     del basis[i]
                 else:
                     tab.pivot(i, entry)
-    return _Ready(col_of_var, struct_cols, rhs_col, rows, basis)
+    return tab
 
 
 #: The most entries the phase-1 store holds: every coefficient of a stored
@@ -506,11 +507,11 @@ class _Phase1Store:
 
     def __init__(self, limit: int):
         self.limit = limit
-        self.results: OrderedDict[_Snapshot, tuple[Optional[_Ready], int]] = OrderedDict()
+        self.results: OrderedDict[_Snapshot, tuple[Optional[_Tableau], int]] = OrderedDict()
         self.entries = 0
         self.lock = threading.Lock()
 
-    def ready(self, snapshot: _Snapshot) -> Optional[_Ready]:
+    def ready(self, snapshot: _Snapshot) -> Optional[_Tableau]:
         with self.lock:
             stored = self.results.get(snapshot)
             if stored is not None:
@@ -540,12 +541,13 @@ _PHASE1_STORE = _Phase1Store(_PHASE1_STORE_ENTRIES)
 def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
 
-    Two-phase simplex: phase 1 (:func:`_phase1`) finds a feasible basis,
-    phase 2 optimizes with Bland's smallest-index rule, which guarantees
-    termination.  Infeasible and unbounded inputs are reported as
-    statuses, never exceptions.
+    Two-phase simplex on one :class:`_Tableau`: phase 1 (:func:`_phase1`)
+    lays out the columns and finds a feasible basis, phase 2 optimizes with
+    Bland's smallest-index rule, which guarantees termination, and the
+    point is read off the final tableau.  Infeasible and unbounded inputs
+    are reported as statuses, never exceptions.
 
-    Phase 1 never reads the objective, so its result is kept in a
+    Phase 1 never reads the objective, so its tableau is kept in a
     process-wide store, least recently used out first, that holds at most
     ``_PHASE1_STORE_ENTRIES`` entries (about 1.5 MiB).  Solving a system
     again starts phase 2 from a copy of the stored tableau: it makes
@@ -558,20 +560,12 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     if ready is None:
         return LpResult(status="Infeasible")
 
-    # _eliminate consumes the rows it updates, and the stored ones are shared.
-    tab = _Tableau([dict(row) for row in ready.rows], list(ready.basis), ready.rhs)
-    status, zrow = tab.run(_expand(ready.col_of_var, cost.items()), allowed=ready.struct_cols)
+    tab = ready.copy()  # the stored tableau is shared
+    status, _ = tab.run(tab.expand(cost.items()))
     if status == "unbounded":
         return LpResult(status="Unbounded")
 
-    col_values = {b: Fraction(row.get(tab.rhs, 0), row[b]) for b, row in zip(tab.basis, tab.rows)}
-    zero = Fraction(0)
-    point = [
-        col_values.get(pos, zero)
-        if neg is None  # a free variable is its + column less its - column
-        else col_values.get(pos, zero) - col_values.get(neg, zero)
-        for pos, neg in ready.col_of_var
-    ]
+    point = tab.point()
     xs, scale = _scaled(point)
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
 

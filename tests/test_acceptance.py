@@ -12,8 +12,6 @@ import time
 from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
-import numpy as np
-
 from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import build_satp_lp, build_satp2_lp, satp2_inequality_rows
 from satpoly.cli import run as cli_run
@@ -45,6 +43,7 @@ from satpoly.reductions import (
     x3sat_oracle,
 )
 from satpoly.vertices import (
+    VertexCode,
     adjacent,
     code_to_point,
     construct_clique,
@@ -319,24 +318,11 @@ def test_criterion_11_negative_control():
         ]
         assert violated, "expected at least one violated strengthening row"
 
-        # coefficients and coordinates are tiny ints, so integer matmul is exact
-        rows = np.array(
-            [
-                [int(coeffs.get(j, 0)) for j in range(strong.var_count)]
-                for coeffs, _ in strong.ineq_rows
-            ],
-            dtype=np.int64,
-        )
         rng = random.Random(1111)
-        sample = []
         for _ in range(1000):
             row = tuple(rng.randint(0, 1) for _ in range(6))
             col = tuple(rng.randint(0, 2) for _ in range(6))
-            from satpoly.vertices import VertexCode
-
-            sample.append(code_to_point(VertexCode(row, col)).flat())
-        points = np.array([[int(x) for x in p] for p in sample], dtype=np.int64)
-        values = points @ rows.T
-        assert values.max() <= 3
+            x = [int(v) for v in code_to_point(VertexCode(row, col)).flat()]
+            assert max(sum(c * x[j] for j, c in a.items()) for a, _ in strong.ineq_rows) <= 3
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -389,9 +389,7 @@ def test_lp_prints_answers_past_the_int_digit_limit(tmp_path, system, objective,
     assert lines[3] == "tight 0"
 
 
-# Tokens for fuzzing the system and objective texts of `satpoly lp`.  Free
-# text leaves out decimal digits, so no drawn `vars` count is large: the
-# count is allocated before any row is read.
+# Tokens for fuzzing the system and objective texts of `satpoly lp`.
 NUMBERS = st.one_of(
     st.integers(-3, 3).map(str),
     st.fractions(min_value=-3, max_value=3, max_denominator=5).map(str),
@@ -400,6 +398,7 @@ VALUES = st.one_of(
     NUMBERS,
     st.sampled_from(["00", "-0", "0/5", "1/0", "1.5", "+1", "1_0", "\u0661", "x", ""]),
 )
+HUGE = (10**7, 10**12)  # `vars` headers over linsys.MAX_TEXT_VARS
 TOKENS = st.one_of(
     VALUES,
     st.sampled_from(["vars", "nonneg", "eq", "le", "|", "#", "/", "-", "--1"]),
@@ -409,12 +408,13 @@ TOKENS = st.one_of(
 
 @st.composite
 def lp_texts(draw):
-    """A system text and an objective text: well formed, or with values,
-    lengths, headers and lines out of place or replaced by free text."""
+    """A system text, an objective text and the drawn ``vars`` header: well
+    formed, or with values, lengths, headers and lines out of place or
+    replaced by free text, or a header over the reader's limit."""
     n = draw(st.integers(0, 3))
     fuzz = draw(st.booleans())
     values = VALUES if fuzz else NUMBERS
-    header = draw(st.sampled_from([n, n, n, -1, "x", ""])) if fuzz else n
+    header = draw(st.sampled_from([n, n, n, -1, "x", "", *HUGE])) if fuzz else n
     lines = [f"vars {header}"]
     if draw(st.booleans()):
         flags = st.sampled_from("0011x" if fuzz else "01")
@@ -434,13 +434,15 @@ def lp_texts(draw):
         values = st.one_of(VALUES, TOKENS)
     objective = draw(st.lists(values, min_size=count, max_size=count))
     separator = draw(st.sampled_from([" ", "\n", "  # c\n"]))
-    return "\n".join(lines) + "\n", separator.join(objective) + "\n"
+    return "\n".join(lines) + "\n", separator.join(objective) + "\n", header
 
 
 @settings(max_examples=300, deadline=None)
 @given(lp_texts())
-def test_lp_on_fuzzed_texts_exits_cleanly(texts):
-    """Every text gives an answer (0), a negative one (1) or an input error (2)."""
+def test_lp_on_fuzzed_texts_exits_cleanly(drawn):
+    """Every text gives an answer (0), a negative one (1) or an input error (2);
+    a header over the limit may also be refused (3)."""
+    *texts, header = drawn
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, name) for name in ("system.txt", "objective.txt")]
@@ -454,5 +456,7 @@ def test_lp_on_fuzzed_texts_exits_cleanly(texts):
         (1, "status Infeasible"),
         (1, "status Unbounded"),
         (2, ""),
+        *([(3, "")] if header in HUGE else []),
     }
     assert err.getvalue().startswith("error: ") == (code == 2)
+    assert err.getvalue().startswith("refused: ") == (code == 3)

@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly.builders import PolytopeId, build_satp_lp
-from satpoly.errors import InputError
-from satpoly.linsys import LinearSystem, lp_maximize, rank, unique_solution, violated_rows
+from satpoly.errors import BudgetError, InputError
+from satpoly.linsys import (
+    MAX_TEXT_VARS,
+    LinearSystem,
+    lp_maximize,
+    rank,
+    unique_solution,
+    violated_rows,
+)
 from satpoly.rational import format_rational, format_vector
 from satpoly.vertices import enumerate_lp_vertices, fractional_vertex
 from tests.test_elimination import sparse_rows
@@ -274,6 +281,8 @@ def test_system_from_text_rejects_malformed():
         LinearSystem.from_text("vars 2\neq 1 | 1\n")  # wrong width
     with pytest.raises(InputError, match="duplicate 'vars' header"):
         LinearSystem.from_text("vars 2\neq 1 1 | 1\nvars 3\n")
+    with pytest.raises(BudgetError, match="'vars' header over the limit"):
+        LinearSystem.from_text(f"vars {MAX_TEXT_VARS + 1}\nle 1 | 1\n")
 
 
 def test_constructor_rejects_rows_outside_the_sparse_format():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -291,6 +292,20 @@ def test_blockpoint_text_roundtrip_and_errors():
         BlockPoint.from_text("point 1 1\n1 0\n0 0\n")  # missing a block sub-row
     with pytest.raises(InputError):
         BlockPoint.from_text("point 1 1\n1 0 0\n0 0\n0 0\n")  # wrong width
+
+
+def test_blockpoint_text_checks_widths_before_allocating_the_grid():
+    from satpoly.blockpoint import BlockPoint
+
+    # a 200,000-column grid would take tens of MiB; the lines hold one value each
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="wrong width"):
+            BlockPoint.from_text("objective 1 200000\n1\n1\n1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumerate_lp_vertices_with_inequalities():
