@@ -1,22 +1,27 @@
 """Points and objective vectors in the 3x2-block matrix layout.
 
-A :class:`BlockPoint` is an ``m x n`` grid of blocks, each block a 3x2
-array of rationals (block row ``k`` in 1..3, block column ``l`` in 1..2,
-both 0-based internally).  The same shape serves both feasible points and
-objective vectors; the text header tag (``point`` vs ``objective``) tells
-them apart on disk.
+A :class:`BlockPoint` is a vector in R^{6mn} written as an ``m x n`` grid
+of blocks, each block a 3x2 array of rationals (block row ``k`` in 1..3,
+block column ``l`` in 1..2, both 0-based internally).  The same shape
+serves both feasible points and objective vectors; the text header tag
+(``point`` vs ``objective``) tells them apart on disk.
 
-The flat variable order is the fixed bijection used by every constraint
-builder: row-major over ``(i, j, k, l)``.
+The values are stored once, flat, in the fixed order every constraint
+builder and the LP use: row-major over ``(i, j, k, l)`` (:func:`flat_index`),
+so block ``(i, j)`` is the six values from offset ``6 * (i * n + j)``.
+Cells are read and written as ``p[i, j, k, l]``.  A grid of more than
+:data:`satpoly.linsys.MAX_TEXT_VARS` values is refused with a
+``BudgetError`` before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from satpoly.errors import InputError
+from satpoly.errors import BudgetError, InputError
+from satpoly.linsys import MAX_TEXT_VARS
 from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
 
 
@@ -27,86 +32,56 @@ def flat_index(i: int, j: int, k: int, l: int, n: int) -> int:
 
 @dataclass
 class BlockPoint:
-    """An ``m x n`` grid of 3x2 rational blocks (6mn values in total)."""
+    """An ``m x n`` grid of 3x2 rational blocks: 6mn values in flat order."""
 
     m: int
     n: int
-    cells: list[list[list[list[Rational]]]]
+    values: list[Rational]
 
     @staticmethod
     def zeros(m: int, n: int) -> "BlockPoint":
         if m < 1 or n < 1:
             raise InputError("block grid dimensions must be positive")
-        zero = Fraction(0)
-        cells = [
-            [[[zero, zero] for _ in range(3)] for _ in range(n)] for _ in range(m)
-        ]
-        return BlockPoint(m, n, cells)
+        if 6 * m * n > MAX_TEXT_VARS:
+            raise BudgetError(f"the {m}x{n} block grid exceeds {MAX_TEXT_VARS} values")
+        return BlockPoint(m, n, [Fraction(0)] * (6 * m * n))
 
     def copy(self) -> "BlockPoint":
-        return BlockPoint(
-            self.m,
-            self.n,
-            [
-                [[row[:] for row in block] for block in brow]
-                for brow in self.cells
-            ],
-        )
+        return BlockPoint(self.m, self.n, self.values[:])
 
-    def get(self, i: int, j: int, k: int, l: int) -> Rational:
-        return self.cells[i][j][k][l]
+    def __getitem__(self, cell: tuple[int, int, int, int]) -> Rational:
+        i, j, k, l = cell
+        return self.values[flat_index(i, j, k, l, self.n)]
 
-    def set(self, i: int, j: int, k: int, l: int, value) -> None:
-        self.cells[i][j][k][l] = Fraction(value)
-
-    def iter_cells(self) -> Iterator[tuple[int, int, int, int, Rational]]:
-        for i in range(self.m):
-            for j in range(self.n):
-                for k in range(3):
-                    for l in range(2):
-                        yield i, j, k, l, self.cells[i][j][k][l]
+    def __setitem__(self, cell: tuple[int, int, int, int], value: Rational) -> None:
+        i, j, k, l = cell
+        self.values[flat_index(i, j, k, l, self.n)] = value
 
     def flat(self) -> list[Rational]:
-        out = []
-        for i in range(self.m):
-            for j in range(self.n):
-                for k in range(3):
-                    for l in range(2):
-                        out.append(self.cells[i][j][k][l])
-        return out
+        return list(self.values)
 
     @staticmethod
     def from_flat(values: Sequence[Rational], m: int, n: int) -> "BlockPoint":
         if len(values) != 6 * m * n:
             raise InputError("flat vector has wrong length for block grid")
         p = BlockPoint.zeros(m, n)
-        idx = 0
-        for i in range(m):
-            for j in range(n):
-                for k in range(3):
-                    for l in range(2):
-                        p.cells[i][j][k][l] = Fraction(values[idx])
-                        idx += 1
+        p.values = [Fraction(v) for v in values]
         return p
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockPoint):
-            return NotImplemented
-        return self.m == other.m and self.n == other.n and self.flat() == other.flat()
 
     # -- text format ---------------------------------------------------------
     # Header "point m n" (or "objective m n"), then 3m lines of 2n rationals:
-    # the block-matrix layout, one sub-row of blocks per line.
+    # the block-matrix layout, one sub-row of blocks per line.  Position
+    # 2j + l of line (i, k) is cell (k, l) of block (i, j), the value at
+    # 6(in + j) + 2k + l: the even positions are the values from 6in + 2k
+    # in steps of 6, and the odd ones the values just after those.
 
     def to_text(self, tag: str = "point") -> str:
         lines = [f"{tag} {self.m} {self.n}"]
         for i in range(self.m):
             for k in range(3):
-                entries = []
-                for j in range(self.n):
-                    for l in range(2):
-                        entries.append(format_rational(self.cells[i][j][k][l]))
-                lines.append(" ".join(entries))
+                start = 6 * i * self.n + 2 * k
+                cells = (self.values[start + 6 * j + l] for j in range(self.n) for l in range(2))
+                lines.append(" ".join(map(format_rational, cells)))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -128,11 +103,12 @@ class BlockPoint:
             raise InputError("block-matrix line has wrong width")
         p = BlockPoint.zeros(m, n)
         for i in range(m):
+            end = 6 * (i + 1) * n
             for k in range(3):
-                tokens = rows[3 * i + k]
-                for j in range(n):
-                    for l in range(2):
-                        p.cells[i][j][k][l] = parse_rational(tokens[2 * j + l])
+                parsed = [parse_rational(t) for t in rows[3 * i + k]]
+                start = 6 * i * n + 2 * k
+                p.values[start:end:6] = parsed[0::2]
+                p.values[start + 1 : end : 6] = parsed[1::2]
         return p
 
 
@@ -145,8 +121,4 @@ def objective_value(c: BlockPoint, x: BlockPoint) -> Rational:
     """Exact inner product of two block-shaped vectors."""
     if (c.m, c.n) != (x.m, x.n):
         raise InputError("mismatched block grid shapes")
-    total = Fraction(0)
-    for i, j, k, l, val in c.iter_cells():
-        if val:
-            total += val * x.cells[i][j][k][l]
-    return total
+    return sum((a * b for a, b in zip(c.values, x.values) if a), Fraction(0))

@@ -351,12 +351,12 @@ def project_satp_face_to_bqp(point: BlockPoint) -> list[Rational]:
     for i in range(n):
         for j in range(n):
             for l in range(2):
-                if point.cells[i][j][2][l] != 0:
+                if point[i, j, 2, l] != 0:
                     raise FaceMembershipError(
                         f"third block row is nonzero at block ({i + 1},{j + 1})"
                     )
     for i in range(n):
-        if point.cells[i][i][0][1] != 0 or point.cells[i][i][1][0] != 0:
+        if point[i, i, 0, 1] != 0 or point[i, i, 1, 0] != 0:
             raise FaceMembershipError(
                 f"diagonal block ({i + 1},{i + 1}) has off-cell mass"
             )
@@ -364,5 +364,5 @@ def project_satp_face_to_bqp(point: BlockPoint) -> list[Rational]:
     for i, j in bqp_std_blocks(n):
         for k in range(2):
             for l in range(2):
-                out[bqp_std_index(i, j, k, l, n)] = point.cells[i][j][k][l]
+                out[bqp_std_index(i, j, k, l, n)] = point[i, j, k, l]
     return out

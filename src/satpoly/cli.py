@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 negative decision (answer false, not colorable,
 not a vertex, not adjacent, LP not optimal), 2 input error, 3 budget or
-subclass refusal, 4 internal error (a broken invariant: a bug, never an
-answer).  All rationals print as ``p/q``; identical invocations produce
+subclass refusal, 4 internal error (a broken invariant or any other
+exception: a bug, never an answer).  All rationals print as ``p/q``; identical invocations produce
 byte-identical output.
 """
 
@@ -288,6 +288,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     except SatpolyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug outside the package's own checks
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

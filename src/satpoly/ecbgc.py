@@ -170,18 +170,17 @@ def objective_from_instance(
     for i, j, pc in inst.edges:
         if not _pair_ok_for_edge(pc, *pairs[j - 1]):
             raise InputError(f"edge ({i},{j}) violates the subclass condition")
-        blk = c.cells[i - 1][j - 1]
         for s in range(2):
             for k in range(3):
                 if pc[s][k]:
-                    blk[k][s] = one
+                    c[i - 1, j - 1, k, s] = one
         a, b = pairs[j - 1]
         quad = [(a - 1, 0), (a - 1, 1), (b - 1, 0), (b - 1, 1)]
         permitted = [(k, s) for k, s in quad if pc[s][k]]
         if len(permitted) == 1:
             k, s = permitted[0]
             partner_k = (b - 1) if k == a - 1 else (a - 1)
-            blk[partner_k][1 - s] = -one
+            c[i - 1, j - 1, partner_k, 1 - s] = -one
     for j in range(inst.v_count):
         a, b = pairs[j]
         if not pair_balances_column(c, j, a, b):  # pragma: no cover
@@ -236,15 +235,17 @@ def reduce_x3sat_to_ecbgc(formula: Cnf3Formula) -> EcbgcInstance:
     the per-place patterns.
     """
     w = objective_x3sat(formula)
+    n = formula.clause_count
     edges = []
     for i in range(formula.var_count):
-        for j in range(formula.clause_count):
-            blk = w.cells[i][j]
-            if all(blk[k][l] == 0 for k in range(3) for l in range(2)):
+        for j in range(n):
+            b = 6 * (i * n + j)
+            blk = w.values[b : b + 6]  # cell (k, l) at 2k + l
+            if not any(blk):
                 continue
             pc = (
-                tuple(blk[k][0] == 1 for k in range(3)),
-                tuple(blk[k][1] == 1 for k in range(3)),
+                tuple(x == 1 for x in blk[0::2]),
+                tuple(x == 1 for x in blk[1::2]),
             )
             edges.append((i + 1, j + 1, pc))
     return EcbgcInstance(formula.var_count, formula.clause_count, tuple(edges))
@@ -263,9 +264,7 @@ def scale_edge_weights(
         weight = Fraction(weight)
         if weight <= 0:
             raise InputError("edge weights must be positive")
-        blk = out.cells[i - 1][j - 1]
         for k in range(3):
             for l in range(2):
-                if blk[k][l]:
-                    blk[k][l] *= weight
+                out[i - 1, j - 1, k, l] *= weight
     return out

@@ -62,7 +62,9 @@ class BalanceCertificate:
 
 def _row_differences(c: ObjectiveVector, j: int) -> list[tuple[Rational, ...]]:
     """``d_k = (c^{k,1}_{ij} - c^{k,2}_{ij})_i`` of column j; (a, b) balances it iff d_a == d_b."""
-    return [tuple(row[j][k][0] - row[j][k][1] for row in c.cells) for k in range(3)]
+    v = c.values
+    blocks = range(6 * j, len(v), 6 * c.n)  # the offsets of the blocks of column j
+    return [tuple(v[b + 2 * k] - v[b + 2 * k + 1] for b in blocks) for k in range(3)]
 
 
 def pair_balances_column(c: ObjectiveVector, j: int, a: int, b: int) -> bool:
@@ -111,28 +113,29 @@ class RenamingLedger:
     def is_identity(self) -> bool:
         return not any(self.row_swap) and all(p == (0, 1, 2) for p in self.col_perm)
 
-    def cell_map(self, i: int, j: int, k: int, l: int) -> tuple[int, int]:
-        return self.col_perm[j][k], (1 - l) if self.row_swap[i] else l
-
     def cell_source(self, i: int, j: int, k: int, l: int) -> tuple[int, int]:
-        """The inverse of :meth:`cell_map`: the original cell shown at ``(k, l)``."""
+        """The original cell of block (i, j) shown at ``(k, l)`` in ledger coordinates."""
         return self.col_perm[j].index(k), (1 - l) if self.row_swap[i] else l
+
+    def _targets(self, p: BlockPoint) -> list[int]:
+        """Per value of ``p``, where the renaming moves it: cell (k, l) of block
+        (i, j) goes to cell ``(col_perm[j][k], l)``, or ``1 - l`` if row i swaps."""
+        n, row_swap, col_perm = p.n, self.row_swap, self.col_perm
+        return [
+            6 * (i * n + j) + 2 * col_perm[j][k] + (l ^ row_swap[i])
+            for i in range(p.m) for j in range(n) for k in range(3) for l in range(2)
+        ]
 
     def apply_point(self, p: BlockPoint) -> BlockPoint:
         """Map a point from original coordinates into ledger coordinates."""
         out = BlockPoint.zeros(p.m, p.n)
-        for i, j, k, l, val in p.iter_cells():
-            kk, ll = self.cell_map(i, j, k, l)
-            out.cells[i][j][kk][ll] = val
+        for val, target in zip(p.values, self._targets(p)):
+            out.values[target] = val
         return out
 
     def pullback_point(self, p: BlockPoint) -> BlockPoint:
         """Map a point from ledger coordinates back to the original ones."""
-        out = BlockPoint.zeros(p.m, p.n)
-        for i, j, k, l, val in p.iter_cells():
-            kk, ll = self.cell_map(i, j, k, l)
-            out.cells[i][j][k][l] = p.cells[i][j][kk][ll]
-        return out
+        return BlockPoint(p.m, p.n, [p.values[target] for target in self._targets(p)])
 
     def allones_preimage(self) -> VertexCode:
         """The integral code whose renamed point has its unit at cell (1,1) everywhere."""
@@ -209,7 +212,7 @@ class _Rewriter:
 
     def cell(self, i: int, j: int, kl) -> Fraction:
         k, l = self.ledger.cell_source(i, j, *kl)
-        return self.p.cells[i][j][k][l]
+        return self.p.values[6 * (i * self.p.n + j) + 2 * k + l]
 
     def row_sum(self, j: int, k: int) -> Fraction:
         return self.cell(0, j, (k, 0)) + self.cell(0, j, (k, 1))
@@ -228,27 +231,26 @@ class _Rewriter:
         sum, and strengthening row, so eps is limited only by the two
         decreased cells.
         """
-        plus = ((1, 0), (2, 1))
-        minus = ((1, 1), (2, 0))
-        target = self.ledger.cell_source(i, j, *target)
-        if target in plus:
+        plus = (2, 5)  # the offsets 2k + l of cells (2,1) and (3,2)
+        minus = (3, 4)  # and of cells (2,2) and (3,1)
+        k, l = self.ledger.cell_source(i, j, *target)
+        if 2 * k + l in plus:
             inc, dec = plus, minus
-        elif target in minus:
+        elif 2 * k + l in minus:
             inc, dec = minus, plus
         else:
             raise InternalInvariantError("exchange target outside the balanced pair")
-        blk = self.p.cells[i][j]
-        d0 = blk[dec[0][0]][dec[0][1]]
-        d1 = blk[dec[1][0]][dec[1][1]]
+        v, b = self.p.values, 6 * (i * self.p.n + j)
+        d0, d1 = v[b + dec[0]], v[b + dec[1]]
         if d0 <= 0 or d1 <= 0:
             raise InternalInvariantError(
                 "exchange needs strictly positive cells to draw from"
             )
         eps = min(d0, d1) / 2
-        for k, l in inc:
-            blk[k][l] += eps
-        for k, l in dec:
-            blk[k][l] -= eps
+        for o in inc:
+            v[b + o] += eps
+        for o in dec:
+            v[b + o] -= eps
 
 
 _ROTATE = (2, 0, 1)  # block rows move up one slot; the top row wraps to the bottom
@@ -289,7 +291,7 @@ def construct_wstar(
         raise InputError("the row pair (2, 3) must balance every block column")
     if not _satp2_member(base, rows, w):
         raise InputError("point is not feasible for the strengthened system")
-    if all(w.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)):
+    if all(x > 0 for x in w.values[::6]):  # the top-left cell of every block
         return w.copy(), RenamingLedger.identity(m, n)
 
     value = objective_value(c, w)
@@ -419,20 +421,17 @@ def decompose(
     m, n = wstar.m, wstar.n
     if len(ledger.row_swap) != m or len(ledger.col_perm) != n:
         raise InputError("ledger shape disagrees with the point")
-    alpha = min(wstar.cells[i][j][0][0] for i in range(m) for j in range(n))
+    alpha = min(wstar.values[::6])
     if alpha <= 0:
         raise InputError("decomposition needs positive top-left mass everywhere")
     q = ledger.allones_preimage()
     if alpha == 1:
         h = ledger.apply_point(code_to_point(q))
         return Fraction(1), q, h
-    h = BlockPoint.zeros(m, n)
     scale = 1 - alpha
-    for i, j, k, l, val in wstar.iter_cells():
-        if (k, l) == (0, 0):
-            h.cells[i][j][k][l] = (val - alpha) / scale
-        else:
-            h.cells[i][j][k][l] = val / scale
+    h = BlockPoint(
+        m, n, [(val - alpha if o % 6 == 0 else val) / scale for o, val in enumerate(wstar.values)]
+    )
     if not base.is_feasible(h.flat()):  # pragma: no cover
         raise InternalInvariantError("decomposition residual left the base system")
     return alpha, q, h
@@ -551,10 +550,13 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
 
 def _code_value(c: ObjectiveVector, row: tuple[int, ...], col: tuple[int, ...]) -> Rational:
     """``c`` at the integral vertex coded ``(row, col)``: the m*n cells it selects."""
+    v, n = c.values, c.n
+    cols = [6 * j + 2 * cj for j, cj in enumerate(col)]  # cell (col_j, 0) of block (0, j)
     total = Fraction(0)
-    for ri, crow in zip(row, c.cells):
-        for cj, block in zip(col, crow):
-            total += block[cj][ri]
+    for i, ri in enumerate(row):
+        b = 6 * n * i + ri
+        for o in cols:
+            total += v[b + o]
     return total
 
 

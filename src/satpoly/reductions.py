@@ -95,7 +95,7 @@ def objective_max3sat(formula: Cnf3Formula) -> ObjectiveVector:
     one = Fraction(1)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            v.cells[var - 1][j][k][1 if neg else 0] = one
+            v[var - 1, j, k, 1 if neg else 0] = one
     return v
 
 
@@ -105,12 +105,11 @@ def objective_x3sat(formula: Cnf3Formula) -> ObjectiveVector:
     one = Fraction(1)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            blk = w.cells[var - 1][j]
             own, other = (1, 0) if neg else (0, 1)
-            blk[k][own] = one
+            w[var - 1, j, k, own] = one
             for s in range(3):
                 if s != k:
-                    blk[s][other] = one
+                    w[var - 1, j, s, other] = one
     return w
 
 
@@ -120,14 +119,14 @@ def objective_nae3sat(formula: Cnf3Formula) -> ObjectiveVector:
     one = Fraction(1)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            blk = y.cells[var - 1][j]
+            i = var - 1
             k1 = (k + 1) % 3
             k2 = (k + 2) % 3
             own, other = (1, 0) if neg else (0, 1)
-            blk[k][own] = one
-            blk[k1][other] = one
-            blk[k2][0] = one
-            blk[k2][1] = one
+            y[i, j, k, own] = one
+            y[i, j, k1, other] = one
+            y[i, j, k2, 0] = one
+            y[i, j, k2, 1] = one
     return y
 
 
@@ -145,16 +144,8 @@ def apply_clause_weights(
     ws = [Fraction(w) for w in weights]
     if any(w < 0 for w in ws):
         raise InputError("clause weights must be nonnegative")
-    out = v.copy()
-    for i in range(v.m):
-        for j in range(v.n):
-            if ws[j] != 1:
-                blk = out.cells[i][j]
-                for k in range(3):
-                    for l in range(2):
-                        if blk[k][l]:
-                            blk[k][l] *= ws[j]
-    return out
+    # value o lies in block (i, j) with o // 6 == in + j
+    return BlockPoint(v.m, v.n, [val * ws[o // 6 % v.n] for o, val in enumerate(v.values)])
 
 
 # -- brute-force truth-table oracles (deliberately naive) -------------------

@@ -77,7 +77,7 @@ def code_to_point(code: VertexCode) -> BlockPoint:
     one = Fraction(1)
     for i, r in enumerate(code.row):
         for j, c in enumerate(code.col):
-            p.cells[i][j][c][r] = one
+            p[i, j, c, r] = one
     return p
 
 
@@ -89,11 +89,11 @@ def point_to_code(p: BlockPoint) -> VertexCode:
     """
 
     def unit(i: int, j: int) -> tuple[int, int]:
-        blk = p.cells[i][j]
-        nonzero = [(k, l) for k in range(3) for l in range(2) if blk[k][l]]
+        b = 6 * (i * p.n + j)
+        nonzero = [o for o in range(6) if p.values[b + o]]
         if len(nonzero) != 1:
             raise NotAVertexError(f"block ({i + 1},{j + 1}) is not a unit block")
-        return nonzero[0]
+        return divmod(nonzero[0], 2)
 
     row = tuple(unit(i, 0)[1] for i in range(p.m))
     col = tuple(unit(0, j)[0] for j in range(p.n))
@@ -117,9 +117,10 @@ def integral_codes(
     themselves are generated lazily.
     """
     _check_grid(m, n)
-    count = (2**m) * (3**n)
-    if count > budget:
-        raise BudgetError(f"{count} codes exceed budget {budget}")
+    # 2^m 3^n >= 2^(m+n) > budget once m + n reaches the budget's bit length,
+    # so a grid that large is refused before its count is computed.
+    if m + n >= budget.bit_length() or 2**m * 3**n > budget:
+        raise BudgetError(f"the codes of the {m}x{n} grid exceed budget {budget}")
     return (
         (row, col)
         for row in itertools.product((0, 1), repeat=m)
@@ -215,8 +216,8 @@ def construct_clique(
     """
     _check_grid(m, n)
     p = min(m, n)
-    if 2**p > budget:
-        raise BudgetError(f"{2**p} codes exceed budget {budget}")
+    if p >= budget.bit_length() or 2**p > budget:  # as in integral_codes
+        raise BudgetError(f"the {m}x{n} clique exceeds budget {budget}")
     out = []
     for bits in itertools.product((0, 1), repeat=p):
         row = tuple(bits) + (0,) * (m - p)
@@ -261,39 +262,39 @@ def fractional_vertex(n: int) -> BlockPoint:
     p = BlockPoint.zeros(n, n)
     for i1 in range(1, n + 1):
         for j1 in range(1, n + 1):
-            blk = p.cells[i1 - 1][j1 - 1]
+            i, j = i1 - 1, j1 - 1
             if j1 == 1 and i1 == n - 1:
-                blk[0][1] = r1(j1)
-                blk[1][0] = r2(j1)
-                blk[2][0] = r3(j1)
+                p[i, j, 0, 1] = r1(j1)
+                p[i, j, 1, 0] = r2(j1)
+                p[i, j, 2, 0] = r3(j1)
             elif j1 == 1 and i1 == n:
-                blk[0][0] = r1(j1)
-                blk[1][1] = r2(j1)
-                blk[2][0] = r3(j1)
+                p[i, j, 0, 0] = r1(j1)
+                p[i, j, 1, 1] = r2(j1)
+                p[i, j, 2, 0] = r3(j1)
             elif i1 == j1:
-                blk[0][0] = r1(j1)
-                blk[1][0] = r2(j1)
-                blk[2][1] = r3(j1)
+                p[i, j, 0, 0] = r1(j1)
+                p[i, j, 1, 0] = r2(j1)
+                p[i, j, 2, 1] = r3(j1)
             elif j1 == i1 + 1:
-                blk[0][0] = r1(j1)
-                blk[1][1] = r2(j1)
-                blk[2][0] = r3(j1)
+                p[i, j, 0, 0] = r1(j1)
+                p[i, j, 1, 1] = r2(j1)
+                p[i, j, 2, 0] = r3(j1)
             elif j1 >= 2 and i1 in (2 * j1 - 1, 2 * j1):
-                blk[0][0] = r1(j1)
-                blk[1][1] = r2(j1)
-                blk[2][1] = r3(j1)
+                p[i, j, 0, 0] = r1(j1)
+                p[i, j, 1, 1] = r2(j1)
+                p[i, j, 2, 1] = r3(j1)
             elif i1 < j1:
                 v = ((i1 + 1) // 2) * x
-                blk[0][0] = r1(j1)
-                blk[1][0] = r2(j1)
-                blk[2][0] = r3(j1) - v
-                blk[2][1] = v
+                p[i, j, 0, 0] = r1(j1)
+                p[i, j, 1, 0] = r2(j1)
+                p[i, j, 2, 0] = r3(j1) - v
+                p[i, j, 2, 1] = v
             else:
                 y = ((i1 + 1) // 2) * x - r3(j1)
-                blk[0][0] = r1(j1) - y
-                blk[0][1] = y
-                blk[1][0] = r2(j1)
-                blk[2][1] = r3(j1)
+                p[i, j, 0, 0] = r1(j1) - y
+                p[i, j, 0, 1] = y
+                p[i, j, 1, 0] = r2(j1)
+                p[i, j, 2, 1] = r3(j1)
 
     sys = build_satp_lp(n, n)
     flat = p.flat()

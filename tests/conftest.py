@@ -20,7 +20,7 @@ def grid_point(rows, denominator=1):
             line = rows[i * 3 + k]
             for j in range(n):
                 for l in range(2):
-                    p.cells[i][j][k][l] = Fraction(line[2 * j + l], denominator)
+                    p[i, j, k, l] = Fraction(line[2 * j + l], denominator)
     return p
 
 
@@ -36,11 +36,10 @@ def random_balanced_objective(rng, m, n, lo=-3, hi=3):
                 cb1 = ca1 + cb2 - ca2
                 if lo <= cb1 <= hi:
                     break
-            blk = c.cells[i][j]
-            blk[a][0], blk[a][1] = Fraction(ca1), Fraction(ca2)
-            blk[b][0], blk[b][1] = Fraction(cb1), Fraction(cb2)
-            blk[rest][0] = Fraction(rng.randint(lo, hi))
-            blk[rest][1] = Fraction(rng.randint(lo, hi))
+            c[i, j, a, 0], c[i, j, a, 1] = Fraction(ca1), Fraction(ca2)
+            c[i, j, b, 0], c[i, j, b, 1] = Fraction(cb1), Fraction(cb2)
+            c[i, j, rest, 0] = Fraction(rng.randint(lo, hi))
+            c[i, j, rest, 1] = Fraction(rng.randint(lo, hi))
     return c
 
 

@@ -245,7 +245,7 @@ def test_criterion_8_recognition_soundness():
                 w, c, build_satp_lp(m, n), satp2_inequality_rows(m, n)
             )
             assert all(
-                wstar.cells[i][j][0][0] > 0 for i in range(m) for j in range(n)
+                wstar[i, j, 0, 0] > 0 for i in range(m) for j in range(n)
             )
             assert objective_value(c, ledger.pullback_point(wstar)) == res.value
         assert positives >= 50

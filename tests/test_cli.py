@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -72,13 +73,49 @@ BUDGET_REFUSALS = {
     # the 36 x 36 adjacency matrix exceeds 100 cells
     "diameter": ["vertices", "diameter", "--m", "2", "--n", "2", "--budget", "100"],
     "clique": ["vertices", "clique", "--m", "5", "--n", "5", "--budget", "4"],
+    # code counts of 1,400 digits and more, refused before they are computed
+    "enumerate-wide": ["vertices", "enumerate", "--m", "3000", "--n", "1"],
+    "enumerate-huge": ["vertices", "enumerate", "--m", "10000000", "--n", "1"],
+    "diameter-huge": ["vertices", "diameter", "--m", "100000000", "--n", "3"],
+    "clique-huge": ["vertices", "clique", "--m", "100000000", "--n", "100000000"],
 }
 
 
 @pytest.mark.parametrize("case", BUDGET_REFUSALS)
 def test_budget_refusal_exit_code(capsys, case):
     assert invoke(*BUDGET_REFUSALS[case]) == (3, "")
-    assert capsys.readouterr().err.startswith("refused: ")
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ")
+    assert err.count("\n") == 1 and len(err) < 100
+
+
+# Grids sized by a header or a flag past the 10**6 values a block grid may
+# hold; each would take hundreds of MiB before it was refused.
+GRID_REFUSALS = {
+    "ecbgc-solve": (["ecbgc", "solve", "--instance"], "ecbgc 200000 1\n"),
+    "oracle-ecbgc": (["oracle", "ecbgc", "--instance"], "ecbgc 10000000 1\n"),
+    "reduce-x3sat": (["reduce", "x3sat", "--cnf"], "p cnf 1000000 1\n1 2 3 0\n"),
+    "fractional": (["vertices", "fractional", "--n", "500"], None),
+}
+
+
+@pytest.mark.parametrize("case", GRID_REFUSALS)
+def test_grid_refusals_allocate_nothing(tmp_path, capsys, case):
+    args, text = GRID_REFUSALS[case]
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        args = [*args, str(path)]
+    tracemalloc.start()
+    try:
+        result = invoke(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert peak < 2**20
 
 
 def test_build_and_lp_pipeline(tmp_path):
@@ -266,6 +303,17 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: planted invariant failure\n"
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("planted bug")
+
+    monkeypatch.setattr(cli, "_cmd_build", broken)
+    assert run(["build", "--polytope", "satp", "--m", "1", "--n", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: planted bug\n"
 
 
 SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"

@@ -91,7 +91,7 @@ def test_objective_matches_published_table():
 def test_objective_fully_permissive_edge():
     inst = EcbgcInstance(1, 1, ((1, 1, FULL),))
     c = objective_from_instance(inst, ((1, 2),))
-    assert all(val == 1 for *_, val in c.iter_cells())
+    assert all(val == 1 for val in c.values)
 
 
 def test_zero_balancing_single_permitted_combination():
@@ -99,8 +99,8 @@ def test_zero_balancing_single_permitted_combination():
     pc = ((True, False, False), (False, False, False))
     inst = EcbgcInstance(1, 1, ((1, 1, pc),))
     c = objective_from_instance(inst, ((1, 2),))
-    assert c.get(0, 0, 0, 0) == 1
-    assert c.get(0, 0, 1, 1) == -1
+    assert c[0, 0, 0, 0] == 1
+    assert c[0, 0, 1, 1] == -1
 
 
 def test_solve_single_edge_instances():
@@ -201,15 +201,14 @@ def test_pair_searches_match_six_ordered_pairs():
     for _ in range(600):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         c = BlockPoint.from_flat([rng.randint(0, 1) for _ in range(6 * m * n)], m, n)
-        columns = [[c.cells[i][j] for i in range(m)] for j in range(n)]
         expected = [
             _first_ordered_pair(
                 lambda a, b: all(
-                    blk[a - 1][0] + blk[b - 1][1] == blk[a - 1][1] + blk[b - 1][0]
-                    for blk in column
+                    c[i, j, a - 1, 0] + c[i, j, b - 1, 1] == c[i, j, a - 1, 1] + c[i, j, b - 1, 0]
+                    for i in range(m)
                 )
             )
-            for column in columns
+            for j in range(n)
         ]
         if None in expected:
             with pytest.raises(BalanceError):

@@ -77,8 +77,8 @@ def test_nae3sat_objective_matches_published_table(formula18_text):
 def test_repeated_literal_clause_shapes():
     triple = Cnf3Formula(1, (((1, False), (1, False), (1, False)),))
     v = objective_max3sat(triple)
-    assert [v.get(0, 0, k, 0) for k in range(3)] == [1, 1, 1]
-    assert all(v.get(0, 0, k, 1) == 0 for k in range(3))
+    assert [v[0, 0, k, 0] for k in range(3)] == [1, 1, 1]
+    assert all(v[0, 0, k, 1] == 0 for k in range(3))
     # a one-variable clause can never be not-all-equal
     y = objective_nae3sat(triple)
     value, _ = integer_max_oracle(y, 1, 1)
@@ -128,7 +128,8 @@ def test_objectives_zero_outside_incident_blocks():
             objective_x3sat(f),
             objective_nae3sat(f),
         ):
-            for i, j, k, l, val in objective.iter_cells():
+            for o, val in enumerate(objective.values):
+                i, j = divmod(o // 6, objective.n)
                 if val:
                     assert (i + 1) in members[j]
 
@@ -150,7 +151,7 @@ def test_clause_weights():
     for i in range(4):
         for k in range(3):
             for l in range(2):
-                expect.cells[i][0][k][l] *= 2
+                expect[i, 0, k, l] *= 2
     assert doubled == expect
     with pytest.raises(InputError):
         apply_clause_weights(v, [Fraction(-1), Fraction(1), Fraction(1)])
@@ -209,6 +210,6 @@ def test_x3sat_column_bound():
                 if jj != j:
                     for k in range(3):
                         for l in range(2):
-                            column_only.cells[i][jj][k][l] = Fraction(0)
+                            column_only[i, jj, k, l] = Fraction(0)
         res = lp_maximize(sys, column_only.flat())
         assert res.value <= 3

@@ -39,9 +39,9 @@ ONE = Fraction(1)
 
 def test_code_to_point_unit_positions():
     p = code_to_point(VertexCode((0,), (0,)))
-    assert p.get(0, 0, 0, 0) == 1 and sum(p.flat()) == 1
+    assert p[0, 0, 0, 0] == 1 and sum(p.flat()) == 1
     p = code_to_point(VertexCode((1,), (2,)))
-    assert p.get(0, 0, 2, 1) == 1 and sum(p.flat()) == 1
+    assert p[0, 0, 2, 1] == 1 and sum(p.flat()) == 1
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3), (2, 3)])
@@ -61,20 +61,20 @@ def test_codec_roundtrip_property(row, col):
 
 def test_point_to_code_rejects_bad_points():
     p = code_to_point(VertexCode((0,), (0,)))
-    p.set(0, 0, 1, 0, 1)  # two units in one block
+    p[0, 0, 1, 0] = Fraction(1)  # two units in one block
     with pytest.raises(NotAVertexError):
         point_to_code(p)
     q = code_to_point(VertexCode((0, 0), (0, 0)))
-    q.set(1, 1, 0, 0, 0)
-    q.set(1, 1, 1, 1, 1)  # inconsistent with the row/col codes
+    q[1, 1, 0, 0] = Fraction(0)
+    q[1, 1, 1, 1] = Fraction(1)  # inconsistent with the row/col codes
     with pytest.raises(NotAVertexError):
         point_to_code(q)
     r = code_to_point(VertexCode((0, 1), (2, 0)))
-    r.set(0, 0, 2, 0, 2)  # the unit of block (1,1) holds a 2
+    r[0, 0, 2, 0] = Fraction(2)  # the unit of block (1,1) holds a 2
     with pytest.raises(NotAVertexError):
         point_to_code(r)
     z = code_to_point(VertexCode((0, 1), (2, 0)))
-    z.set(1, 1, 0, 1, 0)  # block (2,2), outside block row and column 1, all zero
+    z[1, 1, 0, 1] = Fraction(0)  # block (2,2), outside block row and column 1, all zero
     with pytest.raises(NotAVertexError):
         point_to_code(z)
 
@@ -200,8 +200,8 @@ def test_fractional_vertex_matches_published_matrix():
 
 def test_fractional_vertex_odd_case_values():
     p = fractional_vertex(5)
-    assert p.get(0, 0, 2, 1) == Fraction(1, 6)
-    assert p.get(0, 0, 0, 0) + p.get(0, 0, 0, 1) == Fraction(2, 6)
+    assert p[0, 0, 2, 1] == Fraction(1, 6)
+    assert p[0, 0, 0, 0] + p[0, 0, 0, 1] == Fraction(2, 6)
 
 
 def test_fractional_vertex_smallest_case():
@@ -292,6 +292,35 @@ def test_blockpoint_text_roundtrip_and_errors():
         BlockPoint.from_text("point 1 1\n1 0\n0 0\n")  # missing a block sub-row
     with pytest.raises(InputError):
         BlockPoint.from_text("point 1 1\n1 0 0\n0 0\n0 0\n")  # wrong width
+
+
+@st.composite
+def block_points(draw):
+    from satpoly.blockpoint import BlockPoint
+
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.lists(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+        min_size=6 * m * n,
+        max_size=6 * m * n,
+    )
+    return BlockPoint.from_flat(draw(values), m, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_points())
+def test_blockpoint_text_index_and_flat_views_agree(p):
+    from satpoly.blockpoint import flat_index
+    from satpoly.rational import parse_rational
+
+    lines = p.to_text().splitlines()
+    flat = p.flat()
+    for i in range(p.m):
+        for j in range(p.n):
+            for k in range(3):
+                for l in range(2):
+                    token = parse_rational(lines[1 + 3 * i + k].split()[2 * j + l])
+                    assert token == p[i, j, k, l] == flat[flat_index(i, j, k, l, p.n)]
 
 
 def test_blockpoint_text_checks_widths_before_allocating_the_grid():
