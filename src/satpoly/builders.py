@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, flat_index
-from satpoly.errors import FaceMembershipError, InputError
-from satpoly.linsys import LinearSystem, Row
+from satpoly.errors import BudgetError, FaceMembershipError, InputError
+from satpoly.linsys import MAX_TEXT_VARS, LinearSystem, Row
 from satpoly.rational import Rational
 
 _ZERO = Fraction(0)
@@ -46,6 +46,7 @@ class PolytopeId:
 
     ``kind`` is one of ``satp``, ``satp2``, ``bqp``, ``bqp-std``, ``met``;
     the block polytopes take ``(m, n)``, the quadric ones take ``n`` only.
+    A system over :data:`satpoly.linsys.MAX_TEXT_VARS` variables is refused.
     """
 
     kind: str
@@ -60,8 +61,17 @@ class PolytopeId:
         if self.kind in ("satp", "satp2"):
             if not self.m or not self.n or self.m < 1 or self.n < 1:
                 raise InputError(f"{self.kind} needs positive m and n")
+            var_count = 6 * self.m * self.n
+        elif self.m is not None:
+            raise InputError(f"{self.kind} takes n only, not m")
         elif not self.n or self.n < 1:
             raise InputError(f"{self.kind} needs a positive n")
+        elif self.kind == "bqp-std":
+            var_count = bqp_std_var_count(self.n)
+        else:
+            var_count = bqp_var_count(self.n)
+        if var_count > MAX_TEXT_VARS:
+            raise BudgetError(f"the {self.kind} system exceeds {MAX_TEXT_VARS} variables")
 
     def build(self) -> LinearSystem:
         if self.kind == "satp":

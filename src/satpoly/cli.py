@@ -5,6 +5,10 @@ not a vertex, not adjacent, LP not optimal), 2 input error, 3 budget or
 subclass refusal, 4 internal error (a broken invariant or any other
 exception: a bug, never an answer).  All rationals print as ``p/q``; identical invocations produce
 byte-identical output.
+
+Each command takes exactly the flags it reads, after its action (``satpoly
+vertices adjacent --u 00:00 --v 00:01``); a missing or unknown flag exits 2
+with argparse's usage line.
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ def _cmd_lp(args) -> int:
 
 def _cmd_vertices(args) -> int:
     action = args.action
-    if action in ("enumerate", "diameter", "clique") and (
-        args.m is None or args.n is None
-    ):
-        raise InputError(f"vertices {action} needs --m and --n")
     if action == "enumerate":
         for code in vertices.enumerate_integral_vertices(
             args.m, args.n, budget=args.budget
@@ -74,8 +74,6 @@ def _cmd_vertices(args) -> int:
             print(code)
         return EXIT_OK
     if action == "adjacent":
-        if args.u is None or args.v is None:
-            raise InputError("vertices adjacent needs --u and --v")
         u = vertices.VertexCode.parse(args.u)
         v = vertices.VertexCode.parse(args.v)
         ok = vertices.adjacent(u, v)
@@ -90,8 +88,6 @@ def _cmd_vertices(args) -> int:
             print(code)
         return EXIT_OK
     # fractional
-    if args.n is None:
-        raise InputError("vertices fractional needs --n")
     point = vertices.fractional_vertex(args.n)
     sys.stdout.write(point.to_text())
     return EXIT_OK
@@ -126,12 +122,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_recognize(args) -> int:
     if args.kind == "satp":
         c = BlockPoint.from_text(_read(args.objective), expect_tag="objective")
-        m = args.m if args.m is not None else c.m
-        n = args.n if args.n is not None else c.n
-        outcome = recognition.recognize_satp(c, m, n)
+        outcome = recognition.recognize_satp(c, c.m, c.n)
     else:
-        if args.n is None:
-            raise InputError("recognize bqp needs --n")
         objective = _read_flat_vector(args.objective)
         outcome = recognition.recognize_bqp(objective, args.n)
     print(f"answer {'true' if outcome.answer else 'false'}")
@@ -147,8 +139,6 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.kind == "satp":
-        if args.objective is None:
-            raise InputError("oracle satp needs --objective")
         c = BlockPoint.from_text(_read(args.objective), expect_tag="objective")
         value, code = recognition.integer_max_oracle(
             c, c.m, c.n, budget=args.budget
@@ -156,8 +146,6 @@ def _cmd_oracle(args) -> int:
         print(f"value {format_rational(value)}")
         print(f"argmax {code}")
         return EXIT_OK
-    if args.instance is None:
-        raise InputError("oracle ecbgc needs --instance")
     inst = ecbgc_mod.parse_ecbgc(_read(args.instance))
     coloring = ecbgc_mod.brute_force_coloring(inst, budget=args.budget)
     if coloring is None:
@@ -176,13 +164,9 @@ def _print_coloring(coloring: ecbgc_mod.Coloring) -> None:
 
 def _cmd_ecbgc(args) -> int:
     if args.action == "from-x3sat":
-        if args.cnf is None:
-            raise InputError("ecbgc from-x3sat needs --cnf")
         formula = reductions.parse_cnf3(_read(args.cnf))
         sys.stdout.write(ecbgc_mod.format_ecbgc(ecbgc_mod.reduce_x3sat_to_ecbgc(formula)))
         return EXIT_OK
-    if args.instance is None:
-        raise InputError(f"ecbgc {args.action} needs --instance")
     inst = ecbgc_mod.parse_ecbgc(_read(args.instance))
     if args.action == "check":
         cond = ecbgc_mod.check_condition(inst)
@@ -223,15 +207,17 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lp)
 
     p = sub.add_parser("vertices", help="integral-vertex machinery")
-    p.add_argument(
-        "action", choices=["enumerate", "adjacent", "diameter", "clique", "fractional"]
-    )
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--u", help="vertex code ROW:COL, e.g. 01:20")
-    p.add_argument("--v", help="vertex code ROW:COL")
-    p.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
     p.set_defaults(func=_cmd_vertices)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("enumerate", "diameter", "clique"):
+        a = actions.add_parser(action)
+        a.add_argument("--m", type=int, required=True)
+        a.add_argument("--n", type=int, required=True)
+        a.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
+    a = actions.add_parser("adjacent")
+    a.add_argument("--u", required=True, help="vertex code ROW:COL, e.g. 01:20")
+    a.add_argument("--v", required=True, help="vertex code ROW:COL")
+    actions.add_parser("fractional").add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("verify-vertex", help="algebraic vertex test")
     p.add_argument("--system", required=True)
@@ -249,24 +235,27 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("recognize", help="integer recognition")
-    p.add_argument("kind", choices=["satp", "bqp"])
-    p.add_argument("--objective", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
     p.set_defaults(func=_cmd_recognize)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("satp").add_argument("--objective", required=True)
+    a = kinds.add_parser("bqp")
+    a.add_argument("--objective", required=True, help="flat rational vector file")
+    a.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
-    p.add_argument("kind", choices=["satp", "ecbgc"])
-    p.add_argument("--objective")
-    p.add_argument("--instance")
-    p.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
     p.set_defaults(func=_cmd_oracle)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, flag in (("satp", "--objective"), ("ecbgc", "--instance")):
+        a = kinds.add_parser(kind)
+        a.add_argument(flag, required=True)
+        a.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
 
     p = sub.add_parser("ecbgc", help="edge-constrained bipartite coloring")
-    p.add_argument("action", choices=["check", "solve", "from-x3sat"])
-    p.add_argument("--instance")
-    p.add_argument("--cnf")
     p.set_defaults(func=_cmd_ecbgc)
+    actions = p.add_subparsers(dest="action", required=True)
+    for action in ("check", "solve"):
+        actions.add_parser(action).add_argument("--instance", required=True)
+    actions.add_parser("from-x3sat").add_argument("--cnf", required=True)
 
     return parser
 

@@ -257,10 +257,16 @@ def scale_edge_weights(
     """Scale each edge's objective block by a positive weight.
 
     Uniform positive scaling of a block preserves the balance identity, so
-    weighted instances stay inside the tractable objective class.
+    weighted instances stay inside the tractable objective class.  Each key
+    must be an edge of ``inst``, and ``c`` must be on ``inst``'s grid.
     """
+    if (c.m, c.n) != (inst.u_count, inst.v_count):
+        raise InputError("the objective and the instance have different grids")
+    edges = inst.edge_map()
     out = c.copy()
     for (i, j), weight in weights.items():
+        if (i, j) not in edges:
+            raise InputError(f"({i},{j}) is not an edge of the instance")
         weight = Fraction(weight)
         if weight <= 0:
             raise InputError("edge weights must be positive")

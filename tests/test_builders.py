@@ -244,3 +244,5 @@ def test_polytope_id_dispatch():
         PolytopeId("satp", n=2)
     with pytest.raises(InputError):
         PolytopeId("bqp")
+    with pytest.raises(InputError):
+        PolytopeId("met", m=2, n=3)

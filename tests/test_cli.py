@@ -1,5 +1,6 @@
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly import cli
+from satpoly.builders import PolytopeId
 from satpoly.cli import run
 from satpoly.errors import InternalInvariantError
 from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
@@ -50,13 +52,9 @@ def test_enumerate_single_block():
 
 
 def test_adjacent_exit_codes():
-    code, out = invoke(
-        "vertices", "adjacent", "--m", "2", "--n", "2", "--u", "00:00", "--v", "00:01"
-    )
+    code, out = invoke("vertices", "adjacent", "--u", "00:00", "--v", "00:01")
     assert code == 0 and out.strip() == "true"
-    code, out = invoke(
-        "vertices", "adjacent", "--m", "2", "--n", "2", "--u", "00:00", "--v", "11:00"
-    )
+    code, out = invoke("vertices", "adjacent", "--u", "00:00", "--v", "11:00")
     assert code == 1 and out.strip() == "false"
 
 
@@ -90,8 +88,12 @@ def test_budget_refusal_exit_code(capsys, case):
 
 
 # Grids sized by a header or a flag past the 10**6 values a block grid may
-# hold; each would take hundreds of MiB before it was refused.
+# hold, and systems past the 10**6 variables `build` may emit; each would
+# take hundreds of MiB before it was refused.
 GRID_REFUSALS = {
+    "build-satp": (["build", "--polytope", "satp", "--m", "409", "--n", "409"], None),
+    "build-met": (["build", "--polytope", "met", "--n", "1414"], None),
+    "build-bqp-std": (["build", "--polytope", "bqp-std", "--n", "707"], None),
     "ecbgc-solve": (["ecbgc", "solve", "--instance"], "ecbgc 200000 1\n"),
     "oracle-ecbgc": (["oracle", "ecbgc", "--instance"], "ecbgc 10000000 1\n"),
     "reduce-x3sat": (["reduce", "x3sat", "--cnf"], "p cnf 1000000 1\n1 2 3 0\n"),
@@ -508,3 +510,99 @@ def test_lp_on_fuzzed_texts_exits_cleanly(drawn):
     }
     assert err.getvalue().startswith("error: ") == (code == 2)
     assert err.getvalue().startswith("refused: ") == (code == 3)
+
+
+# Each leaf command: its required flags and its optional ones, each mapped
+# to the kind of value it takes.
+GRID_FLAGS = ({"--m": "int", "--n": "int"}, {"--budget": "int"})
+LEAVES = {
+    ("build",): ({"--polytope": "polytope"}, {"--m": "int", "--n": "int"}),
+    ("lp",): ({"--system": "system", "--objective": "flat"}, {}),
+    ("vertices", "enumerate"): GRID_FLAGS,
+    ("vertices", "diameter"): GRID_FLAGS,
+    ("vertices", "clique"): GRID_FLAGS,
+    ("vertices", "adjacent"): ({"--u": "code", "--v": "code"}, {}),
+    ("vertices", "fractional"): ({"--n": "int"}, {}),
+    ("verify-vertex",): ({"--system": "system", "--point": "point"}, {}),
+    ("enum-lp-vertices",): ({"--system": "system"}, {"--budget": "int"}),
+    ("reduce", "max3sat"): ({"--cnf": "cnf"}, {}),
+    ("reduce", "x3sat"): ({"--cnf": "cnf"}, {}),
+    ("reduce", "nae3sat"): ({"--cnf": "cnf"}, {}),
+    ("recognize", "satp"): ({"--objective": "block"}, {}),
+    ("recognize", "bqp"): ({"--objective": "flat", "--n": "int"}, {}),
+    ("oracle", "satp"): ({"--objective": "block"}, {"--budget": "int"}),
+    ("oracle", "ecbgc"): ({"--instance": "instance"}, {"--budget": "int"}),
+    ("ecbgc", "check"): ({"--instance": "instance"}, {}),
+    ("ecbgc", "solve"): ({"--instance": "instance"}, {}),
+    ("ecbgc", "from-x3sat"): ({"--cnf": "cnf"}, {}),
+}
+FLAG_KINDS = {
+    flag: kind for leaf in LEAVES.values() for part in leaf for flag, kind in part.items()
+}
+# One small valid input of each kind, and a garbage line: a file flag reads
+# the input of its kind or the garbage.
+INPUTS = {
+    "system": SYSTEM_1X1,
+    "point": "point 1 1\n1 0\n0 0\n0 0\n",
+    "block": "objective 1 1\n1 0\n0 1\n0 0\n",
+    "flat": "1 1 1 -2 -2 -2\n",
+    "cnf": "p cnf 3 1\n1 2 3 0\n",
+    "instance": TABLE16_INSTANCE,
+    "garbage": "edge 1 x : ++\n",
+}
+ARG_VALUES = {
+    "int": st.sampled_from([-1, 0, 1, 2, 3, 10**9]).map(str),
+    "polytope": st.sampled_from(PolytopeId.KINDS),
+    "code": st.sampled_from(["00:00", "01:10", "0:0", "x"]),
+    **{kind: st.sampled_from([f"{{{kind}}}", "{garbage}"]) for kind in INPUTS},
+}
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf with a subset of its flags, sometimes one flag of another leaf
+    added, file values as {kind} placeholders; and whether a required flag
+    is missing or a foreign flag present."""
+    leaf = draw(st.sampled_from(sorted(LEAVES)))
+    required, optional = LEAVES[leaf]
+    flags = {**required, **optional}
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    foreign = draw(st.lists(st.sampled_from(sorted(FLAG_KINDS.keys() - flags)), max_size=1))
+    argv = list(leaf)
+    for flag in chosen + foreign:
+        argv += [flag, draw(ARG_VALUES[flags.get(flag, FLAG_KINDS[flag])])]
+    return argv, not required.keys() <= set(chosen), bool(foreign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf_argvs())
+def test_every_leaf_takes_exactly_its_flags(drawn):
+    """Any drawn argv exits 0 to 3 without a traceback; a missing required
+    flag or a flag of another leaf exits 2 with argparse's usage line."""
+    argv, missing, foreign = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {kind: os.path.join(tmp, f"{kind}.txt") for kind in INPUTS}
+        for kind, text in INPUTS.items():
+            Path(paths[kind]).write_text(text, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([arg.format(**paths) for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if missing or foreign:
+        assert code == 2 and err.getvalue().startswith("usage: satpoly")
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    lines = [line for line in section.splitlines() if line.startswith("satpoly ")]
+    assert len(lines) >= 18
+    for line in lines:
+        # a pipeline line ends in a shell redirection, which is not an argument
+        argv = shlex.split(line.split(">")[0], comments=True)[1:]
+        with redirect_stderr(io.StringIO()) as err:
+            try:
+                cli._parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{line!r} does not parse: {err.getvalue()}")

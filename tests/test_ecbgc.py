@@ -190,6 +190,19 @@ def test_weighted_edges_keep_balance_and_scale_value():
         scale_edge_weights(c, inst, {(1, 1): Fraction(0)})
 
 
+# Block (1, 2) is no edge; (0, 2) once wrapped to block (2, 2) and (3, 1)
+# raised a bare IndexError.
+@pytest.mark.parametrize(
+    "grid, key",
+    [((2, 2), (0, 2)), ((2, 2), (3, 1)), ((2, 2), (1, 2)), ((2, 3), (1, 1))],
+    ids=["row-zero", "row-past-grid", "not-an-edge", "other-grid"],
+)
+def test_weights_off_the_instance_edges_are_input_errors(grid, key):
+    inst = parse_ecbgc("ecbgc 2 2\nedge 1 1 : ++---+\nedge 2 2 : +--+-+\n")
+    with pytest.raises(InputError):
+        scale_edge_weights(BlockPoint.zeros(*grid), inst, {key: Fraction(5)})
+
+
 def _first_ordered_pair(linked):
     """Reference search: the first of all six ordered pairs (a, b) that is linked."""
     return next((ab for ab in itertools.permutations((1, 2, 3), 2) if linked(*ab)), None)
