@@ -8,7 +8,8 @@ byte-identical output.
 
 Each command takes exactly the flags it reads, after its action (``satpoly
 vertices adjacent --u 00:00 --v 00:01``); a missing or unknown flag exits 2
-with argparse's usage line.
+with argparse's usage line.  Flags are matched whole: an abbreviation
+such as ``--inst`` for ``--instance`` exits 2 too.
 """
 
 from __future__ import annotations
@@ -184,8 +185,15 @@ def _cmd_ecbgc(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags; the subparsers it makes are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="satpoly",
         description="Exact tools for the 3-SAT relaxation polytope family.",
     )

@@ -13,7 +13,7 @@ from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from satpoly.blockpoint import BlockPoint, objective_value
-from satpoly.builders import build_satp_lp, build_satp2_lp, satp2_inequality_rows
+from satpoly.builders import build_satp_lp, build_satp2_lp
 from satpoly.cli import run as cli_run
 from satpoly.ecbgc import (
     brute_force_coloring,
@@ -241,9 +241,7 @@ def test_criterion_8_recognition_soundness():
             if res.value != relaxed.value:
                 continue
             w = BlockPoint.from_flat(res.point, m, n)
-            wstar, ledger = construct_wstar(
-                w, c, build_satp_lp(m, n), satp2_inequality_rows(m, n)
-            )
+            wstar, ledger = construct_wstar(w)
             assert all(
                 wstar[i, j, 0, 0] > 0 for i in range(m) for j in range(n)
             )

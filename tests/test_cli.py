@@ -6,16 +6,20 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satpoly import cli
+from satpoly import cli, ecbgc
+from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import PolytopeId
 from satpoly.cli import run
-from satpoly.errors import InternalInvariantError
+from satpoly.errors import BalanceError, InternalInvariantError
+from satpoly.recognition import RenamingLedger, check_balance, recognize_satp
+from satpoly.vertices import VertexCode, code_to_point
 from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
 
 
@@ -316,6 +320,57 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: ValueError: planted bug\n"
+
+
+def test_a_witness_off_the_optimum_is_a_bug(monkeypatch, tmp_path, capsys):
+    # the witness's value is the only check of a positive answer, so a
+    # ledger that decodes to a vertex off the optimum is a bug (exit 4),
+    # never a negative answer (exit 1)
+    inst = ecbgc.parse_ecbgc(TABLE16_INSTANCE)
+    c = ecbgc.objective_from_instance(inst, ecbgc.check_condition(inst).pairs)
+    right = RenamingLedger.allones_preimage
+
+    def flipped(code):
+        return VertexCode(tuple(1 - r for r in code.row), code.col)
+
+    outcome = recognize_satp(c, 2, 2)
+    assert objective_value(c, code_to_point(flipped(outcome.witness))) != outcome.lp_value
+    monkeypatch.setattr(RenamingLedger, "allones_preimage", lambda led: flipped(right(led)))
+    with pytest.raises(InternalInvariantError):
+        recognize_satp(c, 2, 2)
+    path = tmp_path / "inst.txt"
+    path.write_text(TABLE16_INSTANCE)
+    assert run(["ecbgc", "solve", "--instance", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: extracted witness misses the optimum\n"
+
+
+def test_an_unbalanced_subclass_objective_is_a_bug(monkeypatch, tmp_path, capsys):
+    # a subclass instance's objective is balanced by construction, so a
+    # BalanceError from its recognition is a bug (exit 4), not a refusal (3)
+    c = BlockPoint.zeros(2, 2)
+    c[0, 0, 0, 0], c[0, 0, 1, 0] = Fraction(1), Fraction(2)
+    with pytest.raises(BalanceError):
+        check_balance(c)
+    monkeypatch.setattr(ecbgc, "objective_from_instance", lambda inst, pairs: c)
+    with pytest.raises(InternalInvariantError):
+        ecbgc.solve_ecbgc(ecbgc.parse_ecbgc(TABLE16_INSTANCE))
+    path = tmp_path / "inst.txt"
+    path.write_text(TABLE16_INSTANCE)
+    assert run(["ecbgc", "solve", "--instance", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: zero balancing failed: ")
+
+
+def test_abbreviated_flags_are_refused(tmp_path):
+    path = tmp_path / "inst.txt"
+    path.write_text("ecbgc 1 1\nedge 1 1 : ++++++\n")
+    assert invoke("ecbgc", "check", "--instance", str(path))[0] == 0
+    assert invoke("ecbgc", "check", "--inst", str(path))[0] == 2
+    assert invoke("build", "--polytope", "satp", "--m", "1", "--n", "1")[0] == 0
+    assert invoke("build", "--poly", "satp", "--m", "1", "--n", "1")[0] == 2
 
 
 SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"

@@ -45,11 +45,6 @@ from tests.conftest import (
 )
 
 
-def satp2_systems(m, n):
-    """The base system and the strengthening rows, as recognize_satp passes them."""
-    return build_satp_lp(m, n), satp2_inequality_rows(m, n)
-
-
 def test_check_balance_zero_objective():
     cert = check_balance(BlockPoint.zeros(2, 3))
     assert cert.pairs == ((1, 2),) * 3
@@ -128,16 +123,15 @@ def test_wstar_identity_on_positive_point():
         for o, val in enumerate(p.values):
             total.values[o] += val
     total.values = [val / len(codes) for val in total.values]
-    wstar, ledger = construct_wstar(total, BlockPoint.zeros(2, 2), *satp2_systems(2, 2))
+    wstar, ledger = construct_wstar(total)
     assert wstar == total
     assert ledger.is_identity()
 
 
 def test_wstar_renames_every_integral_vertex_to_all_ones():
-    zero = BlockPoint.zeros(2, 2)
     for code in enumerate_integral_vertices(2, 2):
         w = code_to_point(code)
-        wstar, ledger = construct_wstar(w, zero, *satp2_systems(2, 2))
+        wstar, ledger = construct_wstar(w)
         assert all(
             wstar[i, j, 0, 0] == 1 for i in range(2) for j in range(2)
         )
@@ -160,7 +154,7 @@ def test_wstar_postconditions_on_lp_optimizers():
         if res.value != relaxed.value:
             continue
         w = BlockPoint.from_flat(res.point, 2, 2)
-        wstar, ledger = construct_wstar(w, c, base22, satp2_inequality_rows(2, 2))
+        wstar, ledger = construct_wstar(w)
         assert all(wstar[i, j, 0, 0] > 0 for i in range(2) for j in range(2))
         pulled = ledger.pullback_point(wstar)
         assert objective_value(c, pulled) == objective_value(c, w)
@@ -174,7 +168,6 @@ def test_wstar_postconditions_on_fractional_points():
     # under the zero objective every feasible point is an optimizer, so
     # random fractional mixtures drive the mass-shifting exchanges
     rng = random.Random(100)
-    zero = BlockPoint.zeros(2, 2)
     base22 = build_satp_lp(2, 2)
     codes = enumerate_integral_vertices(2, 2)
     seen_fractional = 0
@@ -189,7 +182,7 @@ def test_wstar_postconditions_on_fractional_points():
                 w.values[o] += val * weight / total
         if any(x.denominator > 1 for x in w.flat()):
             seen_fractional += 1
-        wstar, ledger = construct_wstar(w, zero, base22, satp2_inequality_rows(2, 2))
+        wstar, ledger = construct_wstar(w)
         assert all(wstar[i, j, 0, 0] > 0 for i in range(2) for j in range(2))
         assert base22.is_feasible(wstar.flat())
         assert ledger.pullback_point(wstar) is not None
@@ -221,7 +214,7 @@ def test_wstar_exchange_heavy_point():
     )
     zero = BlockPoint.zeros(2, 2)
     assert build_satp2_lp(2, 2).is_feasible(w.flat())
-    wstar, ledger = construct_wstar(w, zero, *satp2_systems(2, 2))
+    wstar, ledger = construct_wstar(w)
     assert all(wstar[i, j, 0, 0] > 0 for i in range(2) for j in range(2))
     assert build_satp_lp(2, 2).is_feasible(wstar.flat())
     assert objective_value(zero, ledger.pullback_point(wstar)) == 0
@@ -250,18 +243,17 @@ def test_wstar_witness_in_rotated_column():
         2,
         denominator=4,
     )
-    zero = BlockPoint.zeros(2, 2)
     assert build_satp2_lp(2, 2).is_feasible(w.flat())
-    wstar, ledger = construct_wstar(w, zero, *satp2_systems(2, 2))
+    wstar, ledger = construct_wstar(w)
     assert all(wstar[i, j, 0, 0] > 0 for i in range(2) for j in range(2))
     assert build_satp_lp(2, 2).is_feasible(wstar.flat())
     _assert_renamed_strengthening_holds(wstar, ledger)
 
 
 def test_wstar_checks_positive_point_in_normalized_coordinates():
-    # only rows (1, 2) balance the first column, so construct_wstar refuses
-    # the objective; after normalization rotates that column, the positive
-    # shortcut's identity ledger is exact: its pullback meets SATP^2
+    # only rows (1, 2) balance the first column; after normalization
+    # rotates that column, the positive shortcut's identity ledger is
+    # exact: its pullback meets SATP^2
     c = BlockPoint.zeros(2, 2)
     for i in range(2):
         c[i, 0, 0, 0], c[i, 0, 1, 0], c[i, 0, 2, 0] = Fraction(1), Fraction(1), Fraction(5)
@@ -280,19 +272,13 @@ def test_wstar_checks_positive_point_in_normalized_coordinates():
     )
     strong = build_satp2_lp(2, 2)
     assert not strong.is_feasible(w.flat())
-    for point in (w, pre.apply_point(w)):
-        with pytest.raises(InputError):
-            construct_wstar(point, c, *satp2_systems(2, 2))
-    c0, w0 = pre.apply_point(c), pre.apply_point(w)
+    w0 = pre.apply_point(w)
     assert strong.is_feasible(w0.flat())
     assert all(w0[i, j, 0, 0] > 0 for i in range(2) for j in range(2))
-    wstar, ledger = construct_wstar(w0, c0, *satp2_systems(2, 2))
+    wstar, ledger = construct_wstar(w0)
     assert wstar == w0
     assert ledger.is_identity()
     _assert_renamed_strengthening_holds(wstar, ledger)
-    # a point outside the canonical strengthened system is refused
-    with pytest.raises(InputError):
-        construct_wstar(w, c0, *satp2_systems(2, 2))
 
 
 # sha256[:16] over the rewritten point, the ledger and the decomposition
@@ -310,7 +296,7 @@ def test_construct_wstar_digest():
             c = random_balanced_objective(rng, m, n)
             c0 = normalization_ledger(c).apply_point(c)
             w = BlockPoint.from_flat(lp_maximize(strong, c0.flat()).point, m, n)
-            cases.append((w, c0))
+            cases.append(w)
     # under the zero objective every feasible point is an optimizer
     for m, n in ((2, 3), (3, 3)) * 12:
         codes = enumerate_integral_vertices(m, n)
@@ -320,14 +306,13 @@ def test_construct_wstar_digest():
         for code, weight in zip(picks, weights):
             for o, val in enumerate(code_to_point(code).values):
                 w.values[o] += val * weight / sum(weights)
-        cases.append((w, BlockPoint.zeros(m, n)))
+        cases.append(w)
     digest = hashlib.sha256()
     rewritten = 0
-    for w, c in cases:
-        base, rows = satp2_systems(w.m, w.n)
-        wstar, ledger = construct_wstar(w, c, base, rows)
+    for w in cases:
+        wstar, ledger = construct_wstar(w)
         rewritten += wstar != w
-        alpha, q, h = decompose(wstar, ledger, base)
+        alpha, q, h = decompose(wstar, ledger, build_satp_lp(w.m, w.n))
         for part in (wstar.to_text(), repr(ledger), repr(alpha), repr(q), h.to_text()):
             digest.update(part.encode())
     assert rewritten >= 30
@@ -369,7 +354,7 @@ def test_decompose_reconstruction_identity():
         c = normalization_ledger(c).apply_point(c)
         res = lp_maximize(strong, c.flat())
         w = BlockPoint.from_flat(res.point, 2, 2)
-        wstar, ledger = construct_wstar(w, c, *satp2_systems(2, 2))
+        wstar, ledger = construct_wstar(w)
         alpha, q, h = decompose(wstar, ledger, build_satp_lp(2, 2))
         ones = ledger.apply_point(code_to_point(ledger.allones_preimage()))
         for val, one, rest in zip(wstar.values, ones.values, h.values):
@@ -477,7 +462,8 @@ def test_recognize_6x6_matches_oracle():
 
 def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
     # a positive call normalizes once and builds the base system and the
-    # strengthening rows once; the full strengthened system is never built
+    # strengthening rows once; the full strengthened system is never built,
+    # and the witness's value is the only check, so nothing is decomposed
     counts = collections.Counter()
 
     def counted(name):
@@ -489,7 +475,10 @@ def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
 
         return wrapper
 
-    names = ("normalization_ledger", "satp2_inequality_rows", "build_satp2_lp", "build_satp_lp")
+    names = (
+        "normalization_ledger", "satp2_inequality_rows", "build_satp2_lp", "build_satp_lp",
+        "decompose",
+    )
     for name in names:
         monkeypatch.setattr(recognition, name, counted(name))
     c = random_balanced_objective(random.Random(1), 3, 3)
@@ -498,6 +487,7 @@ def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
     assert counts["satp2_inequality_rows"] == 1
     assert counts["build_satp2_lp"] == 0
     assert counts["build_satp_lp"] == 1
+    assert counts["decompose"] == 0
 
 
 def test_recognize_rejects_unbalanced():
