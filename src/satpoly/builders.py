@@ -10,8 +10,13 @@ formats are reproducible:
 * BQP standard form: upper-triangular blocks ``(i <= j)`` in lexicographic
   order, four cells per block, row-major over ``(k, l)`` with k, l in {1,2}.
 
-Rows are sparse :data:`satpoly.linsys.Row` dicts with plain integer
+Rows are sparse :data:`satpoly.linsys.Row` maps with plain integer
 ``+1``/``-1`` coefficients; the right sides are the integers 0, 1 and 3.
+
+:func:`build_satp_lp`, :func:`satp2_inequality_rows`, :func:`build_bqp_lp`
+and :func:`met_triangle_rows` are memoized by their dimensions, 16 shapes
+each (``functools.lru_cache``): a repeated shape returns the same immutable
+system or row tuple, and a memoized system keeps its phase-1 tableau.
 
 Equality generators: the consistency families are stated over all index
 pairs, but adjacent pairs already span the same row space, so only the
@@ -30,14 +35,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, flat_index
 from satpoly.errors import BudgetError, FaceMembershipError, InputError
-from satpoly.linsys import MAX_TEXT_VARS, LinearSystem, Row
+from satpoly.linsys import MAX_TEXT_VARS, LinearSystem, Row, frozen_rows
 from satpoly.rational import Rational
 
 _ZERO = Fraction(0)
+
+# A memoized builder keeps the results of its 16 most recently used shapes.
+_memoized = lru_cache(maxsize=16)
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,7 @@ ODD_CELLS = ((0, 1), (1, 0), (2, 0))
 EVEN_CELLS = ((0, 0), (1, 1), (2, 1))
 
 
+@_memoized
 def build_satp_lp(m: int, n: int) -> LinearSystem:
     """LP relaxation of the 3-SAT polytope on an ``m x n`` block grid.
 
@@ -131,7 +141,8 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
     return LinearSystem(nvars, eq_rows=eq_rows, nonneg=[True] * nvars)
 
 
-def satp2_inequality_rows(m: int, n: int) -> list[tuple[Row, Rational]]:
+@_memoized
+def satp2_inequality_rows(m: int, n: int) -> tuple[tuple[Row, Rational], ...]:
     """The O(m^2 n^2) strengthening rows.
 
     For every ordered pair of block rows ``i != k`` and block columns
@@ -171,7 +182,7 @@ def satp2_inequality_rows(m: int, n: int) -> list[tuple[Row, Rational]]:
                             ((k, l), ODD_CELLS),
                         ]
                     )
-    return rows
+    return frozen_rows(rows, 6 * m * n)
 
 
 def build_satp2_lp(m: int, n: int) -> LinearSystem:
@@ -200,6 +211,7 @@ def bqp_pair_index(i: int, j: int, n: int) -> int:
     return n + (i * (2 * n - i - 1)) // 2 + (j - i - 1)
 
 
+@_memoized
 def build_bqp_lp(n: int) -> LinearSystem:
     """Boolean quadric relaxation over ``x_i`` and ``x_{ij}``.
 
@@ -223,7 +235,8 @@ def build_bqp_lp(n: int) -> LinearSystem:
     return LinearSystem(nvars, ineq_rows=ineq, nonneg=[True] * nvars)
 
 
-def met_triangle_rows(n: int) -> list[tuple[Row, Rational]]:
+@_memoized
+def met_triangle_rows(n: int) -> tuple[tuple[Row, Rational], ...]:
     """The four triangle rows of every triple i < j < k (4 * C(n,3) rows)."""
     rows: list[tuple[Row, Rational]] = []
     for i in range(n):
@@ -236,7 +249,7 @@ def met_triangle_rows(n: int) -> list[tuple[Row, Rational]]:
                 rows.append(({i: -1, pij: 1, pik: 1, pjk: -1}, 0))
                 rows.append(({j: -1, pij: 1, pik: -1, pjk: 1}, 0))
                 rows.append(({k: -1, pij: -1, pik: 1, pjk: 1}, 0))
-    return rows
+    return frozen_rows(rows, bqp_var_count(n))
 
 
 def build_met(n: int) -> LinearSystem:

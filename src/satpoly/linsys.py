@@ -16,21 +16,21 @@ point scale the point once by the lcm of its denominators and then work
 in integers.  The text reader parses only the nonzero tokens of a dense
 row and keeps integral values as ``int``s, the form the builders emit.
 
-Phase 1 of the simplex depends only on the system.  Its feasible tableau,
-or the finding that there is none, is kept in a process-wide store keyed by
-the system's content and bounded by the entries it holds, so a system
-solved for many objectives runs phase 1 once while it stays in the store.
+A system is immutable: it holds tuples of rows, each a read-only map.
+Phase 1 of the simplex depends only on the system, so its feasible
+tableau, or the finding that there is none, is computed once per system
+object and kept on it; a system solved for many objectives runs phase 1
+once.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from satpoly.errors import BudgetError, InputError, InternalInvariantError
 from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
@@ -43,36 +43,40 @@ Row = dict[int, Rational]
 MAX_TEXT_VARS = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSystem:
     """Equalities, ``<=`` inequalities, and nonnegativity flags over named columns.
 
-    ``eq_rows`` and ``ineq_rows`` are lists of ``(coeffs, rhs)`` pairs whose
-    ``coeffs`` is a :data:`Row` over columns in ``range(var_count)``; an
-    inequality row means ``coeffs . x <= rhs``.  ``nonneg[v]`` marks
-    ``x_v >= 0``.  Instances (rows included) are treated as immutable after
-    construction, so systems may share row objects.
+    ``eq_rows`` and ``ineq_rows`` are sequences of ``(coeffs, rhs)`` pairs
+    whose ``coeffs`` is a :data:`Row` over columns in ``range(var_count)``;
+    an inequality row means ``coeffs . x <= rhs``.  ``nonneg[v]`` marks
+    ``x_v >= 0``; an empty ``nonneg`` marks every variable.
+
+    A system is immutable: it stores its rows and flags as tuples and each
+    ``coeffs`` as a read-only view of the dict it was given, which a caller
+    must not change later.  A row already read-only is shared, not wrapped
+    again.  The phase-1 result of :func:`lp_maximize` is kept on the system.
     """
 
     var_count: int
-    eq_rows: list[tuple[Row, Rational]] = field(default_factory=list)
-    ineq_rows: list[tuple[Row, Rational]] = field(default_factory=list)
-    nonneg: list[bool] = field(default_factory=list)
+    eq_rows: tuple[tuple[Mapping[int, Rational], Rational], ...] = ()
+    ineq_rows: tuple[tuple[Mapping[int, Rational], Rational], ...] = ()
+    nonneg: tuple[bool, ...] = ()
 
     def __post_init__(self):
         if self.var_count < 0:
             raise InputError("negative variable count")
-        if not self.nonneg:
-            self.nonneg = [True] * self.var_count
-        if len(self.nonneg) != self.var_count:
+        nonneg = tuple(self.nonneg) or (True,) * self.var_count
+        if len(nonneg) != self.var_count:
             raise InputError("nonneg flag list has wrong length")
-        columns = range(self.var_count)
-        for coeffs, _ in [*self.eq_rows, *self.ineq_rows]:
-            if not isinstance(coeffs, dict) or any(j not in columns for j in coeffs):
-                raise InputError(
-                    f"constraint row must be a {{column: coefficient}} dict over "
-                    f"columns 0..{self.var_count - 1}"
-                )
+        object.__setattr__(self, "nonneg", nonneg)
+        for name in ("eq_rows", "ineq_rows"):
+            object.__setattr__(self, name, frozen_rows(getattr(self, name), self.var_count))
+
+    @cached_property
+    def _phase1_tableau(self) -> Optional["_Tableau"]:
+        """The feasible tableau phase 1 ends with, or None if the system is infeasible."""
+        return _phase1(self)
 
     # -- feasibility -------------------------------------------------------
 
@@ -148,6 +152,26 @@ class LinearSystem:
         if nonneg is None:
             nonneg = [True] * var_count
         return LinearSystem(var_count, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
+
+
+def frozen_rows(
+    rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int
+) -> tuple[tuple[Mapping[int, Rational], Rational], ...]:
+    """``rows`` as a tuple of ``(coeffs, rhs)`` pairs, each dict ``coeffs``
+    wrapped, not copied, in a :class:`types.MappingProxyType`; InputError for
+    a row that is not a map or names a column outside ``range(var_count)``."""
+    columns = range(var_count)
+    frozen = []
+    for coeffs, rhs in rows:
+        if isinstance(coeffs, dict):
+            coeffs = MappingProxyType(coeffs)
+        if not isinstance(coeffs, MappingProxyType) or any(j not in columns for j in coeffs):
+            raise InputError(
+                f"constraint row must be a {{column: coefficient}} dict over "
+                f"columns 0..{var_count - 1}"
+            )
+        frozen.append((coeffs, rhs))
+    return tuple(frozen)
 
 
 def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
@@ -417,27 +441,15 @@ class _Tableau:
                 zrow = _eliminate(zrow, rows[leave], enter)
 
 
-_Rows = tuple[tuple[tuple[tuple[int, Rational], ...], Rational], ...]
-_Snapshot = tuple[tuple[bool, ...], _Rows, _Rows]
-
-
-def _snapshot(sys: LinearSystem) -> _Snapshot:
-    """The content of ``sys``: ``nonneg``, then its equality and inequality rows
-    as ``(row items, rhs)`` pairs; hashable, and equal for equal systems."""
-    return (
-        tuple(sys.nonneg),
-        tuple((tuple(a.items()), b) for a, b in sys.eq_rows),
-        tuple((tuple(a.items()), b) for a, b in sys.ineq_rows),
-    )
-
-
-def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optional[_Tableau]:
+def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
     """Lay out the columns, expand the rows and run phase 1; None if infeasible.
 
-    The rows are ``(row items, rhs)`` pairs.  Phase 1 drives auxiliary
-    variables out of the basis (uniform handling of equality rows), pivots
-    out the artificials left at level zero and drops the redundant rows.
+    Phase 1 drives auxiliary variables out of the basis (uniform handling
+    of equality rows), pivots out the artificials left at level zero and
+    drops the redundant rows.  :attr:`LinearSystem._phase1_tableau` keeps
+    the result.
     """
+    nonneg, eq_rows, ineq_rows = sys.nonneg, sys.eq_rows, sys.ineq_rows
     # Column layout: one column per nonnegative variable, a (+,-) pair per
     # free variable, one slack per inequality row, one artificial per row
     # with no slack to start the basis on, then the right side.
@@ -459,7 +471,7 @@ def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optio
     art = struct_cols
     # k counts from -len(eq_rows): negative on equalities, the slack index after.
     for k, (coeffs, rhs) in enumerate([*eq_rows, *ineq_rows], -len(eq_rows)):
-        row = tab.expand(coeffs)
+        row = tab.expand(coeffs.items())
         if k >= 0:
             row[slack0 + k] = 1
         if rhs:
@@ -490,54 +502,6 @@ def _phase1(nonneg: tuple[bool, ...], eq_rows: _Rows, ineq_rows: _Rows) -> Optio
     return tab
 
 
-#: The most entries the phase-1 store holds: every coefficient of a stored
-#: tableau and of the snapshot keying it, plus one per variable.  With small
-#: coefficients an entry takes about 80 bytes, so the store stays near
-#: 1.5 MiB; the base system of a 6x6 grid takes 2,866 entries.
-_PHASE1_STORE_ENTRIES = 20_000
-
-
-class _Phase1Store:
-    """Phase-1 results by system snapshot, the least recently used dropped first.
-
-    Phase 1 never reads the objective, so a system solved again starts
-    phase 2 from its stored tableau and makes exactly the pivots a cold
-    solve makes in phase 2.  A result larger than the bound is not stored.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.results: OrderedDict[_Snapshot, tuple[Optional[_Tableau], int]] = OrderedDict()
-        self.entries = 0
-        self.lock = threading.Lock()
-
-    def ready(self, snapshot: _Snapshot) -> Optional[_Tableau]:
-        with self.lock:
-            stored = self.results.get(snapshot)
-            if stored is not None:
-                self.results.move_to_end(snapshot)
-                return stored[0]
-            ready = _phase1(*snapshot)
-            size = len(snapshot[0]) + sum(len(a) + 1 for part in snapshot[1:] for a, _ in part)
-            if ready is not None:
-                size += sum(map(len, ready.rows))
-            if size <= self.limit:
-                self.results[snapshot] = ready, size
-                self.entries += size
-                while self.entries > self.limit:
-                    _, (_, dropped) = self.results.popitem(last=False)
-                    self.entries -= dropped
-            return ready
-
-    def clear(self) -> None:
-        with self.lock:
-            self.results.clear()
-            self.entries = 0
-
-
-_PHASE1_STORE = _Phase1Store(_PHASE1_STORE_ENTRIES)
-
-
 def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
 
@@ -547,20 +511,19 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     point is read off the final tableau.  Infeasible and unbounded inputs
     are reported as statuses, never exceptions.
 
-    Phase 1 never reads the objective, so its tableau is kept in a
-    process-wide store, least recently used out first, that holds at most
-    ``_PHASE1_STORE_ENTRIES`` entries (about 1.5 MiB).  Solving a system
-    again starts phase 2 from a copy of the stored tableau: it makes
-    exactly the phase-2 pivots of a cold solve and returns the same result.
+    Phase 1 never reads the objective, so its tableau is computed once per
+    system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call
+    runs phase 2 on a copy: solving a system again makes exactly the
+    phase-2 pivots of a cold solve and returns the same result.
     """
     if len(objective) != sys.var_count:
         raise InputError("objective length does not match variable count")
     cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
-    ready = _PHASE1_STORE.ready(_snapshot(sys))
+    ready = sys._phase1_tableau
     if ready is None:
         return LpResult(status="Infeasible")
 
-    tab = ready.copy()  # the stored tableau is shared
+    tab = ready.copy()  # the system's tableau is shared
     status, _ = tab.run(tab.expand(cost.items()))
     if status == "unbounded":
         return LpResult(status="Unbounded")

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
 from satpoly.builders import (
@@ -428,7 +428,7 @@ class RecognitionOutcome:
 
 
 def _separate(
-    base: LinearSystem, rows: list[tuple[Row, Rational]], objective: list[Rational]
+    base: LinearSystem, rows: Sequence[tuple[Row, Rational]], objective: list[Rational]
 ) -> tuple[LpResult, LpResult]:
     """Optima over ``base`` and over ``base`` plus the ``<=`` rows ``rows``.
 
@@ -444,7 +444,7 @@ def _separate(
         if not cuts.isdisjoint(violated):
             raise InternalInvariantError("LP optimizer violates one of its own cuts")
         cuts.update(violated)
-        ineq = base.ineq_rows + [rows[k] for k in sorted(cuts)]
+        ineq = base.ineq_rows + tuple(rows[k] for k in sorted(cuts))
         system = LinearSystem(base.var_count, base.eq_rows, ineq, base.nonneg)
         result = lp_maximize(system, objective)
     if relaxed.status != "Optimal" or result.status != "Optimal":

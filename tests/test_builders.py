@@ -119,7 +119,7 @@ def test_met_counts_and_cutting():
     assert lhs == Fraction(3, 2)
     assert met_triangle_rows(3) == m3.ineq_rows[12:]
     assert len(met_triangle_rows(5)) == 4 * 10
-    assert met_triangle_rows(2) == []
+    assert met_triangle_rows(2) == ()
     with pytest.raises(InputError):
         build_met(2)
 

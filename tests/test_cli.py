@@ -373,6 +373,17 @@ def test_abbreviated_flags_are_refused(tmp_path):
     assert invoke("build", "--poly", "satp", "--m", "1", "--n", "1")[0] == 2
 
 
+def test_an_unknown_flag_is_named_before_a_missing_one(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("ecbgc 1 1\nedge 1 1 : ++++++\n")
+    assert invoke("ecbgc", "check", "--inst", str(path))[0] == 2
+    assert "unrecognized arguments: --inst" in capsys.readouterr().err
+    # "--" still ends the flags
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+    assert invoke("reduce", "--cnf", str(cnf), "--", "max3sat")[0] == 0
+
+
 SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"
 VERIFY = ["verify-vertex", "--system", "{a}", "--point", "{b}"]
 

@@ -303,13 +303,13 @@ def test_tight_rows_share_rows_and_emit_unit_rows():
     tight = sys.tight_rows([ZERO, ONE, ZERO])
     assert tight.eq_rows[0][0] is sys.eq_rows[0][0]
     assert tight.eq_rows[1][0] is sys.ineq_rows[1][0]
-    assert tight.eq_rows == [
+    assert tight.eq_rows == (
         ({0: 1, 1: 1, 2: 1}, 1),
         ({1: 1}, 1),
         ({0: 1}, 0),
         ({2: 1}, 0),
-    ]
-    assert tight.nonneg == [False] * 3
+    )
+    assert tight.nonneg == (False,) * 3
 
 
 def test_violated_rows_lists_strict_violations_in_row_order():
@@ -365,7 +365,7 @@ def reference_tight_rows(system, points):
         for v, flag in enumerate(system.nonneg)
         if flag and all(p[v] == 0 for p in points)
     ]
-    return rows
+    return tuple(rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,7 +392,7 @@ def test_row_tests_match_a_fraction_reference(case):
     boxed = LinearSystem(
         system.var_count,
         eq_rows=system.eq_rows,
-        ineq_rows=system.ineq_rows + boxes,
+        ineq_rows=[*system.ineq_rows, *boxes],
         nonneg=system.nonneg,
     )
     res = lp_maximize(boxed, objective)
@@ -429,8 +429,8 @@ def test_builder_text_roundtrip_keeps_int_values(kind, m, n):
 
 def test_row_reader_drops_zero_values_and_keeps_validation():
     back = LinearSystem.from_text("vars 4\neq 00 -0 0/7 3/6 | 4/2\nle 0 -2 0 0 | 0\n")
-    assert back.eq_rows == [({3: Fraction(1, 2)}, 2)]
-    assert back.ineq_rows == [({1: -2}, 0)]
+    assert back.eq_rows == (({3: Fraction(1, 2)}, 2),)
+    assert back.ineq_rows == (({1: -2}, 0),)
     assert [type(v) for v in (back.eq_rows[0][1], back.ineq_rows[0][0][1])] == [int, int]
     bad_rows = [
         "1/0 0 0 0 | 1",

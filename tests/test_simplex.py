@@ -3,19 +3,24 @@
 The reference below is the rational tableau and two-phase driver that
 :func:`satpoly.linsys.lp_maximize` ran on before its rows became integer
 rows.  Both must make the same pivots, in the same order, and return equal
-results.  A cold solve, from an empty phase-1 store, makes every pivot; a
-warm one makes only the phase-2 pivots of the cold solve.
+results.  A cold solve, the first on a system, makes every pivot; a warm
+one, on a system that keeps its phase-1 tableau, makes only the phase-2
+pivots of the cold solve.
 """
 
+import random
 import threading
 from contextlib import contextmanager
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import satpoly.linsys as linsys
+from satpoly.builders import build_bqp_lp, build_satp_lp, met_triangle_rows, satp2_inequality_rows
 from satpoly.linsys import LinearSystem, LpResult, _Tableau, lp_maximize
 from tests.test_vertices import COEFFS
 
@@ -195,7 +200,7 @@ def lp_problems(draw):
 )
 def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
     sys, objective = problem
-    linsys._PHASE1_STORE.clear()  # a cold solve, phase 1 included
+    sys = replace(sys)  # a new system has no phase-1 tableau: a cold solve
     with recorded_pivots(_Tableau) as pivots:
         result = lp_maximize(sys, objective)
     with recorded_pivots(FractionTableau) as reference_pivots:
@@ -211,11 +216,11 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
 @given(lp_problems())
 def test_warm_solve_makes_only_the_cold_phase_2_pivots(problem):
     sys, objective = problem
-    linsys._PHASE1_STORE.clear()
+    sys = replace(sys)
     with recorded_pivots(_Tableau) as cold_pivots:
         cold = lp_maximize(sys, objective)
     with recorded_pivots(_Tableau) as phase1_pivots:
-        ready = linsys._phase1(*linsys._snapshot(sys))
+        ready = linsys._phase1(sys)
     with recorded_pivots(_Tableau) as warm_pivots:
         warm = lp_maximize(sys, objective)
     assert warm == cold
@@ -223,58 +228,65 @@ def test_warm_solve_makes_only_the_cold_phase_2_pivots(problem):
     assert (ready is None) == (cold.status == "Infeasible")
 
 
-def test_store_keys_on_rhs_and_nonneg():
-    # the same rows with another right side or other sign constraints are
-    # another system: a stale entry would answer 2, not 3, or Infeasible
-    rows = [({0: 1, 1: 1}, 2)]
-    linsys._PHASE1_STORE.clear()
-    assert lp_maximize(LinearSystem(2, ineq_rows=rows), [1, 0]).value == 2
-    assert lp_maximize(LinearSystem(2, ineq_rows=[({0: 1, 1: 1}, 3)]), [1, 0]).value == 3
-    assert lp_maximize(LinearSystem(2, eq_rows=rows), [0, -1]).value == 0
-    assert lp_maximize(LinearSystem(2, eq_rows=[({0: 1, 1: 1}, -1)]), [0, -1]).status == (
-        "Infeasible"
-    )
-    free = LinearSystem(2, eq_rows=[({0: 1, 1: 1}, -1)], nonneg=[True, False])
-    assert lp_maximize(free, [-1, 0]).value == 0
-    assert len(linsys._PHASE1_STORE.results) == 5
+def test_a_memoized_system_is_read_only():
+    sys = build_satp_lp(2, 2)
+    assert build_satp_lp(2, 2) is sys
+    assert lp_maximize(sys, [1] * sys.var_count).value == 4  # phase 1 is kept on sys
+    with pytest.raises(FrozenInstanceError):
+        sys.var_count = 3
+    with pytest.raises(FrozenInstanceError):
+        sys.eq_rows = ()
+    with pytest.raises(AttributeError):
+        sys.eq_rows.append(({0: 1}, 0))
+    with pytest.raises(TypeError):
+        sys.eq_rows[0] = ({0: 1}, 0)
+    with pytest.raises(TypeError):
+        sys.eq_rows[0][0][5] = 1
+    with pytest.raises(TypeError):
+        sys.nonneg[0] = False
+    with pytest.raises(TypeError):
+        satp2_inequality_rows(2, 2)[0][0][0] = 2
+    assert sys == build_satp_lp.__wrapped__(2, 2)
+    # a row that is already read-only is shared, not wrapped again
+    assert LinearSystem(sys.var_count, sys.eq_rows).eq_rows[0][0] is sys.eq_rows[0][0]
 
 
-def test_store_stays_under_its_bound():
-    # a store of the same kind with a small bound, fed many distinct systems
-    store = linsys._Phase1Store(limit=400)
-    first = linsys._snapshot(LinearSystem(2, ineq_rows=[({0: 1, 1: 1}, 1)]))
-    store.ready(first)
-    for n in range(1, 12):
-        for rhs in range(1, 12):
-            rows = [({j: 1, j + 1: -1}, rhs) for j in range(n)] + [({0: 1}, rhs)]
-            store.ready(linsys._snapshot(LinearSystem(n + 1, ineq_rows=rows)))
-            store.ready(first)  # the most recently used entry is never dropped
-            assert first in store.results
-            assert store.entries <= store.limit
-    assert store.entries == sum(size for _, size in store.results.values())
-    assert store.entries > store.limit // 2
-    # a result over the bound is not stored, and flushes nothing
-    big = linsys._snapshot(LinearSystem(401, ineq_rows=[({0: 1}, 1)]))
-    assert store.ready(big) is not None
-    assert big not in store.results and first in store.results
+@pytest.mark.parametrize(
+    "builder,shapes",
+    [
+        (build_satp_lp, [(1, n) for n in range(1, 21)]),
+        (satp2_inequality_rows, [(2, n) for n in range(1, 21)]),
+        (build_bqp_lp, [(n,) for n in range(2, 22)]),
+        (met_triangle_rows, [(n,) for n in range(3, 23)]),
+    ],
+)
+def test_builder_cache_keeps_16_shapes(builder, shapes):
+    for shape in shapes:
+        last = builder(*shape)
+    info = builder.cache_info()
+    assert info.maxsize == info.currsize == 16
+    assert builder(*shapes[-1]) is last
+    builder(*shapes[0])  # the least recently used shape was dropped
+    assert builder.cache_info().misses == info.misses + 1
 
 
-def test_store_is_consistent_under_threads():
-    # four threads share one small store; a lost update would leave its
-    # entry count off the sum of its results' sizes, or over the bound
-    store = linsys._Phase1Store(limit=300)
-    chains = [
-        [({j: 1, j + 1: -1}, rhs) for j in range(n)] for n in range(1, 8) for rhs in range(1, 5)
-    ]
-    snapshots = [linsys._snapshot(LinearSystem(len(rows) + 1, ineq_rows=rows)) for rows in chains]
-    cold = [linsys._phase1(*snapshot) for snapshot in snapshots]
+def test_threads_solving_one_memoized_system_agree_with_one_thread():
+    # the shared system has no phase-1 tableau yet, so the threads race to
+    # compute it; every answer must equal the single-thread answer.  Ties in
+    # the objective make the optimal vertex depend on the starting basis, so
+    # a solve that pivoted the shared tableau itself would show.
+    rng = random.Random(5)
+    objectives = [[rng.randint(-1, 1) for _ in range(54)] for _ in range(8)]
+    expected = [lp_maximize(build_satp_lp.__wrapped__(3, 3), c) for c in objectives]
+    build_satp_lp.cache_clear()
+    shared = build_satp_lp(3, 3)
     errors = []
 
     def work(offset):
         try:
-            for k in range(200):
-                i = (offset + 7 * k) % len(snapshots)
-                assert store.ready(snapshots[i]) == cold[i]
+            for k in range(3 * len(objectives)):
+                i = (offset + k) % len(objectives)
+                assert lp_maximize(shared, objectives[i]) == expected[i]
         except AssertionError as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -290,4 +302,3 @@ def test_store_is_consistent_under_threads():
         setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert store.entries == sum(size for _, size in store.results.values()) <= store.limit
