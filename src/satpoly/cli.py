@@ -10,12 +10,13 @@ Each command takes exactly the flags it reads, after its action (``satpoly
 vertices adjacent --u 00:00 --v 00:01``); a missing or unknown flag exits 2
 with argparse's usage line.  Flags are matched whole: an abbreviation
 such as ``--inst`` for ``--instance`` exits 2 too, reported as an
-unrecognized argument.
+unrecognized argument, also before the command (``satpoly --inst ...``).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Optional, Sequence
 
@@ -189,23 +190,26 @@ def _cmd_ecbgc(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Refuses abbreviated flags; the subparsers it makes are of this class too.
 
-    A leaf parser names an unknown ``--flag`` before argparse reports a
-    required flag missing: ``--inst`` is unrecognized, not ``--instance`` absent.
+    Each parser names an unknown ``--flag`` among its own arguments before
+    argparse reports a required flag missing: ``--inst`` is unrecognized,
+    not ``--instance`` absent.  A leaf's own arguments are all it is handed;
+    a parser with subcommands owns the flags before its subcommand.
     """
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._subparsers is None:  # a leaf, always handed its argument list
-            flags = self._option_string_actions
-            unknown = [
-                a
-                for a in args
-                if a.startswith("--") and a != "--" and a.split("=", 1)[0] not in flags
-            ]
-            if unknown:
-                self.error("unrecognized arguments: " + " ".join(unknown))
+        args = sys.argv[1:] if args is None else list(args)
+        own = args
+        if self._subparsers is not None:  # no parser with subcommands has a valued flag
+            own = itertools.takewhile(lambda a: a.startswith("-"), args)
+        flags = self._option_string_actions
+        unknown = [
+            a for a in own if a.startswith("--") and a != "--" and a.split("=", 1)[0] not in flags
+        ]
+        if unknown:
+            self.error("unrecognized arguments: " + " ".join(unknown))
         return super().parse_known_args(args, namespace)
 
 

@@ -13,8 +13,10 @@ basis; the simplex's one state type, :class:`_Tableau`, keeps each row
 over its basic entry.  Only a unique solution's back-substitution and the
 point read off the final tableau divide, in ``Fraction``.  Row tests at a
 point scale the point once by the lcm of its denominators and then work
-in integers.  The text reader parses only the nonzero tokens of a dense
-row and keeps integral values as ``int``s, the form the builders emit.
+in integers; one pass finds the rows active at a set of points and the
+columns they pin at zero.  The text reader parses only the nonzero tokens
+of a dense row, each distinct token once, and keeps integral values as
+``int``s, the form the builders emit.
 
 A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -82,14 +84,38 @@ class LinearSystem:
 
     def is_feasible(self, point: Sequence[Rational]) -> bool:
         """Exact membership test."""
+        return self._scaled_if_feasible(point) is not None
+
+    def _scaled_if_feasible(self, point: Sequence[Rational]) -> Optional[tuple[list[int], int]]:
+        """``point`` scaled by :func:`_scaled` if it satisfies the system, else None."""
         if len(point) != self.var_count:
             raise InputError("point has wrong dimension")
         xs, scale = _scaled(point)
         if any(flag and x < 0 for flag, x in zip(self.nonneg, xs)):
-            return False
+            return None
         if any(sum(c * xs[j] for j, c in a.items()) != b * scale for a, b in self.eq_rows):
-            return False
-        return next(_violated(self.ineq_rows, xs, scale), None) is None
+            return None
+        if next(_violated(self.ineq_rows, xs, scale), None) is not None:
+            return None
+        return xs, scale
+
+    def _tight_at(
+        self, scaled: Sequence[tuple[list[int], int]]
+    ) -> tuple[list[tuple[Mapping[int, Rational], Rational]], set[int]]:
+        """One pass over the rows at the points ``xs / scale`` of ``scaled``.
+
+        Returns the rows active at every point, each equality row and then
+        each inequality row met with equality, and the pinned columns: the
+        nonnegative ones that are zero at every point.
+        """
+        rows = list(self.eq_rows)
+        for a, b in self.ineq_rows:
+            if all(sum(c * xs[j] for j, c in a.items()) == b * scale for xs, scale in scaled):
+                rows.append((a, b))
+        pinned = {
+            v for v, flag in enumerate(self.nonneg) if flag and all(xs[v] == 0 for xs, _ in scaled)
+        }
+        return rows, pinned
 
     def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
         """Equality system of all constraints active at every one of ``points``.
@@ -98,14 +124,8 @@ class LinearSystem:
         at each point, and a unit row for every nonnegative variable that
         is zero at each point.
         """
-        rows = list(self.eq_rows)
-        scaled = [_scaled(p) for p in points]
-        for a, b in self.ineq_rows:
-            if all(sum(c * xs[j] for j, c in a.items()) == b * scale for xs, scale in scaled):
-                rows.append((a, b))
-        for v, flag in enumerate(self.nonneg):
-            if flag and all(p[v] == 0 for p in points):
-                rows.append(({v: 1}, 0))
+        rows, pinned = self._tight_at([_scaled(p) for p in points])
+        rows += [({v: 1}, 0) for v in sorted(pinned)]
         return LinearSystem(self.var_count, eq_rows=rows, nonneg=[False] * self.var_count)
 
     # -- serialization -----------------------------------------------------
@@ -189,7 +209,10 @@ def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
     return row, _parse_value(tokens[-1])
 
 
+@lru_cache(maxsize=64)
 def _parse_value(token: str) -> Rational:
+    """The value of one token, an ``int`` when integral; a dense text repeats
+    a few distinct tokens, so each is parsed once (an error is not cached)."""
     value = parse_rational(token)
     return value.numerator if value.denominator == 1 else value
 
@@ -291,8 +314,8 @@ def rank_at_most(rows: Sequence[Row], cap: int) -> int:
     vertex/edge verification where geometry supplies the cap.
     """
     basis: dict[int, dict[int, int]] = {}
-    # Shortest rows first: the unit rows of tight vertex systems then cancel
-    # their columns from longer rows without fill-in.
+    # Shortest rows first: a short row cancels its columns from longer rows
+    # with little fill-in.
     for row in sorted(map(_int_row, rows), key=len):
         if len(basis) >= cap:
             break

@@ -7,7 +7,10 @@ of block ``(i, j)`` sits at cell ``(col_j + 1, row_i + 1)`` (1-based).
 
 Vertex verification is algebraic: a feasible point is a vertex exactly
 when the constraints tight at it pin it down uniquely (tight-row rank
-equals the variable count).  Edges are faces of dimension one.
+equals the variable count).  Edges are faces of dimension one.  The
+nonnegativities tight at the points pin their columns at zero, so the
+rank is taken over the other, free columns only: the pinned count plus
+the rank of the remaining tight rows with the pinned columns deleted.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import (
     LinearSystem,
+    Row,
     _int_row,
     _solve_equalities,  # unused here; perfbench/tracing.py wraps this name
     rank,
@@ -297,10 +301,10 @@ def fractional_vertex(n: int) -> BlockPoint:
                 p[i, j, 2, 1] = r3(j1)
 
     sys = build_satp_lp(n, n)
-    flat = p.flat()
-    if not sys.is_feasible(flat):
+    scaled = sys._scaled_if_feasible(p.flat())
+    if scaled is None:
         raise InternalInvariantError("constructed fractional point is infeasible")
-    if not verify_vertex(p, sys):
+    if not _is_vertex(sys, scaled):
         raise InternalInvariantError("constructed fractional point is not a vertex")
     return p
 
@@ -310,20 +314,45 @@ def fractional_vertex(n: int) -> BlockPoint:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_feasible(sys: LinearSystem, flat: list[Rational]) -> tuple[list[int], int]:
+    """``flat`` scaled to integers, once for all the tests at it; InputError
+    unless it is a point of ``sys``."""
+    scaled = sys._scaled_if_feasible(flat)
+    if scaled is None:
+        raise InputError("point is not feasible for the system")
+    return scaled
+
+
+def _free_rows(sys: LinearSystem, *scaled: tuple[list[int], int]) -> tuple[list[Row], int]:
+    """The rows tight at every scaled point, over the free columns, and the free column count.
+
+    The unit rows of the pinned columns span exactly those coordinates, so
+    eliminating them is the same as deleting the pinned columns from the
+    other rows: the tight system's rank is ``len(pinned)`` plus the rank of
+    the rows returned here.
+    """
+    rows, pinned = sys._tight_at(scaled)
+    free = [{j: c for j, c in a.items() if j not in pinned} for a, _ in rows]
+    return free, sys.var_count - len(pinned)
+
+
+def _is_vertex(sys: LinearSystem, scaled: tuple[list[int], int]) -> bool:
+    """:func:`verify_vertex` at a feasible point already scaled."""
+    rows, free = _free_rows(sys, scaled)
+    return rank(rows) == free
+
+
 def verify_vertex(p: BlockPoint | list[Rational], sys: LinearSystem) -> bool:
     """True iff the constraints tight at ``p`` determine it uniquely.
 
     ``p`` must be feasible.  The tight subsystem collects all equality
     rows, the inequality rows met with equality, and the nonnegativities
     active at zero; ``p`` is a vertex exactly when that subsystem has rank
-    equal to the variable count.
+    equal to the variable count, that is, when the other tight rows have
+    full rank over the columns that are not pinned at zero.
     """
     flat = p.flat() if isinstance(p, BlockPoint) else list(p)
-    if not sys.is_feasible(flat):
-        raise InputError("point is not feasible for the system")
-    tight = sys.tight_rows(flat)
-    rows = [coeffs for coeffs, _ in tight.eq_rows]
-    return rank(rows) == sys.var_count
+    return _is_vertex(sys, _scaled_feasible(sys, flat))
 
 
 def is_edge(
@@ -339,12 +368,16 @@ def is_edge(
     qf = q.flat() if isinstance(q, BlockPoint) else list(q)
     if pf == qf:
         raise InputError("edge test needs two distinct vertices")
-    if not verify_vertex(p, sys) or not verify_vertex(q, sys):
-        raise InputError("edge test inputs must be vertices")
-    rows = [coeffs for coeffs, _ in sys.tight_rows(pf, qf).eq_rows]
-    # Both vertices satisfy every collected row, so the rank is at most
-    # var_count - 1; equality means the face is one-dimensional.
-    return rank_at_most(rows, sys.var_count - 1) == sys.var_count - 1
+    scaled = []
+    for flat in (pf, qf):
+        point = _scaled_feasible(sys, flat)
+        if not _is_vertex(sys, point):
+            raise InputError("edge test inputs must be vertices")
+        scaled.append(point)
+    rows, free = _free_rows(sys, *scaled)
+    # Both vertices satisfy every collected row, so over the free columns
+    # the rank is at most free - 1; equality means the face is one-dimensional.
+    return rank_at_most(rows, free - 1) == free - 1
 
 
 # ---------------------------------------------------------------------------

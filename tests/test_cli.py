@@ -384,6 +384,16 @@ def test_an_unknown_flag_is_named_before_a_missing_one(tmp_path, capsys):
     assert invoke("reduce", "--cnf", str(cnf), "--", "max3sat")[0] == 0
 
 
+def test_an_unknown_flag_before_the_subcommand_is_named(capsys):
+    for argv in (["--inst", "ecbgc", "check"], ["ecbgc", "--inst", "check"]):
+        assert invoke(*argv)[0] == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --inst" in err
+        assert "required" not in err
+    # a known flag before the subcommand is still read
+    assert invoke("--help", "ecbgc")[0] == 0
+
+
 SYSTEM_1X1 = "vars 6\neq 1 1 1 1 1 1 | 1\n"
 VERIFY = ["verify-vertex", "--system", "{a}", "--point", "{b}"]
 

@@ -11,13 +11,15 @@ from satpoly.errors import BudgetError, InputError
 from satpoly.linsys import (
     MAX_TEXT_VARS,
     LinearSystem,
+    _scaled,
     lp_maximize,
     rank,
+    rank_at_most,
     unique_solution,
     violated_rows,
 )
 from satpoly.rational import format_rational, format_vector
-from satpoly.vertices import enumerate_lp_vertices, fractional_vertex
+from satpoly.vertices import _free_rows, enumerate_lp_vertices, fractional_vertex
 from tests.test_elimination import sparse_rows
 from tests.test_vertices import COEFFS
 
@@ -406,6 +408,19 @@ def test_row_tests_match_a_fraction_reference(case):
         assert res.value == reference_value(dict(enumerate(objective)), res.point)
     else:  # the point lies in the box, so a feasible point keeps the LP feasible
         assert res.status == "Infeasible" and not feasible
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_at_points(), st.data())
+def test_free_rows_keep_the_rank_of_the_tight_rows(case, data):
+    system, point, other, _ = case
+    for points in ([point], [point, other]):
+        rows, free = _free_rows(system, *map(_scaled, points))
+        pinned = system.var_count - free
+        tight = [coeffs for coeffs, _ in system.tight_rows(*points).eq_rows]
+        assert pinned + rank(rows) == rank(tight)
+        cap = data.draw(st.integers(pinned, system.var_count))
+        assert pinned + rank_at_most(rows, cap - pinned) == rank_at_most(tight, cap)
 
 
 BUILDER_KINDS = [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satpoly import vertices
 from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import LinearSystem
@@ -258,6 +259,33 @@ def test_is_edge_matches_adjacency_samples():
     assert not is_edge(sys, u, w)
     with pytest.raises(InputError):
         is_edge(sys, u, u)
+
+
+def test_vertex_and_edge_tests_rank_only_the_free_columns(monkeypatch):
+    calls = []
+
+    def record(fn):
+        def recorded(rows, *cap):
+            calls.append((fn.__name__, list(rows), *cap))
+            return fn(rows, *cap)
+
+        return recorded
+
+    monkeypatch.setattr(vertices, "rank", record(vertices.rank))
+    monkeypatch.setattr(vertices, "rank_at_most", record(vertices.rank_at_most))
+    sys = build_satp_lp(6, 6)
+    u = code_to_point(VertexCode((0,) * 6, (0,) * 6))
+    v = code_to_point(VertexCode((1,) + (0,) * 5, (0,) * 6))
+    assert verify_vertex(u, sys)
+    [(name, rows)] = calls
+    support = {j for j, x in enumerate(u.flat()) if x}
+    assert name == "rank" and len(support) == 36
+    assert set().union(*rows) <= support
+    calls.clear()
+    assert is_edge(sys, u, v)
+    pinned = sum(1 for a, b in zip(u.flat(), v.flat()) if a == b == 0)
+    assert [call[0] for call in calls] == ["rank", "rank", "rank_at_most"]
+    assert calls[-1][2] == 215 - pinned
 
 
 def test_enumerate_lp_vertices_unit_simplex():
