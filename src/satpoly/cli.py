@@ -64,7 +64,7 @@ def _cmd_lp(args) -> int:
         return EXIT_NEGATIVE
     print(f"value {format_rational(result.value)}")
     print("point " + format_vector(result.point))
-    print("tight " + " ".join(str(i) for i in sorted(result.tight_set)))
+    print("tight " + " ".join(str(i) for i in sorted(system.tight_set(result.point))))
     return EXIT_OK
 
 

@@ -22,15 +22,28 @@ from fractions import Fraction
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
-from satpoly.errors import BalanceError, InputError, InternalInvariantError, SubclassError
+from satpoly.errors import (
+    BalanceError,
+    BudgetError,
+    InputError,
+    InternalInvariantError,
+    SubclassError,
+)
+from satpoly.linsys import MAX_TEXT_VARS
 from satpoly.rational import Rational, content_lines, parse_int
-from satpoly.recognition import BALANCING_PAIRS, recognize_satp
+from satpoly.recognition import recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
 from satpoly.vertices import DEFAULT_CODE_BUDGET, integral_codes
 
 #: pc tables are indexed [u_color][v_color], 0-based: pc[s][k] for
 #: s in {0,1} (U side) and k in {0,1,2} (V side); True means permitted.
 PcTable = tuple[tuple[bool, bool, bool], tuple[bool, bool, bool]]
+
+#: Candidate linked pairs of V-colors (1-based), in the lexicographic order
+#: the subclass test takes them.  The link condition is symmetric in a and
+#: b, so a reversed pair such as (2, 1) is linked exactly when (1, 2) is and
+#: would never be found first.
+BALANCING_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,7 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
 
     The six +/- flags run over the U color first, V color second:
     positions 1..3 are (u=1, v=1..3), positions 4..6 are (u=2, v=1..3).
+    A header whose grid holds over :data:`MAX_TEXT_VARS` values (6mn) is a BudgetError.
     """
     header = None
     edges = []
@@ -82,7 +96,9 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
         if tokens[0] == "ecbgc":
             if header is not None or len(tokens) != 3:
                 raise InputError(f"bad or repeated header: {line!r}")
-            header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
+            u, v = header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
+            if min(u, v) > 0 and 6 * u * v > MAX_TEXT_VARS:
+                raise BudgetError(f"the {u}x{v} block grid exceeds {MAX_TEXT_VARS} values")
         elif tokens[0] == "edge":
             if header is None:
                 raise InputError("edge line before the header")

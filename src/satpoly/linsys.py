@@ -80,17 +80,21 @@ class LinearSystem:
         """The feasible tableau phase 1 ends with, or None if the system is infeasible."""
         return _phase1(self)
 
-    # -- feasibility -------------------------------------------------------
+    # -- row tests at a point ----------------------------------------------
+
+    def _scaled_point(self, point: Sequence[Rational]) -> tuple[list[int], int]:
+        """``point`` scaled by :func:`_scaled`; InputError unless it has ``var_count`` entries."""
+        if len(point) != self.var_count:
+            raise InputError("point has wrong dimension")
+        return _scaled(point)
 
     def is_feasible(self, point: Sequence[Rational]) -> bool:
         """Exact membership test."""
         return self._scaled_if_feasible(point) is not None
 
     def _scaled_if_feasible(self, point: Sequence[Rational]) -> Optional[tuple[list[int], int]]:
-        """``point`` scaled by :func:`_scaled` if it satisfies the system, else None."""
-        if len(point) != self.var_count:
-            raise InputError("point has wrong dimension")
-        xs, scale = _scaled(point)
+        """``point`` scaled by :meth:`_scaled_point` if it satisfies the system, else None."""
+        xs, scale = self._scaled_point(point)
         if any(flag and x < 0 for flag, x in zip(self.nonneg, xs)):
             return None
         if any(sum(c * xs[j] for j, c in a.items()) != b * scale for a, b in self.eq_rows):
@@ -99,23 +103,26 @@ class LinearSystem:
             return None
         return xs, scale
 
-    def _tight_at(
-        self, scaled: Sequence[tuple[list[int], int]]
-    ) -> tuple[list[tuple[Mapping[int, Rational], Rational]], set[int]]:
-        """One pass over the rows at the points ``xs / scale`` of ``scaled``.
+    def _tight_at(self, scaled: Sequence[tuple[list[int], int]]) -> tuple[list[int], set[int]]:
+        """The one pass finding the rows met with equality at the points ``xs / scale``.
 
-        Returns the rows active at every point, each equality row and then
-        each inequality row met with equality, and the pinned columns: the
-        nonnegative ones that are zero at every point.
+        Returns the indices of the rows active at every point, every equality
+        row ``0 .. E-1`` and then ``E + k`` for each inequality row k met with
+        equality, and the pinned columns: the nonnegative ones zero at every point.
         """
-        rows = list(self.eq_rows)
-        for a, b in self.ineq_rows:
+        e = len(self.eq_rows)
+        rows = list(range(e))
+        for k, (a, b) in enumerate(self.ineq_rows):
             if all(sum(c * xs[j] for j, c in a.items()) == b * scale for xs, scale in scaled):
-                rows.append((a, b))
+                rows.append(e + k)
         pinned = {
             v for v, flag in enumerate(self.nonneg) if flag and all(xs[v] == 0 for xs, _ in scaled)
         }
         return rows, pinned
+
+    def tight_set(self, point: Sequence[Rational]) -> set[int]:
+        """Indices of the rows active at ``point``, numbered as :meth:`_tight_at` numbers them."""
+        return set(self._tight_at([self._scaled_point(point)])[0])
 
     def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
         """Equality system of all constraints active at every one of ``points``.
@@ -124,9 +131,10 @@ class LinearSystem:
         at each point, and a unit row for every nonnegative variable that
         is zero at each point.
         """
-        rows, pinned = self._tight_at([_scaled(p) for p in points])
-        rows += [({v: 1}, 0) for v in sorted(pinned)]
-        return LinearSystem(self.var_count, eq_rows=rows, nonneg=[False] * self.var_count)
+        indices, pinned = self._tight_at([self._scaled_point(p) for p in points])
+        rows = self.eq_rows + self.ineq_rows
+        eq_rows = [rows[i] for i in indices] + [({v: 1}, 0) for v in sorted(pinned)]
+        return LinearSystem(self.var_count, eq_rows=eq_rows, nonneg=[False] * self.var_count)
 
     # -- serialization -----------------------------------------------------
 
@@ -370,15 +378,13 @@ class LpResult:
     """Outcome of :func:`lp_maximize`.
 
     When ``status == "Optimal"``, ``point`` is a basic feasible solution (a
-    vertex of the feasible polyhedron), ``value == objective . point``
-    exactly, and ``tight_set`` lists the active constraint rows: equality
-    rows are indexed ``0 .. E-1`` and inequality rows ``E .. E+I-1``.
+    vertex of the feasible polyhedron) and ``value == objective . point``
+    exactly; :meth:`LinearSystem.tight_set` lists the rows active there.
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
     value: Optional[Rational] = None
     point: Optional[list[Rational]] = None
-    tight_set: Optional[set[int]] = None
 
 
 @dataclass
@@ -552,14 +558,9 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
         return LpResult(status="Unbounded")
 
     point = tab.point()
-    xs, scale = _scaled(point)
-    value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
-
-    if not sys.is_feasible(point):  # pragma: no cover - exactness guard
+    scaled = sys._scaled_if_feasible(point)  # serves the guard and the value
+    if scaled is None:  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
-    tight = set(range(len(sys.eq_rows)))
-    base = len(sys.eq_rows)
-    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        if sum(c * xs[j] for j, c in coeffs.items()) == rhs * scale:
-            tight.add(base + k)
-    return LpResult(status="Optimal", value=value, point=point, tight_set=tight)
+    xs, scale = scaled
+    value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
+    return LpResult(status="Optimal", value=value, point=point)

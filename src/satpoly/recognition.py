@@ -47,42 +47,6 @@ from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize, violated_ro
 from satpoly.rational import Rational
 from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, integral_codes
 
-#: Candidate balancing pairs of block rows (1-based), in the lexicographic
-#: order every pair search takes them.  The balance identity is symmetric
-#: in a and b, so a reversed pair such as (2, 1) balances exactly when
-#: (1, 2) does and would never be found first.
-BALANCING_PAIRS = ((1, 2), (1, 3), (2, 3))
-
-
-@dataclass(frozen=True)
-class BalanceCertificate:
-    """Per-column balancing pairs ``(a_j, b_j)``, 1-based block rows."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-
-def _row_differences(c: ObjectiveVector, j: int) -> list[tuple[Rational, ...]]:
-    """``d_k = (c^{k,1}_{ij} - c^{k,2}_{ij})_i`` of column j; (a, b) balances it iff d_a == d_b."""
-    v = c.values
-    blocks = range(6 * j, len(v), 6 * c.n)  # the offsets of the blocks of column j
-    return [tuple(v[b + 2 * k] - v[b + 2 * k + 1] for b in blocks) for k in range(3)]
-
-
-def _column_pairs(c: ObjectiveVector) -> list[list[tuple[int, int]]]:
-    """Per column, the pairs of :data:`BALANCING_PAIRS` balancing it; BalanceError if none."""
-    out = []
-    for j in range(c.n):
-        d = _row_differences(c, j)
-        out.append([(a, b) for a, b in BALANCING_PAIRS if d[a - 1] == d[b - 1]])
-        if not out[-1]:
-            raise BalanceError(j)
-    return out
-
-
-def check_balance(c: ObjectiveVector) -> BalanceCertificate:
-    """Lexicographically smallest balancing pair per column, or BalanceError."""
-    return BalanceCertificate(tuple(pairs[0] for pairs in _column_pairs(c)))
-
 
 # ---------------------------------------------------------------------------
 # Renaming ledger
@@ -153,18 +117,33 @@ def compose_ledgers(outer: RenamingLedger, inner: RenamingLedger) -> RenamingLed
     return RenamingLedger(row_swap, col_perm)
 
 
+def _row_differences(c: ObjectiveVector, j: int) -> list[tuple[Rational, ...]]:
+    """``d_k = (c^{k,1}_{ij} - c^{k,2}_{ij})_i`` of column j; (a, b) balances it iff d_a == d_b."""
+    v = c.values
+    blocks = range(6 * j, len(v), 6 * c.n)  # the offsets of the blocks of column j
+    return [tuple(v[b + 2 * k] - v[b + 2 * k + 1] for b in blocks) for k in range(3)]
+
+
 def normalization_ledger(c: ObjectiveVector) -> RenamingLedger:
     """Per-column row renaming moving some balancing pair onto rows (2, 3).
 
-    Columns already balanced by the pair (2, 3) keep the identity; the
-    others get the permutation sending their lexicographically smallest
-    balancing pair (a, b) to (2, 3).  Raises BalanceError for the first
-    column no pair balances.
+    The one balance decision: each column's row differences are taken once
+    and the pairs tried in the order (2, 3), (1, 2), (1, 3).  A column the
+    pair (2, 3) balances keeps the identity; a column balanced by (1, b)
+    gets the permutation sending rows 1 and b to 2 and 3.  Raises
+    BalanceError for the first column no pair balances.
     """
     ledger = RenamingLedger.identity(c.m, c.n)
-    for j, pairs in enumerate(_column_pairs(c)):
-        if (2, 3) not in pairs:  # pairs[0] is (1, b): rows 1 and b go to 2 and 3
-            ledger.col_perm[j] = (1, 2, 0) if pairs[0] == (1, 2) else (1, 0, 2)
+    for j in range(c.n):
+        d = _row_differences(c, j)
+        if d[1] == d[2]:
+            continue
+        if d[0] == d[1]:
+            ledger.col_perm[j] = (1, 2, 0)
+        elif d[0] == d[2]:
+            ledger.col_perm[j] = (1, 0, 2)
+        else:
+            raise BalanceError(j)
     return ledger
 
 
@@ -421,10 +400,14 @@ class RecognitionOutcome:
     """
 
     answer: bool
-    lp_value: Rational
     witness: Optional[VertexCode]
     relaxation_value: Rational
     strengthened_value: Rational
+
+    @property
+    def lp_value(self) -> Rational:
+        """The LP optimum, the relaxation's: ``relaxation_value``."""
+        return self.relaxation_value
 
 
 def _separate(
@@ -491,7 +474,6 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
             raise InternalInvariantError("extracted witness misses the optimum")
     return RecognitionOutcome(
         answer=answer,
-        lp_value=relaxed.value,
         witness=witness,
         relaxation_value=relaxed.value,
         strengthened_value=strengthened.value,
@@ -511,7 +493,6 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
     relaxed, tightened = _separate(build_bqp_lp(n), met_triangle_rows(n), objective)
     return RecognitionOutcome(
         answer=relaxed.value == tightened.value,
-        lp_value=relaxed.value,
         witness=None,
         relaxation_value=relaxed.value,
         strengthened_value=tightened.value,

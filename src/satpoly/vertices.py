@@ -331,8 +331,9 @@ def _free_rows(sys: LinearSystem, *scaled: tuple[list[int], int]) -> tuple[list[
     other rows: the tight system's rank is ``len(pinned)`` plus the rank of
     the rows returned here.
     """
-    rows, pinned = sys._tight_at(scaled)
-    free = [{j: c for j, c in a.items() if j not in pinned} for a, _ in rows]
+    indices, pinned = sys._tight_at(scaled)
+    rows = sys.eq_rows + sys.ineq_rows
+    free = [{j: c for j, c in rows[i][0].items() if j not in pinned} for i in indices]
     return free, sys.var_count - len(pinned)
 
 

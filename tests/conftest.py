@@ -24,6 +24,14 @@ def grid_point(rows, denominator=1):
     return p
 
 
+def balances(c, j, a, b):
+    """True iff the block rows ``a`` and ``b`` (1-based) balance column ``j`` of ``c``."""
+    return all(
+        c[i, j, a - 1, 0] + c[i, j, b - 1, 1] == c[i, j, a - 1, 1] + c[i, j, b - 1, 0]
+        for i in range(c.m)
+    )
+
+
 def random_balanced_objective(rng, m, n, lo=-3, hi=3):
     """Random integer objective with a balancing row pair in every column."""
     c = BlockPoint.zeros(m, n)

@@ -18,7 +18,7 @@ from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import PolytopeId
 from satpoly.cli import run
 from satpoly.errors import BalanceError, InternalInvariantError
-from satpoly.recognition import RenamingLedger, check_balance, recognize_satp
+from satpoly.recognition import RenamingLedger, normalization_ledger, recognize_satp
 from satpoly.vertices import VertexCode, code_to_point
 from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
 
@@ -100,6 +100,7 @@ GRID_REFUSALS = {
     "build-bqp-std": (["build", "--polytope", "bqp-std", "--n", "707"], None),
     "ecbgc-solve": (["ecbgc", "solve", "--instance"], "ecbgc 200000 1\n"),
     "oracle-ecbgc": (["oracle", "ecbgc", "--instance"], "ecbgc 10000000 1\n"),
+    "ecbgc-check": (["ecbgc", "check", "--instance"], "ecbgc 1 10000000\n"),
     "reduce-x3sat": (["reduce", "x3sat", "--cnf"], "p cnf 1000000 1\n1 2 3 0\n"),
     "fractional": (["vertices", "fractional", "--n", "500"], None),
 }
@@ -352,7 +353,7 @@ def test_an_unbalanced_subclass_objective_is_a_bug(monkeypatch, tmp_path, capsys
     c = BlockPoint.zeros(2, 2)
     c[0, 0, 0, 0], c[0, 0, 1, 0] = Fraction(1), Fraction(2)
     with pytest.raises(BalanceError):
-        check_balance(c)
+        normalization_ledger(c)
     monkeypatch.setattr(ecbgc, "objective_from_instance", lambda inst, pairs: c)
     with pytest.raises(InternalInvariantError):
         ecbgc.solve_ecbgc(ecbgc.parse_ecbgc(TABLE16_INSTANCE))

@@ -20,12 +20,13 @@ from satpoly.ecbgc import (
     solve_ecbgc,
 )
 from satpoly.errors import BalanceError, InputError, SubclassError
-from satpoly.recognition import check_balance, integer_max_oracle
+from satpoly.recognition import integer_max_oracle, normalization_ledger
 from satpoly.reductions import Cnf3Formula, parse_cnf3, x3sat_oracle
 from tests.conftest import (
     FORMULA_18,
     TABLE16_INSTANCE,
     TABLE16_OBJECTIVE_ROWS,
+    balances,
     grid_point,
     random_subclass_instance,
 )
@@ -84,8 +85,7 @@ def test_objective_matches_published_table():
     cond = check_condition(inst)
     c = objective_from_instance(inst, cond.pairs)
     assert c == grid_point(TABLE16_OBJECTIVE_ROWS)
-    cert = check_balance(c)
-    assert cert.pairs == cond.pairs
+    assert all(balances(c, j, a, b) for j, (a, b) in enumerate(cond.pairs))
 
 
 def test_objective_fully_permissive_edge():
@@ -176,8 +176,7 @@ def test_weighted_edges_keep_balance_and_scale_value():
     c = objective_from_instance(inst, cond.pairs)
     weights = {(1, 1): Fraction(2), (1, 2): Fraction(1), (2, 1): Fraction(3, 2), (2, 2): Fraction(1)}
     weighted = scale_edge_weights(c, inst, weights)
-    cert = check_balance(weighted)
-    assert cert is not None
+    assert all(balances(weighted, j, a, b) for j, (a, b) in enumerate(cond.pairs))
     base_value, base_code = integer_max_oracle(c, 2, 2)
     w_value, w_code = integer_max_oracle(weighted, 2, 2)
     # per-edge positive scaling never invalidates an argmax coloring
@@ -214,20 +213,14 @@ def test_pair_searches_match_six_ordered_pairs():
     for _ in range(600):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
         c = BlockPoint.from_flat([rng.randint(0, 1) for _ in range(6 * m * n)], m, n)
-        expected = [
-            _first_ordered_pair(
-                lambda a, b: all(
-                    c[i, j, a - 1, 0] + c[i, j, b - 1, 1] == c[i, j, a - 1, 1] + c[i, j, b - 1, 0]
-                    for i in range(m)
-                )
-            )
-            for j in range(n)
-        ]
+        expected = [_first_ordered_pair(lambda a, b: balances(c, j, a, b)) for j in range(n)]
         if None in expected:
-            with pytest.raises(BalanceError):
-                check_balance(c)
+            with pytest.raises(BalanceError) as err:
+                normalization_ledger(c)
+            assert err.value.column == expected.index(None)
         else:
-            assert check_balance(c).pairs == tuple(expected)
+            c0 = normalization_ledger(c).apply_point(c)
+            assert all(balances(c0, j, 2, 3) for j in range(n))
             balanced += 1
 
         edges = tuple(

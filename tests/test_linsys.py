@@ -97,7 +97,7 @@ def test_lp_point_replay_exact():
             continue
         assert sys.is_feasible(res.point)
         assert sum(c * x for c, x in zip(objective, res.point)) == res.value
-        for idx in res.tight_set:
+        for idx in sys.tight_set(res.point):
             if idx >= len(sys.eq_rows):
                 coeffs, rhs = sys.ineq_rows[idx - len(sys.eq_rows)]
                 assert sum(c * res.point[j] for j, c in coeffs.items()) == rhs
@@ -214,7 +214,7 @@ def test_lp_output_digest(kind, m, n):
         f"status {res.status}\n"
         f"value {format_rational(res.value)}\n"
         f"point {format_vector(res.point)}\n"
-        f"tight {' '.join(str(i) for i in sorted(res.tight_set))}\n"
+        f"tight {' '.join(str(i) for i in sorted(sys.tight_set(res.point)))}\n"
     )
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == LP_DIGESTS[kind, m, n]
 
@@ -314,6 +314,23 @@ def test_tight_rows_share_rows_and_emit_unit_rows():
     assert tight.nonneg == (False,) * 3
 
 
+def test_row_tests_refuse_a_point_of_the_wrong_length():
+    # an extra entry was once ignored and a missing one raised a bare IndexError
+    sys = build_satp_lp(1, 1)
+    point = [ONE] + [ZERO] * 5
+    for wrong in (point + [ZERO], point[:5]):
+        for points in ([wrong], [point, wrong]):
+            with pytest.raises(InputError, match="point has wrong dimension"):
+                sys.tight_rows(*points)
+        with pytest.raises(InputError, match="point has wrong dimension"):
+            sys.tight_set(wrong)
+        with pytest.raises(InputError, match="point has wrong dimension"):
+            sys.is_feasible(wrong)
+    # the equality row and the unit rows of the five zero entries
+    assert len(sys.tight_rows(point).eq_rows) == 6
+    assert sys.tight_set(point) == {0}
+
+
 def test_violated_rows_lists_strict_violations_in_row_order():
     rows = [({0: 1, 1: 1}, 1), ({0: 1}, 0), ({1: -1}, 0), ({}, -1), ({0: 2}, 1)]
     point = [Fraction(1, 2), Fraction(1, 2)]
@@ -400,7 +417,7 @@ def test_row_tests_match_a_fraction_reference(case):
     res = lp_maximize(boxed, objective)
     if res.status == "Optimal":
         e = len(boxed.eq_rows)
-        assert res.tight_set == set(range(e)) | {
+        assert boxed.tight_set(res.point) == set(range(e)) | {
             e + k
             for k, (coeffs, rhs) in enumerate(boxed.ineq_rows)
             if reference_value(coeffs, res.point) == rhs

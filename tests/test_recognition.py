@@ -26,7 +26,6 @@ from satpoly.linsys import lp_maximize, violated_rows
 from satpoly.recognition import (
     RenamingLedger,
     bqp_brute_force_max,
-    check_balance,
     compose_ledgers,
     construct_wstar,
     decompose,
@@ -40,26 +39,27 @@ from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_verti
 from tests.conftest import (
     FORMULA_18,
     TABLE16_OBJECTIVE_ROWS,
+    balances,
     grid_point,
     random_balanced_objective,
 )
 
 
-def test_check_balance_zero_objective():
-    cert = check_balance(BlockPoint.zeros(2, 3))
-    assert cert.pairs == ((1, 2),) * 3
+def test_normalization_keeps_a_zero_objective():
+    # every pair balances a zero column, and (2, 3) is tried first
+    assert normalization_ledger(BlockPoint.zeros(2, 3)).is_identity()
 
 
-def test_check_balance_on_coloring_objective():
+def test_normalization_of_the_coloring_objective():
+    # both columns are balanced by (1, 2) and not by (2, 3): rows 1, 2 go to 2, 3
     c = grid_point(TABLE16_OBJECTIVE_ROWS)
-    cert = check_balance(c)
-    assert cert.pairs == ((1, 2), (1, 2))
+    assert normalization_ledger(c).col_perm == [(1, 2, 0), (1, 2, 0)]
 
 
-def test_check_balance_rejects_exactly_one_objective():
+def test_normalization_rejects_exactly_one_objective():
     w = objective_x3sat(parse_cnf3(FORMULA_18))
     with pytest.raises(BalanceError):
-        check_balance(w)
+        normalization_ledger(w)
 
 
 # set partitions of the block rows {0, 1, 2} into classes of equal row
@@ -84,34 +84,28 @@ def patterned_objectives(draw):
     return c
 
 
-def _balances(c, j, a, b):
-    return all(
-        c[i, j, a - 1, 0] + c[i, j, b - 1, 1] == c[i, j, a - 1, 1] + c[i, j, b - 1, 0]
-        for i in range(c.m)
-    )
-
-
 @settings(max_examples=300, deadline=None)
 @given(patterned_objectives())
 def test_balance_decision_matches_brute_force(c):
     expected = [
-        next((p for p in itertools.combinations((1, 2, 3), 2) if _balances(c, j, *p)), None)
+        next((p for p in itertools.combinations((1, 2, 3), 2) if balances(c, j, *p)), None)
         for j in range(c.n)
     ]
     if None in expected:
-        for decide in (check_balance, normalization_ledger):
-            with pytest.raises(BalanceError) as err:
-                decide(c)
-            assert err.value.column == expected.index(None)
+        with pytest.raises(BalanceError) as err:
+            normalization_ledger(c)
+        assert err.value.column == expected.index(None)
         return
-    assert check_balance(c).pairs == tuple(expected)
     ledger = normalization_ledger(c)
     assert not any(ledger.row_swap)
     c0 = ledger.apply_point(c)
     for j in range(c.n):
-        if _balances(c, j, 2, 3):
+        # (2, 3) is tried first, then the smallest pair (1, b), whose rows go to 2 and 3
+        if balances(c, j, 2, 3):
             assert ledger.col_perm[j] == (0, 1, 2)
-        assert _balances(c0, j, 2, 3)
+        else:
+            assert ledger.col_perm[j] == {(1, 2): (1, 2, 0), (1, 3): (1, 0, 2)}[expected[j]]
+        assert balances(c0, j, 2, 3)
 
 
 def test_wstar_identity_on_positive_point():

@@ -145,11 +145,17 @@ def fraction_lp_maximize(sys, objective):
     col_values = {b: row.get(rhs_col, zero) for b, row in zip(tab.basis, tab.rows)}
     point = [col_values.get(pos, zero) - col_values.get(neg, zero) for pos, neg in col_of_var]
     value = sum((c * point[v] for v, c in cost.items()), zero)
-    tight = set(range(len(sys.eq_rows)))
-    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        if sum(c * point[j] for j, c in coeffs.items()) == rhs:
-            tight.add(len(sys.eq_rows) + k)
-    return LpResult(status="Optimal", value=value, point=point, tight_set=tight)
+    return LpResult(status="Optimal", value=value, point=point)
+
+
+def fraction_tight_set(sys, point):
+    """Reference: the rows active at ``point``, summed in ``Fraction``."""
+    e = len(sys.eq_rows)
+    return set(range(e)) | {
+        e + k
+        for k, (coeffs, rhs) in enumerate(sys.ineq_rows)
+        if sum(c * point[j] for j, c in coeffs.items()) == rhs
+    }
 
 
 @contextmanager
@@ -208,6 +214,7 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
     assert pivots == reference_pivots
     assert result == reference
     if result.status == "Optimal":
+        assert sys.tight_set(result.point) == fraction_tight_set(sys, reference.point)
         assert type(result.value) is Fraction
         assert all(type(x) is Fraction for x in result.point)
 
