@@ -22,7 +22,14 @@ A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
 tableau, or the finding that there is none, is computed once per system
 object and kept on it; a system solved for many objectives runs phase 1
-once.
+once.  Phase 1 deletes the artificial columns, so phase 2 never updates
+them.
+
+Separation is warm: :func:`lp_maximize` takes lazy ``<=`` rows, which
+join the optimal tableau only once its point violates them, each with its
+own slack basic, and the dual simplex restores feasibility from there
+(Dantzig, Fulkerson and Johnson 1954; Chvátal 1983, ch. 10).  No system
+with the cuts is built and no cut round starts from scratch.
 """
 
 from __future__ import annotations
@@ -240,11 +247,6 @@ def _violated(rows: Sequence[tuple[Row, Rational]], xs: list[int], scale: int) -
     return (k for k, (a, b) in enumerate(rows) if sum(c * xs[j] for j, c in a.items()) > b * scale)
 
 
-def violated_rows(rows: Sequence[tuple[Row, Rational]], point: Sequence[Rational]) -> list[int]:
-    """Indices of the ``<=`` rows that ``point`` violates, in row order."""
-    return list(_violated(rows, *_scaled(point)))
-
-
 # ---------------------------------------------------------------------------
 # Rank and unique solutions: one fraction-free elimination kernel
 # ---------------------------------------------------------------------------
@@ -380,11 +382,14 @@ class LpResult:
     When ``status == "Optimal"``, ``point`` is a basic feasible solution (a
     vertex of the feasible polyhedron) and ``value == objective . point``
     exactly; :meth:`LinearSystem.tight_set` lists the rows active there.
+    ``lazy`` is the outcome once the lazy rows also hold, None when no lazy
+    rows were given; ``status``, ``value`` and ``point`` stay the base optimum.
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
     value: Optional[Rational] = None
     point: Optional[list[Rational]] = None
+    lazy: Optional["LpResult"] = None
 
 
 @dataclass
@@ -393,10 +398,12 @@ class _Tableau:
 
     ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
     of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
-    artificials, which never enter.  Row ``i`` is an integer row, right side
-    in column ``rhs``, standing for ``rows[i] / rows[i][basis[i]]``: its
-    basic entry, kept positive by every pivot, is its denominator.  Entries
-    that cancel are dropped, so a stored zero is never chosen as a pivot.
+    artificials, which never enter; phase 1 deletes them once they are out
+    of the basis.  Lazy row k adds the slack column ``rhs + 1 + k``.  Row
+    ``i`` is an integer row, right side in column ``rhs``, standing for
+    ``rows[i] / rows[i][basis[i]]``: its basic entry, kept positive by every
+    pivot, is its denominator.  Entries that cancel are dropped, so a stored
+    zero is never chosen as a pivot.
     """
 
     col_of_var: list[tuple[int, Optional[int]]]
@@ -469,14 +476,59 @@ class _Tableau:
             if enter in zrow:
                 zrow = _eliminate(zrow, rows[leave], enter)
 
+    def add_row(self, coeffs: Mapping[int, Rational], rhs: Rational, slack: int) -> None:
+        """Append ``coeffs . x + s = rhs`` with its new slack column ``slack`` basic.
+
+        The row is reduced against the basic rows, so its right side is
+        negative exactly when the basic solution violates ``coeffs . x <= rhs``.
+        """
+        row = self.expand(coeffs.items())
+        row[slack] = 1
+        row[self.rhs] = rhs
+        row = _int_row(row)
+        for i, b in enumerate(self.basis):
+            if b in row:
+                row = _eliminate(row, self.rows[i], b)
+        self.rows.append(row)
+        self.basis.append(slack)
+
+    def restore(self, zrow: dict[int, int]) -> tuple[str, dict[int, int]]:
+        """Dual simplex from a dual-feasible ``zrow``; returns status and final z-row.
+
+        Dual Bland rule: the leaving row has the smallest basic column among
+        the rows with a negative right side, and the entering column has the
+        least ratio ``zrow[j] / -a_j`` over the negative entries ``a_j`` of
+        that row, ties to the smallest column.  A negative row with no
+        negative entry proves the system infeasible.
+        """
+        rows, basis, rhs = self.rows, self.basis, self.rhs
+        while True:
+            negative = (i for i, ri in enumerate(rows) if ri.get(rhs, 0) < 0)
+            leave = min(negative, key=basis.__getitem__, default=-1)
+            if leave < 0:
+                return "optimal", zrow
+            # zrow[j] / -a against the best, cross-multiplied; both -a > 0
+            enter = best_z = best_a = -1
+            for j, a in rows[leave].items():
+                if a < 0 and j != rhs:
+                    z = zrow.get(j, 0)
+                    diff = best_z * a - z * best_a
+                    if enter < 0 or diff < 0 or (diff == 0 and j < enter):
+                        enter, best_z, best_a = j, z, a
+            if enter < 0:
+                return "infeasible", zrow
+            self.pivot(leave, enter)
+            if enter in zrow:
+                zrow = _eliminate(zrow, rows[leave], enter)
+
 
 def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
     """Lay out the columns, expand the rows and run phase 1; None if infeasible.
 
     Phase 1 drives auxiliary variables out of the basis (uniform handling
-    of equality rows), pivots out the artificials left at level zero and
-    drops the redundant rows.  :attr:`LinearSystem._phase1_tableau` keeps
-    the result.
+    of equality rows), pivots out the artificials left at level zero, drops
+    the redundant rows and deletes the artificial columns, which no pivot
+    rule reads again.  :attr:`LinearSystem._phase1_tableau` keeps the result.
     """
     nonneg, eq_rows, ineq_rows = sys.nonneg, sys.eq_rows, sys.ineq_rows
     # Column layout: one column per nonnegative variable, a (+,-) pair per
@@ -528,10 +580,18 @@ def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
                     del basis[i]
                 else:
                     tab.pivot(i, entry)
+        rows[:] = [
+            _primitive({j: x for j, x in row.items() if not struct_cols <= j < rhs_col})
+            for row in rows
+        ]
     return tab
 
 
-def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
+def lp_maximize(
+    sys: LinearSystem,
+    objective: Sequence[Rational],
+    lazy_rows: Optional[Sequence[tuple[Mapping[int, Rational], Rational]]] = None,
+) -> LpResult:
     """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
 
     Two-phase simplex on one :class:`_Tableau`: phase 1 (:func:`_phase1`)
@@ -544,23 +604,67 @@ def lp_maximize(sys: LinearSystem, objective: Sequence[Rational]) -> LpResult:
     system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call
     runs phase 2 on a copy: solving a system again makes exactly the
     phase-2 pivots of a cold solve and returns the same result.
+
+    ``lazy_rows`` are ``(coeffs, rhs)`` rows ``coeffs . x <= rhs`` over the
+    columns of ``sys``, separated from the optimum: the rows its point
+    violates join the tableau (:meth:`_Tableau.add_row`), the dual simplex
+    (:meth:`_Tableau.restore`) makes the point feasible again, and this
+    repeats until no lazy row is violated.  The result is the base optimum,
+    with the optimum over ``sys`` plus every lazy row in ``lazy``: it is
+    Infeasible when the lazy rows empty the feasible set, and it has the
+    base status when the base has no optimum to separate.
     """
     if len(objective) != sys.var_count:
         raise InputError("objective length does not match variable count")
-    cost: Row = {v: Fraction(c) for v, c in enumerate(objective) if c}
+    if lazy_rows is not None and not all(
+        map(frozenset(range(sys.var_count)).issuperset, (coeffs for coeffs, _ in lazy_rows))
+    ):
+        raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}")
+    nonzero = {v: Fraction(c) for v, c in enumerate(objective) if c}
+    nums, denom = _scaled(list(nonzero.values()))
+    cost = dict(zip(nonzero, nums))  # the objective times denom, in integers
     ready = sys._phase1_tableau
     if ready is None:
-        return LpResult(status="Infeasible")
+        return _no_optimum("Infeasible", lazy_rows)
 
     tab = ready.copy()  # the system's tableau is shared
-    status, _ = tab.run(tab.expand(cost.items()))
+    status, zrow = tab.run(tab.expand(cost.items()))
     if status == "unbounded":
-        return LpResult(status="Unbounded")
+        return _no_optimum("Unbounded", lazy_rows)
+    result = _optimum(sys, cost, denom, tab.point())
+    if lazy_rows is None:
+        return result
 
-    point = tab.point()
+    point, cuts = result.point, set()
+    while violated := list(_violated(lazy_rows, *_scaled(point))):
+        if not cuts.isdisjoint(violated):
+            raise InternalInvariantError("LP optimizer violates one of its own cuts")
+        cuts.update(violated)
+        for k in violated:
+            tab.add_row(*lazy_rows[k], tab.rhs + 1 + k)
+        status, zrow = tab.restore(zrow)
+        if status == "infeasible":
+            result.lazy = LpResult(status="Infeasible")
+            return result
+        point = tab.point()
+    # The loop ends only at a point that meets every lazy row.
+    result.lazy = _optimum(sys, cost, denom, point) if cuts else replace(result)
+    if result.lazy.value > result.value:  # pragma: no cover - sandwich guard
+        raise InternalInvariantError("lazy-row optimum exceeded the base optimum")
+    return result
+
+
+def _no_optimum(status: str, lazy_rows) -> LpResult:
+    """An Infeasible or Unbounded result; with lazy rows, ``lazy`` has the same status."""
+    return LpResult(status=status, lazy=None if lazy_rows is None else LpResult(status=status))
+
+
+def _optimum(sys: LinearSystem, cost: dict[int, int], denom: int, point: list[Fraction]):
+    """The Optimal :class:`LpResult` at ``point`` for the objective ``cost / denom``;
+    InternalInvariantError unless ``point`` is in ``sys``."""
     scaled = sys._scaled_if_feasible(point)  # serves the guard and the value
     if scaled is None:  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
     xs, scale = scaled
-    value = Fraction(sum(c * xs[j] for j, c in cost.items()), scale)
+    value = Fraction(sum(c * xs[j] for j, c in cost.items()), denom * scale)
     return LpResult(status="Optimal", value=value, point=point)

@@ -9,9 +9,10 @@ block row i.  :func:`recognize_satp` normalizes once, renaming each
 column's pair onto rows (2, 3), and all later work is in those coordinates.
 
 The strengthened optimum is found by separation (Dantzig, Fulkerson and
-Johnson 1954): the strengthening rows the base optimizer violates become
-cuts, and the base rows plus all cuts are solved again until no row is
-violated, so the full strengthened system never reaches the simplex.
+Johnson 1954): the strengthening rows are the lazy rows of one
+:func:`lp_maximize` call, so the rows the base optimizer violates join its
+optimal tableau as cuts and the dual simplex moves on from there until no
+row is violated.  The full strengthened system never reaches the simplex.
 
 When the two optima agree, a maximizing integral vertex is extracted
 constructively: the optimizer of the strengthened system is rewritten,
@@ -43,7 +44,7 @@ from satpoly.builders import (
     satp2_inequality_rows,
 )
 from satpoly.errors import BalanceError, InputError, InternalInvariantError
-from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize, violated_rows
+from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize
 from satpoly.rational import Rational
 from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, integral_codes
 
@@ -410,31 +411,15 @@ class RecognitionOutcome:
         return self.relaxation_value
 
 
-def _separate(
+def _optima(
     base: LinearSystem, rows: Sequence[tuple[Row, Rational]], objective: list[Rational]
 ) -> tuple[LpResult, LpResult]:
-    """Optima over ``base`` and over ``base`` plus the ``<=`` rows ``rows``.
-
-    The second comes by separation: the rows the optimizer violates join
-    the cuts, and the base rows plus all cuts are solved again from scratch
-    until no row is violated.  That optimizer is feasible for the full
-    system and optimal for a relaxation of it.  An optimizer meets its own
-    cuts, so each round adds a row and the loop ends.
-    """
-    relaxed = result = lp_maximize(base, objective)
-    cuts: set[int] = set()
-    while result.status == "Optimal" and (violated := violated_rows(rows, result.point)):
-        if not cuts.isdisjoint(violated):
-            raise InternalInvariantError("LP optimizer violates one of its own cuts")
-        cuts.update(violated)
-        ineq = base.ineq_rows + tuple(rows[k] for k in sorted(cuts))
-        system = LinearSystem(base.var_count, base.eq_rows, ineq, base.nonneg)
-        result = lp_maximize(system, objective)
-    if relaxed.status != "Optimal" or result.status != "Optimal":
+    """Optima over ``base`` and over ``base`` plus the ``<=`` rows ``rows``, the
+    second separated by :func:`lp_maximize` with ``rows`` as its lazy rows."""
+    relaxed = lp_maximize(base, objective, lazy_rows=rows)
+    if relaxed.status != "Optimal" or relaxed.lazy.status != "Optimal":
         raise InternalInvariantError("base and cut systems are bounded and nonempty")
-    if result.value > relaxed.value:  # pragma: no cover - sandwich guard
-        raise InternalInvariantError("strengthened optimum exceeded the relaxation")
-    return relaxed, result
+    return relaxed, relaxed.lazy
 
 
 def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
@@ -463,7 +448,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
     base, rows = build_satp_lp(m, n), satp2_inequality_rows(m, n)
-    relaxed, strengthened = _separate(base, rows, c0.flat())
+    relaxed, strengthened = _optima(base, rows, c0.flat())
     answer = relaxed.value == strengthened.value
     witness = None
     if answer:
@@ -490,7 +475,7 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
         raise InputError("quadric recognition needs n >= 3")
     if len(objective) != bqp_var_count(n):
         raise InputError("objective has wrong dimension")
-    relaxed, tightened = _separate(build_bqp_lp(n), met_triangle_rows(n), objective)
+    relaxed, tightened = _optima(build_bqp_lp(n), met_triangle_rows(n), objective)
     return RecognitionOutcome(
         answer=relaxed.value == tightened.value,
         witness=None,

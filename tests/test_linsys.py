@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,13 @@ from satpoly.errors import BudgetError, InputError
 from satpoly.linsys import (
     MAX_TEXT_VARS,
     LinearSystem,
+    LpResult,
+    _Tableau,
     _scaled,
     lp_maximize,
     rank,
     rank_at_most,
     unique_solution,
-    violated_rows,
 )
 from satpoly.rational import format_rational, format_vector
 from satpoly.vertices import _free_rows, enumerate_lp_vertices, fractional_vertex
@@ -331,12 +333,33 @@ def test_row_tests_refuse_a_point_of_the_wrong_length():
     assert sys.tight_set(point) == {0}
 
 
-def test_violated_rows_lists_strict_violations_in_row_order():
-    rows = [({0: 1, 1: 1}, 1), ({0: 1}, 0), ({1: -1}, 0), ({}, -1), ({0: 2}, 1)]
-    point = [Fraction(1, 2), Fraction(1, 2)]
-    # a row met with equality is not violated; an empty row reads 0
-    assert violated_rows(rows, point) == [1, 3]
-    assert violated_rows([], point) == []
+def test_lazy_rows_cut_only_where_strictly_violated(monkeypatch):
+    # the base optimum is (1/2, 1/2); a lazy row met with equality there is
+    # no cut, and an empty row reads 0, so ({}, -1) is violated everywhere
+    base = LinearSystem(2, ineq_rows=[({0: 1}, Fraction(1, 2)), ({1: 1}, Fraction(1, 2))])
+    rows = [({0: 1, 1: 1}, 1), ({0: 1}, 0), ({1: -1}, 0), ({0: 2}, 1)]
+    cuts = []
+    add_row = _Tableau.add_row
+
+    def recorded(tab, coeffs, rhs, slack):
+        cuts.append(slack - tab.rhs - 1)  # lazy row k has slack column rhs + 1 + k
+        add_row(tab, coeffs, rhs, slack)
+
+    monkeypatch.setattr(_Tableau, "add_row", recorded)
+    res = lp_maximize(base, [ONE, ONE], lazy_rows=rows)
+    assert (res.status, res.value, res.point) == ("Optimal", 1, [Fraction(1, 2)] * 2)
+    assert res.lazy == LpResult("Optimal", Fraction(1, 2), [ZERO, Fraction(1, 2)])
+    assert cuts == [1]
+    cuts.clear()
+    res = lp_maximize(base, [ONE, ONE], lazy_rows=rows + [({}, -1)])
+    assert res.value == 1 and res.lazy == LpResult("Infeasible")
+    assert cuts == [1, 4]
+    # with no lazy row to cut, the lazy optimum is the base optimum
+    assert lp_maximize(base, [ONE, ONE], lazy_rows=[]).lazy == replace(res, lazy=None)
+    with pytest.raises(InputError, match="lazy row names a column outside 0..1"):
+        lp_maximize(base, [ONE, ONE], lazy_rows=[({2: 1}, 0)])
+    with pytest.raises(InputError, match="lazy row names a column outside"):
+        lp_maximize(base, [ONE, ONE], lazy_rows=[({-1: 1}, 0)])
 
 
 def reference_value(coeffs, point):
@@ -396,7 +419,6 @@ def test_row_tests_match_a_fraction_reference(case):
         for k, (coeffs, rhs) in enumerate(system.ineq_rows)
         if reference_value(coeffs, point) > rhs
     ]
-    assert violated_rows(system.ineq_rows, point) == violated
     feasible = (
         all(reference_value(coeffs, point) == rhs for coeffs, rhs in system.eq_rows)
         and not violated

@@ -22,7 +22,7 @@ from satpoly.builders import (
     satp2_inequality_rows,
 )
 from satpoly.errors import BalanceError, InputError
-from satpoly.linsys import lp_maximize, violated_rows
+from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.recognition import (
     RenamingLedger,
     bqp_brute_force_max,
@@ -393,7 +393,8 @@ def test_separation_matches_full_strengthened_lp():
         c = random_balanced_objective(rng, m, n)
         flat = normalization_ledger(c).apply_point(c).flat()
         base = lp_maximize(build_satp_lp(m, n), flat)
-        cut_path += bool(violated_rows(satp2_inequality_rows(m, n), base.point))
+        rows = satp2_inequality_rows(m, n)
+        cut_path += not LinearSystem(len(flat), ineq_rows=rows).is_feasible(base.point)
         out = recognize_satp(c, m, n)
         assert out.relaxation_value == base.value
         assert out.strengthened_value == lp_maximize(build_satp2_lp(m, n), flat).value
@@ -429,7 +430,8 @@ def test_separation_matches_full_metric_lp():
     cut_path = 0
     for n, objective in sample:
         base = lp_maximize(build_bqp_lp(n), objective)
-        cut_path += bool(violated_rows(met_triangle_rows(n), base.point))
+        rows = met_triangle_rows(n)
+        cut_path += not LinearSystem(len(objective), ineq_rows=rows).is_feasible(base.point)
         out = recognize_bqp(objective, n)
         assert out.relaxation_value == base.value
         assert out.strengthened_value == lp_maximize(build_met(n), objective).value
@@ -452,6 +454,19 @@ def test_recognize_6x6_matches_oracle():
     else:
         assert outcome.witness is None
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
+
+
+def test_recognize_8x8_seed_2_cuts_join_the_optimal_tableau():
+    # the base optimizer violates 401 strengthening rows; solving the base
+    # rows plus those cuts from scratch took about a minute, and adding them
+    # to the optimal tableau takes a few seconds (294 dual pivots)
+    c = random_balanced_objective(random.Random(2), 8, 8)
+    start = time.monotonic()
+    outcome = recognize_satp(c, 8, 8)
+    elapsed = time.monotonic() - start
+    assert (outcome.relaxation_value, outcome.strengthened_value) == (48, 38)
+    assert not outcome.answer and outcome.witness is None
+    assert elapsed < 20.0, f"took {elapsed:.1f}s"
 
 
 def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
