@@ -30,6 +30,13 @@ def flat_index(i: int, j: int, k: int, l: int, n: int) -> int:
     return ((i * n + j) * 3 + k) * 2 + l
 
 
+def _check_shape(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise InputError("block grid dimensions must be positive")
+    if 6 * m * n > MAX_TEXT_VARS:
+        raise BudgetError(f"the {m}x{n} block grid exceeds {MAX_TEXT_VARS} values")
+
+
 @dataclass
 class BlockPoint:
     """An ``m x n`` grid of 3x2 rational blocks: 6mn values in flat order."""
@@ -40,10 +47,7 @@ class BlockPoint:
 
     @staticmethod
     def zeros(m: int, n: int) -> "BlockPoint":
-        if m < 1 or n < 1:
-            raise InputError("block grid dimensions must be positive")
-        if 6 * m * n > MAX_TEXT_VARS:
-            raise BudgetError(f"the {m}x{n} block grid exceeds {MAX_TEXT_VARS} values")
+        _check_shape(m, n)
         return BlockPoint(m, n, [Fraction(0)] * (6 * m * n))
 
     def copy(self) -> "BlockPoint":
@@ -64,9 +68,8 @@ class BlockPoint:
     def from_flat(values: Sequence[Rational], m: int, n: int) -> "BlockPoint":
         if len(values) != 6 * m * n:
             raise InputError("flat vector has wrong length for block grid")
-        p = BlockPoint.zeros(m, n)
-        p.values = [Fraction(v) for v in values]
-        return p
+        _check_shape(m, n)
+        return BlockPoint(m, n, [v if isinstance(v, Fraction) else Fraction(v) for v in values])
 
     # -- text format ---------------------------------------------------------
     # Header "point m n" (or "objective m n"), then 3m lines of 2n rationals:

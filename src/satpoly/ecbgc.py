@@ -33,7 +33,7 @@ from satpoly.linsys import MAX_TEXT_VARS
 from satpoly.rational import Rational, content_lines, parse_int
 from satpoly.recognition import recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
-from satpoly.vertices import DEFAULT_CODE_BUDGET, integral_codes
+from satpoly.vertices import DEFAULT_CODE_BUDGET, row_codes
 
 #: pc tables are indexed [u_color][v_color], 0-based: pc[s][k] for
 #: s in {0,1} (U side) and k in {0,1,2} (V side); True means permitted.
@@ -234,10 +234,26 @@ def solve_ecbgc(inst: EcbgcInstance) -> Optional[Coloring]:
 def brute_force_coloring(
     inst: EcbgcInstance, budget: int = DEFAULT_CODE_BUDGET
 ) -> Optional[Coloring]:
-    """First valid coloring in lexicographic order, or None."""
-    emap = inst.edge_map()
-    for row, col in integral_codes(inst.u_count, inst.v_count, budget):
-        if all(pc[row[i - 1]][col[j - 1]] for (i, j), pc in emap.items()):
+    """First valid coloring in lexicographic order, or None.
+
+    Walks the U-colorings of :func:`row_codes` in lexicographic order.
+    With the U-colors fixed, the V-vertices are independent: each takes
+    the first color that every incident edge permits, and the first
+    U-coloring under which every V-vertex has one gives the
+    lexicographically first valid coloring.
+    """
+    rows = row_codes(inst.u_count, inst.v_count, budget)
+    incident: list[list[tuple[int, PcTable]]] = [[] for _ in range(inst.v_count)]
+    for i, j, pc in inst.edges:
+        incident[j - 1].append((i - 1, pc))
+    for row in rows:
+        col = []
+        for edges in incident:
+            k = next((k for k in range(3) if all(pc[row[i]][k] for i, pc in edges)), None)
+            if k is None:
+                break
+            col.append(k)
+        else:
             return Coloring(tuple(r + 1 for r in row), tuple(k + 1 for k in col))
     return None
 

@@ -210,7 +210,10 @@ def frozen_rows(
 
 
 def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
-    dense = (format_rational(coeffs.get(j, 0)) for j in range(var_count))
+    """The dense text of a sparse row: only its stored entries are formatted."""
+    dense = ["0"] * var_count
+    for j, c in coeffs.items():
+        dense[j] = format_rational(c)
     return " ".join(dense) + " | " + format_rational(rhs)
 
 

@@ -46,7 +46,7 @@ from satpoly.builders import (
 from satpoly.errors import BalanceError, InputError, InternalInvariantError
 from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize
 from satpoly.rational import Rational
-from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, integral_codes
+from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, row_codes
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
+# Exact oracles
 # ---------------------------------------------------------------------------
 
 
@@ -504,18 +504,30 @@ def _code_value(c: ObjectiveVector, row: tuple[int, ...], col: tuple[int, ...]) 
 def integer_max_oracle(
     c: ObjectiveVector, m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
 ) -> tuple[Rational, VertexCode]:
-    """Exact maximum of the objective over all integral vertices.
+    """Exact maximum of the objective over all ``2^m 3^n`` integral vertices.
 
-    Scans the ``2^m 3^n`` codes in lexicographic order and returns the
-    first argmax.  Ground truth for the recognition drivers.
+    Walks the ``2^m`` row codes of :func:`row_codes` in lexicographic
+    order.  With the row code fixed, block column j contributes
+    ``sum_i c[i, j, k, row_i]`` for its colour k alone, so each column
+    takes its best colour, ties to the smallest.  The first row code
+    reaching the maximum, with those colours, is the lexicographically
+    first argmax over all codes.  Ground truth for the recognition drivers.
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
+    rows, v = row_codes(m, n, budget), c.values
+    # per block column, the six-value blocks of rows 0..m-1
+    columns = [[v[6 * (i * n + j) : 6 * (i * n + j) + 6] for i in range(m)] for j in range(n)]
     best_val: Optional[Fraction] = None
-    for row, col in integral_codes(m, n, budget):
-        total = _code_value(c, row, col)
+    for row in rows:
+        total, col = Fraction(0), []
+        for blocks in columns:
+            sums = [sum(b[2 * k + r] for b, r in zip(blocks, row)) for k in range(3)]
+            top = max(sums)
+            total += top
+            col.append(sums.index(top))
         if best_val is None or total > best_val:
-            best_val, best_code = total, (row, col)
+            best_val, best_code = total, (row, tuple(col))
     return best_val, VertexCode(*best_code)
 
 

@@ -132,6 +132,20 @@ def integral_codes(
     )
 
 
+def row_codes(m: int, n: int, budget: int = DEFAULT_CODE_BUDGET) -> Iterator[tuple[int, ...]]:
+    """The ``2^m`` row codes ``row`` of the integral codes, lexicographically.
+
+    The exact oracles share this walk: once the row code is fixed, each
+    block column takes its best colour on its own.  ``budget`` bounds
+    ``2^m * n``, the row codes times the columns each of them visits; it
+    is checked on the call, before any code is generated.
+    """
+    _check_grid(m, n)
+    if m >= budget.bit_length() or 2**m * n > budget:  # as in integral_codes
+        raise BudgetError(f"the row codes of the {m}x{n} grid exceed budget {budget}")
+    return itertools.product((0, 1), repeat=m)
+
+
 def enumerate_integral_vertices(
     m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
 ) -> list[VertexCode]:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satpoly.blockpoint import BlockPoint
 from satpoly.ecbgc import (
@@ -19,9 +21,10 @@ from satpoly.ecbgc import (
     scale_edge_weights,
     solve_ecbgc,
 )
-from satpoly.errors import BalanceError, InputError, SubclassError
+from satpoly.errors import BalanceError, BudgetError, InputError, SubclassError
 from satpoly.recognition import integer_max_oracle, normalization_ledger
 from satpoly.reductions import Cnf3Formula, parse_cnf3, x3sat_oracle
+from satpoly.vertices import integral_codes
 from tests.conftest import (
     FORMULA_18,
     TABLE16_INSTANCE,
@@ -125,6 +128,46 @@ def test_brute_force_examples():
     assert brute_force_coloring(EcbgcInstance(1, 1, ((1, 1, only_22),))) == Coloring(
         (2,), (2,)
     )
+
+
+def coloring_reference(inst):
+    """The full walk: the first of the ``2^m 3^n`` codes every edge permits, or None."""
+    for row, col in integral_codes(inst.u_count, inst.v_count):
+        if all(pc[row[i - 1]][col[j - 1]] for i, j, pc in inst.edges):
+            return Coloring(tuple(r + 1 for r in row), tuple(k + 1 for k in col))
+    return None
+
+
+@st.composite
+def coloring_instances(draw):
+    """Instances on grids up to 4x4 with uniform tables on about two thirds of
+    the pairs: several colors often fit a V-vertex, and about one in four
+    instances has no coloring."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    flags = st.tuples(st.booleans(), st.booleans(), st.booleans())
+    edges = [
+        (i, j, draw(st.tuples(flags, flags)))
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+        if draw(st.sampled_from((True, True, False)))
+    ]
+    return EcbgcInstance(m, n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloring_instances())
+def test_brute_force_coloring_matches_the_full_walk(inst):
+    assert brute_force_coloring(inst) == coloring_reference(inst)
+
+
+def test_brute_force_coloring_budget_bounds_row_codes_times_columns():
+    inst = EcbgcInstance(3, 2, ())  # 2^3 U-colorings over 2 V-vertices
+    assert brute_force_coloring(inst, budget=16) == Coloring((1, 1, 1), (1, 1))
+    with pytest.raises(BudgetError):
+        brute_force_coloring(inst, budget=15)
+    # refused before a list per V-vertex is made
+    with pytest.raises(BudgetError):
+        brute_force_coloring(EcbgcInstance(1, 10**9, ()))
 
 
 def test_solver_agrees_with_brute_force_sample():

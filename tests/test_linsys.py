@@ -462,6 +462,43 @@ def test_free_rows_keep_the_rank_of_the_tight_rows(case, data):
         assert pinned + rank_at_most(rows, cap - pinned) == rank_at_most(tight, cap)
 
 
+def dense_text(system):
+    """The dense writer: every column of every row formatted on its own."""
+    lines = [f"vars {system.var_count}"]
+    if not all(system.nonneg):
+        lines.append("nonneg " + " ".join(str(int(f)) for f in system.nonneg))
+    for kind, rows in (("eq", system.eq_rows), ("le", system.ineq_rows)):
+        for coeffs, rhs in rows:
+            cells = [format_rational(coeffs.get(j, 0)) for j in range(system.var_count)]
+            lines.append(" ".join([kind, *cells, "|", format_rational(rhs)]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_at_points())
+def test_sparse_writer_matches_the_dense_writer(case):
+    # the rows keep explicit zeros and mix negative, int and p/q entries
+    system = case[0]
+    text = system.to_text()
+    assert text == dense_text(system)
+    def nonzero(rows):
+        return [({j: c for j, c in coeffs.items() if c}, rhs) for coeffs, rhs in rows]
+
+    back = LinearSystem.from_text(text)
+    assert back == replace(
+        system, eq_rows=nonzero(system.eq_rows), ineq_rows=nonzero(system.ineq_rows)
+    )
+    assert back.to_text() == text
+
+
+def test_sparse_writer_prints_coefficients_past_the_str_limit():
+    huge = Fraction(-(10**5000), 3)  # str() refuses its numerator
+    system = LinearSystem(3, ineq_rows=[({0: 0, 2: huge}, 1)])
+    text = system.to_text()
+    assert text == dense_text(system)
+    assert text == "vars 3\nle 0 0 -1" + "0" * 5000 + "/3 | 1\n"
+
+
 BUILDER_KINDS = [
     ("satp", 2, 3),
     ("satp2", 2, 2),

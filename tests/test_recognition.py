@@ -21,7 +21,7 @@ from satpoly.builders import (
     met_triangle_rows,
     satp2_inequality_rows,
 )
-from satpoly.errors import BalanceError, InputError
+from satpoly.errors import BalanceError, BudgetError, InputError
 from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.recognition import (
     RenamingLedger,
@@ -35,7 +35,7 @@ from satpoly.recognition import (
     recognize_satp,
 )
 from satpoly.reductions import objective_x3sat, parse_cnf3
-from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices
+from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices, integral_codes
 from tests.conftest import (
     FORMULA_18,
     TABLE16_OBJECTIVE_ROWS,
@@ -516,6 +516,55 @@ def test_sandwich_for_arbitrary_objectives():
         strengthened = lp_maximize(strong, c.flat()).value
         oracle_value, _ = integer_max_oracle(c, 2, 2)
         assert oracle_value <= strengthened <= relaxed
+
+
+def integer_max_reference(c, m, n):
+    """The full walk: every one of the ``2^m 3^n`` codes, the first argmax kept."""
+    best_val = best_code = None
+    for row, col in integral_codes(m, n):
+        cells = ((i, j, cj, ri) for i, ri in enumerate(row) for j, cj in enumerate(col))
+        total = sum((c[cell] for cell in cells), Fraction(0))
+        if best_val is None or total > best_val:
+            best_val, best_code = total, VertexCode(row, col)
+    return best_val, best_code
+
+
+@st.composite
+def tied_objectives(draw):
+    """Objectives on grids up to 4x4 with values in {-1, 0, 1}, so ties are common."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=6 * m * n, max_size=6 * m * n))
+    return BlockPoint.from_flat(values, m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_objectives())
+def test_integer_max_oracle_matches_the_full_walk(c):
+    value, code = integer_max_oracle(c, c.m, c.n)
+    assert (value, code) == integer_max_reference(c, c.m, c.n)
+    assert type(value) is Fraction
+
+
+def test_integer_max_oracle_budget_bounds_row_codes_times_columns():
+    c = BlockPoint.zeros(3, 2)  # 2^3 row codes over 2 columns
+    assert integer_max_oracle(c, 3, 2, budget=16) == (0, VertexCode((0, 0, 0), (0, 0)))
+    with pytest.raises(BudgetError):
+        integer_max_oracle(c, 3, 2, budget=15)
+    # the column count is bounded too, not only the 2^m row codes
+    with pytest.raises(BudgetError):
+        integer_max_oracle(BlockPoint.zeros(1, 3), 1, 3, budget=5)
+    # 2^m is refused before it is computed
+    with pytest.raises(BudgetError):
+        integer_max_oracle(BlockPoint.zeros(10**5, 1), 10**5, 1)
+
+
+def test_integer_max_oracle_answers_the_8x8_grid():
+    # 2^8 3^8 = 1,679,616 codes were over the default budget of 10^6; the
+    # 2^8 row codes times 8 columns are not
+    c = random_balanced_objective(random.Random(2), 8, 8)
+    value, code = integer_max_oracle(c, 8, 8)
+    assert value == 38  # the strengthened optimum of this grid
+    assert objective_value(c, code_to_point(code)) == value
 
 
 def test_ledger_composition_and_inverse():
