@@ -148,7 +148,10 @@ def satp2_inequality_rows(m: int, n: int) -> tuple[tuple[Row, Rational], ...]:
     For every ordered pair of block rows ``i != k`` and block columns
     ``j != l`` two rows are emitted, each bounding a sum of four
     cell-triples (of four distinct blocks, so twelve distinct cells) by 3.
+    Rows over ``MAX_TEXT_VARS`` coefficients in all are refused unbuilt.
     """
+    if 24 * m * (m - 1) * n * (n - 1) > MAX_TEXT_VARS:
+        raise BudgetError(f"the {m}x{n} satp2 rows exceed {MAX_TEXT_VARS} coefficients")
     rows: list[tuple[Row, Rational]] = []
 
     def add_row(parts):
@@ -191,8 +194,9 @@ def build_satp2_lp(m: int, n: int) -> LinearSystem:
     For ``m < 2`` or ``n < 2`` the inequalities need two distinct block
     rows and columns, so there are none.
     """
+    rows = satp2_inequality_rows(m, n)  # refused before the base is built
     base = build_satp_lp(m, n)
-    return LinearSystem(base.var_count, base.eq_rows, satp2_inequality_rows(m, n), base.nonneg)
+    return LinearSystem(base.var_count, base.eq_rows, rows, base.nonneg)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,10 @@ def build_bqp_lp(n: int) -> LinearSystem:
 
 @_memoized
 def met_triangle_rows(n: int) -> tuple[tuple[Row, Rational], ...]:
-    """The four triangle rows of every triple i < j < k (4 * C(n,3) rows)."""
+    """The four triangle rows of every triple i < j < k (4 * C(n,3) rows,
+    18 coefficients per triple); refused over ``MAX_TEXT_VARS`` coefficients."""
+    if 3 * n * (n - 1) * (n - 2) > MAX_TEXT_VARS:
+        raise BudgetError(f"the n = {n} triangle rows exceed {MAX_TEXT_VARS} coefficients")
     rows: list[tuple[Row, Rational]] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -256,8 +263,9 @@ def build_met(n: int) -> LinearSystem:
     """Metric strengthening: the quadric relaxation's rows, then the triangle rows."""
     if n < 3:
         raise InputError("n must be at least 3")
+    rows = met_triangle_rows(n)  # refused before the base is built
     base = build_bqp_lp(n)
-    ineq = base.ineq_rows + met_triangle_rows(n)
+    ineq = base.ineq_rows + rows
     return LinearSystem(base.var_count, ineq_rows=ineq, nonneg=base.nonneg)
 
 

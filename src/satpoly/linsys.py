@@ -10,13 +10,13 @@ Rank, equation solving and the simplex share one exact row update:
 fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
 1967), content divided out.  Rank and solving reduce rows into an echelon
 basis; the simplex's one state type, :class:`_Tableau`, keeps each row
-over its basic entry.  Only a unique solution's back-substitution and the
-point read off the final tableau divide, in ``Fraction``.  Row tests at a
-point scale the point once by the lcm of its denominators and then work
-in integers; one pass finds the rows active at a set of points and the
-columns they pin at zero.  The text reader parses only the nonzero tokens
-of a dense row, each distinct token once, and keeps integral values as
-``int``s, the form the builders emit.
+over its basic entry, and its z-row with them.  Only a unique solution's
+back-substitution and the point read off the final tableau divide, in
+``Fraction``.  Row tests at a point scale the point once by the lcm of its
+denominators and then work in integers; one pass finds the rows active at
+a set of points and the columns they pin at zero.  The text reader
+parses only the nonzero tokens of a dense row, each distinct token once,
+and keeps integral values as ``int``s, the form the builders emit.
 
 A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
@@ -34,7 +34,7 @@ with the cuts is built and no cut round starts from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import gcd, lcm
@@ -406,7 +406,9 @@ class _Tableau:
     ``i`` is an integer row, right side in column ``rhs``, standing for
     ``rows[i] / rows[i][basis[i]]``: its basic entry, kept positive by every
     pivot, is its denominator.  Entries that cancel are dropped, so a stored
-    zero is never chosen as a pivot.
+    zero is never chosen as a pivot.  ``zrow`` is the z-row of the cost
+    :meth:`run` was last given, a positive multiple of the reduced costs
+    (z_j - c_j, optimal when all >= 0); :meth:`pivot` keeps it reduced.
     """
 
     col_of_var: list[tuple[int, Optional[int]]]
@@ -414,10 +416,11 @@ class _Tableau:
     rhs: int
     rows: list[dict[int, int]]
     basis: list[int]
+    zrow: dict[int, int] = field(default_factory=dict)
 
     def copy(self) -> "_Tableau":
-        """A tableau to pivot: :func:`_eliminate` consumes the rows it updates."""
-        return replace(self, rows=[dict(row) for row in self.rows], basis=list(self.basis))
+        """A tableau to pivot, with no z-row: :func:`_eliminate` consumes the rows it updates."""
+        return replace(self, rows=list(map(dict, self.rows)), basis=list(self.basis), zrow={})
 
     def expand(self, coeffs: Iterable[tuple[int, Rational]]) -> Row:
         """The ``(variable, coefficient)`` pairs ``coeffs`` as a row over the columns."""
@@ -439,6 +442,13 @@ class _Tableau:
             for pos, neg in self.col_of_var
         ]
 
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """``row`` with its entries in basic columns cleared against the basic rows."""
+        for i, b in enumerate(self.basis):
+            if b in row:
+                row = _eliminate(row, self.rows[i], b)
+        return row
+
     def pivot(self, row: int, col: int) -> None:
         rows = self.rows
         pivrow = rows[row]
@@ -447,23 +457,20 @@ class _Tableau:
         for i, ri in enumerate(rows):
             if col in ri and i != row:
                 rows[i] = _eliminate(ri, pivrow, col)
+        if col in self.zrow:
+            self.zrow = _eliminate(self.zrow, pivrow, col)
         self.basis[row] = col
 
-    def run(self, cost: Row) -> tuple[str, dict[int, int]]:
-        """Maximize over the columns below ``struct_cols``; returns status and final z-row.
-
-        ``cost`` is the objective over all columns; the z-row is a positive
-        multiple of the reduced costs (z_j - c_j, optimal when all >= 0).
-        """
+    def run(self, cost: Row) -> str:
+        """Maximize ``cost``, a row over all columns, over the columns below
+        ``struct_cols``; returns the status, with :attr:`zrow` the final z-row."""
         rows, basis, rhs, struct_cols = self.rows, self.basis, self.rhs, self.struct_cols
-        zrow = _int_row({j: -c for j, c in cost.items()})
-        for i, b in enumerate(basis):
-            if b in zrow:
-                zrow = _eliminate(zrow, rows[i], b)
+        self.zrow = self.reduce(_int_row({j: -c for j, c in cost.items()}))
         while True:
+            zrow = self.zrow
             enter = min((j for j, x in zrow.items() if j < struct_cols and x < 0), default=-1)
             if enter < 0:
-                return "optimal", zrow
+                return "optimal"
             # rhs_i / a_i, in which the row scale cancels, against the best, cross-multiplied
             leave = best_rhs = best_a = -1
             for i, ri in enumerate(rows):
@@ -474,10 +481,8 @@ class _Tableau:
                     if leave < 0 or diff < 0 or (diff == 0 and basis[i] < basis[leave]):
                         leave, best_rhs, best_a = i, r, a
             if leave < 0:
-                return "unbounded", zrow
+                return "unbounded"
             self.pivot(leave, enter)
-            if enter in zrow:
-                zrow = _eliminate(zrow, rows[leave], enter)
 
     def add_row(self, coeffs: Mapping[int, Rational], rhs: Rational, slack: int) -> None:
         """Append ``coeffs . x + s = rhs`` with its new slack column ``slack`` basic.
@@ -488,15 +493,11 @@ class _Tableau:
         row = self.expand(coeffs.items())
         row[slack] = 1
         row[self.rhs] = rhs
-        row = _int_row(row)
-        for i, b in enumerate(self.basis):
-            if b in row:
-                row = _eliminate(row, self.rows[i], b)
-        self.rows.append(row)
+        self.rows.append(self.reduce(_int_row(row)))
         self.basis.append(slack)
 
-    def restore(self, zrow: dict[int, int]) -> tuple[str, dict[int, int]]:
-        """Dual simplex from a dual-feasible ``zrow``; returns status and final z-row.
+    def restore(self) -> str:
+        """Dual simplex from a dual-feasible :attr:`zrow`; returns the status.
 
         Dual Bland rule: the leaving row has the smallest basic column among
         the rows with a negative right side, and the entering column has the
@@ -509,8 +510,9 @@ class _Tableau:
             negative = (i for i, ri in enumerate(rows) if ri.get(rhs, 0) < 0)
             leave = min(negative, key=basis.__getitem__, default=-1)
             if leave < 0:
-                return "optimal", zrow
+                return "optimal"
             # zrow[j] / -a against the best, cross-multiplied; both -a > 0
+            zrow = self.zrow
             enter = best_z = best_a = -1
             for j, a in rows[leave].items():
                 if a < 0 and j != rhs:
@@ -519,10 +521,8 @@ class _Tableau:
                     if enter < 0 or diff < 0 or (diff == 0 and j < enter):
                         enter, best_z, best_a = j, z, a
             if enter < 0:
-                return "infeasible", zrow
+                return "infeasible"
             self.pivot(leave, enter)
-            if enter in zrow:
-                zrow = _eliminate(zrow, rows[leave], enter)
 
 
 def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
@@ -571,8 +571,7 @@ def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
         rows.append(_int_row(row))
 
     if art > struct_cols:
-        status, zrow = tab.run({c: -1 for c in range(struct_cols, art)})
-        if status != "optimal" or zrow.get(rhs_col):
+        if tab.run({c: -1 for c in range(struct_cols, art)}) != "optimal" or tab.zrow.get(rhs_col):
             return None
         # Pivot remaining zero-level artificials out; drop redundant rows.
         for i in range(len(rows) - 1, -1, -1):
@@ -631,8 +630,7 @@ def lp_maximize(
         return _no_optimum("Infeasible", lazy_rows)
 
     tab = ready.copy()  # the system's tableau is shared
-    status, zrow = tab.run(tab.expand(cost.items()))
-    if status == "unbounded":
+    if tab.run(tab.expand(cost.items())) == "unbounded":
         return _no_optimum("Unbounded", lazy_rows)
     result = _optimum(sys, cost, denom, tab.point())
     if lazy_rows is None:
@@ -645,8 +643,7 @@ def lp_maximize(
         cuts.update(violated)
         for k in violated:
             tab.add_row(*lazy_rows[k], tab.rhs + 1 + k)
-        status, zrow = tab.restore(zrow)
-        if status == "infeasible":
+        if tab.restore() == "infeasible":
             result.lazy = LpResult(status="Infeasible")
             return result
         point = tab.point()

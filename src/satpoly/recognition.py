@@ -44,7 +44,7 @@ from satpoly.builders import (
     satp2_inequality_rows,
 )
 from satpoly.errors import BalanceError, InputError, InternalInvariantError
-from satpoly.linsys import LinearSystem, LpResult, Row, lp_maximize
+from satpoly.linsys import LinearSystem, LpResult, Row, _scaled, lp_maximize
 from satpoly.rational import Rational
 from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, row_codes
 
@@ -447,7 +447,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
         raise InputError("objective shape disagrees with the grid")
     pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
-    base, rows = build_satp_lp(m, n), satp2_inequality_rows(m, n)
+    rows, base = satp2_inequality_rows(m, n), build_satp_lp(m, n)  # rows refused first
     relaxed, strengthened = _optima(base, rows, c0.flat())
     answer = relaxed.value == strengthened.value
     witness = None
@@ -475,7 +475,8 @@ def recognize_bqp(objective: list[Rational], n: int) -> RecognitionOutcome:
         raise InputError("quadric recognition needs n >= 3")
     if len(objective) != bqp_var_count(n):
         raise InputError("objective has wrong dimension")
-    relaxed, tightened = _optima(build_bqp_lp(n), met_triangle_rows(n), objective)
+    rows = met_triangle_rows(n)  # refused before the base is built
+    relaxed, tightened = _optima(build_bqp_lp(n), rows, objective)
     return RecognitionOutcome(
         answer=relaxed.value == tightened.value,
         witness=None,
@@ -515,20 +516,21 @@ def integer_max_oracle(
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
-    rows, v = row_codes(m, n, budget), c.values
+    rows = row_codes(m, n, budget)
+    v, scale = _scaled(c.values)  # the objective times scale, in integers
     # per block column, the six-value blocks of rows 0..m-1
     columns = [[v[6 * (i * n + j) : 6 * (i * n + j) + 6] for i in range(m)] for j in range(n)]
-    best_val: Optional[Fraction] = None
+    best: Optional[int] = None
     for row in rows:
-        total, col = Fraction(0), []
+        total, col = 0, []
         for blocks in columns:
             sums = [sum(b[2 * k + r] for b, r in zip(blocks, row)) for k in range(3)]
             top = max(sums)
             total += top
             col.append(sums.index(top))
-        if best_val is None or total > best_val:
-            best_val, best_code = total, (row, tuple(col))
-    return best_val, VertexCode(*best_code)
+        if best is None or total > best:
+            best, best_code = total, (row, tuple(col))
+    return Fraction(best, scale), VertexCode(*best_code)
 
 
 def bqp_brute_force_max(

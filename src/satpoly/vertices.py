@@ -112,26 +112,6 @@ def _check_grid(m: int, n: int) -> None:
         raise InputError("grid dimensions must be positive")
 
 
-def integral_codes(
-    m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ``2^m 3^n`` codes as raw ``(row, col)`` tuples, lexicographically.
-
-    The grid shape and the budget are checked on the call; the codes
-    themselves are generated lazily.
-    """
-    _check_grid(m, n)
-    # 2^m 3^n >= 2^(m+n) > budget once m + n reaches the budget's bit length,
-    # so a grid that large is refused before its count is computed.
-    if m + n >= budget.bit_length() or 2**m * 3**n > budget:
-        raise BudgetError(f"the codes of the {m}x{n} grid exceed budget {budget}")
-    return (
-        (row, col)
-        for row in itertools.product((0, 1), repeat=m)
-        for col in itertools.product((0, 1, 2), repeat=n)
-    )
-
-
 def row_codes(m: int, n: int, budget: int = DEFAULT_CODE_BUDGET) -> Iterator[tuple[int, ...]]:
     """The ``2^m`` row codes ``row`` of the integral codes, lexicographically.
 
@@ -141,7 +121,7 @@ def row_codes(m: int, n: int, budget: int = DEFAULT_CODE_BUDGET) -> Iterator[tup
     is checked on the call, before any code is generated.
     """
     _check_grid(m, n)
-    if m >= budget.bit_length() or 2**m * n > budget:  # as in integral_codes
+    if m >= budget.bit_length() or 2**m * n > budget:  # as in enumerate_integral_vertices
         raise BudgetError(f"the row codes of the {m}x{n} grid exceed budget {budget}")
     return itertools.product((0, 1), repeat=m)
 
@@ -150,7 +130,16 @@ def enumerate_integral_vertices(
     m: int, n: int, budget: int = DEFAULT_CODE_BUDGET
 ) -> list[VertexCode]:
     """All ``2^m 3^n`` codes in lexicographic order, guarded by a budget."""
-    return [VertexCode(row, col) for row, col in integral_codes(m, n, budget)]
+    _check_grid(m, n)
+    # 2^m 3^n >= 2^(m+n) > budget once m + n reaches the budget's bit length,
+    # so a grid that large is refused before its count is computed.
+    if m + n >= budget.bit_length() or 2**m * 3**n > budget:
+        raise BudgetError(f"the codes of the {m}x{n} grid exceed budget {budget}")
+    return [
+        VertexCode(row, col)
+        for row in itertools.product((0, 1), repeat=m)
+        for col in itertools.product((0, 1, 2), repeat=n)
+    ]
 
 
 def adjacent(u: VertexCode, v: VertexCode) -> bool:
@@ -234,7 +223,7 @@ def construct_clique(
     """
     _check_grid(m, n)
     p = min(m, n)
-    if p >= budget.bit_length() or 2**p > budget:  # as in integral_codes
+    if p >= budget.bit_length() or 2**p > budget:  # as in enumerate_integral_vertices
         raise BudgetError(f"the {m}x{n} clique exceeds budget {budget}")
     out = []
     for bits in itertools.product((0, 1), repeat=p):

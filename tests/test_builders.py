@@ -19,8 +19,9 @@ from satpoly.builders import (
     build_satp2_lp,
     met_triangle_rows,
     project_satp_face_to_bqp,
+    satp2_inequality_rows,
 )
-from satpoly.errors import FaceMembershipError, InputError
+from satpoly.errors import BudgetError, FaceMembershipError, InputError
 from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices
 from tests.conftest import grid_point, TABLE9_ROWS
@@ -122,6 +123,19 @@ def test_met_counts_and_cutting():
     assert met_triangle_rows(2) == ()
     with pytest.raises(InputError):
         build_met(2)
+
+
+def test_strengthening_rows_over_a_million_coefficients_are_refused():
+    # 24 m(m-1) n(n-1) coefficients for SATP^2, 18 C(n,3) for the triangle rows
+    assert sum(len(a) for a, _ in satp2_inequality_rows(3, 4)) == 24 * 6 * 12
+    assert sum(len(a) for a, _ in met_triangle_rows(6)) == 18 * 20
+    # 14x14 holds 794,976 and n = 70 holds 985,320; the next sizes are refused
+    for build in (satp2_inequality_rows, build_satp2_lp):
+        with pytest.raises(BudgetError, match="15x15 satp2 rows exceed 1000000"):
+            build(15, 15)
+    for build in (met_triangle_rows, build_met):
+        with pytest.raises(BudgetError, match="n = 71 triangle rows exceed 1000000"):
+            build(71)
 
 
 def test_met_keeps_zero_one_points():

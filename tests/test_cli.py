@@ -98,6 +98,9 @@ GRID_REFUSALS = {
     "build-satp": (["build", "--polytope", "satp", "--m", "409", "--n", "409"], None),
     "build-met": (["build", "--polytope", "met", "--n", "1414"], None),
     "build-bqp-std": (["build", "--polytope", "bqp-std", "--n", "707"], None),
+    # 24 m(m-1) n(n-1) and 18 C(n,3) strengthening coefficients over 10^6
+    "build-satp2": (["build", "--polytope", "satp2", "--m", "40", "--n", "40"], None),
+    "build-met-rows": (["build", "--polytope", "met", "--n", "300"], None),
     "ecbgc-solve": (["ecbgc", "solve", "--instance"], "ecbgc 200000 1\n"),
     "oracle-ecbgc": (["oracle", "ecbgc", "--instance"], "ecbgc 10000000 1\n"),
     "ecbgc-check": (["ecbgc", "check", "--instance"], "ecbgc 1 10000000\n"),
@@ -123,6 +126,31 @@ def test_grid_refusals_allocate_nothing(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert peak < 2**20
+
+
+STRENGTHENING_REFUSALS = {
+    # 4,867,200 rows: the objective is read, the rows refused before the base is built
+    "satp": (["satp"], BlockPoint.zeros(40, 40).to_text(tag="objective")),
+    # 17,820,400 triangle rows over 45,150 variables
+    "bqp": (["bqp", "--n", "300"], " ".join(["0"] * 45150) + "\n"),
+}
+
+
+@pytest.mark.parametrize("case", STRENGTHENING_REFUSALS)
+def test_recognize_refuses_strengthening_rows_over_budget(tmp_path, capsys, case):
+    args, text = STRENGTHENING_REFUSALS[case]
+    path = tmp_path / "objective.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        result = invoke("recognize", *args, "--objective", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("refused: ") and err.count("\n") == 1
+    assert peak < 4 * 2**20
 
 
 def test_build_and_lp_pipeline(tmp_path):

@@ -24,7 +24,7 @@ from satpoly.ecbgc import (
 from satpoly.errors import BalanceError, BudgetError, InputError, SubclassError
 from satpoly.recognition import integer_max_oracle, normalization_ledger
 from satpoly.reductions import Cnf3Formula, parse_cnf3, x3sat_oracle
-from satpoly.vertices import integral_codes
+from satpoly.vertices import enumerate_integral_vertices
 from tests.conftest import (
     FORMULA_18,
     TABLE16_INSTANCE,
@@ -132,7 +132,8 @@ def test_brute_force_examples():
 
 def coloring_reference(inst):
     """The full walk: the first of the ``2^m 3^n`` codes every edge permits, or None."""
-    for row, col in integral_codes(inst.u_count, inst.v_count):
+    for code in enumerate_integral_vertices(inst.u_count, inst.v_count):
+        row, col = code.row, code.col
         if all(pc[row[i - 1]][col[j - 1]] for i, j, pc in inst.edges):
             return Coloring(tuple(r + 1 for r in row), tuple(k + 1 for k in col))
     return None

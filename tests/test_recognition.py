@@ -35,7 +35,7 @@ from satpoly.recognition import (
     recognize_satp,
 )
 from satpoly.reductions import objective_x3sat, parse_cnf3
-from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices, integral_codes
+from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices
 from tests.conftest import (
     FORMULA_18,
     TABLE16_OBJECTIVE_ROWS,
@@ -521,11 +521,11 @@ def test_sandwich_for_arbitrary_objectives():
 def integer_max_reference(c, m, n):
     """The full walk: every one of the ``2^m 3^n`` codes, the first argmax kept."""
     best_val = best_code = None
-    for row, col in integral_codes(m, n):
-        cells = ((i, j, cj, ri) for i, ri in enumerate(row) for j, cj in enumerate(col))
+    for code in enumerate_integral_vertices(m, n):
+        cells = ((i, j, cj, ri) for i, ri in enumerate(code.row) for j, cj in enumerate(code.col))
         total = sum((c[cell] for cell in cells), Fraction(0))
         if best_val is None or total > best_val:
-            best_val, best_code = total, VertexCode(row, col)
+            best_val, best_code = total, code
     return best_val, best_code
 
 

@@ -235,6 +235,60 @@ def test_warm_solve_makes_only_the_cold_phase_2_pivots(problem):
     assert (ready is None) == (cold.status == "Infeasible")
 
 
+@st.composite
+def lazy_lp_problems(draw):
+    """A problem of :func:`lp_problems` and up to four lazy rows over its variables."""
+    sys, objective = draw(lp_problems())
+    coeffs = st.dictionaries(st.integers(0, sys.var_count - 1), COEFFS, max_size=sys.var_count)
+    return sys, objective, draw(st.lists(st.tuples(coeffs, COEFFS), max_size=4))
+
+
+@contextmanager
+def checked_z_rows():
+    """Check after every ``run``, ``add_row``, ``restore`` and ``pivot`` that
+    ``tab.zrow`` is the cost row last given to ``run`` reduced at the current
+    basis; yields the names of the checked calls, in order."""
+    checked, costs = [], {}
+    originals = {name: getattr(_Tableau, name) for name in ("run", "add_row", "restore", "pivot")}
+
+    def checking(name):
+        def call(tab, *args):
+            if name == "run":
+                costs[id(tab)] = args[0]
+            result = originals[name](tab, *args)
+            cost = linsys._int_row({j: -c for j, c in costs[id(tab)].items()})
+            assert tab.zrow == tab.reduce(cost), name
+            checked.append(name)
+            return result
+
+        return call
+
+    for name in originals:
+        setattr(_Tableau, name, checking(name))
+    try:
+        yield checked
+    finally:
+        for name, method in originals.items():
+            setattr(_Tableau, name, method)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lazy_lp_problems())
+def test_the_z_row_is_the_cost_row_reduced_at_the_basis(problem):
+    sys, objective, lazy_rows = problem
+    with checked_z_rows():
+        lp_maximize(replace(sys), objective, lazy_rows=lazy_rows)  # a cold solve
+
+
+def test_the_z_row_checks_reach_every_tableau_method():
+    # two cut rounds, each with one dual pivot
+    sys = LinearSystem(2, ineq_rows=[({0: 1}, 2), ({1: 1}, 2)])
+    with checked_z_rows() as checked:
+        lp_maximize(sys, [2, 1], lazy_rows=[({0: 1}, 1), ({0: -1, 1: 1}, Fraction(1, 2))])
+    assert checked.count("run") == 1 and checked.count("restore") == 2
+    assert checked.count("add_row") == 2 and checked.count("pivot") == 4
+
+
 def test_a_memoized_system_is_read_only():
     sys = build_satp_lp(2, 2)
     assert build_satp_lp(2, 2) is sys

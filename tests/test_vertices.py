@@ -20,7 +20,6 @@ from satpoly.vertices import (
     enumerate_integral_vertices,
     enumerate_lp_vertices,
     fractional_vertex,
-    integral_codes,
     is_edge,
     point_to_code,
     skeleton,
@@ -91,15 +90,11 @@ def test_enumeration_counts_and_budget():
         enumerate_integral_vertices(3, 2, budget=10)
 
 
-def test_integral_codes_checks_on_call_and_stays_lazy():
+def test_enumeration_checks_the_grid_and_the_budget_first():
     with pytest.raises(BudgetError):
-        integral_codes(40, 40)  # refused before the first code is asked for
+        enumerate_integral_vertices(40, 40)  # refused before any code is built
     with pytest.raises(InputError):
-        integral_codes(0, 2)
-    # 2^30 3^30 codes: only a lazy walk returns the first two at once
-    codes = integral_codes(30, 30, budget=10**30)
-    assert next(codes) == ((0,) * 30, (0,) * 30)
-    assert next(codes) == ((0,) * 30, (0,) * 29 + (1,))
+        enumerate_integral_vertices(0, 2)
 
 
 def test_skeleton_and_clique_budgets():
