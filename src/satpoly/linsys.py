@@ -573,19 +573,25 @@ def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
     if art > struct_cols:
         if tab.run({c: -1 for c in range(struct_cols, art)}) != "optimal" or tab.zrow.get(rhs_col):
             return None
-        # Pivot remaining zero-level artificials out; drop redundant rows.
+        # Pivot remaining zero-level artificials out, then drop the redundant
+        # rows, those with no structural entry: no pivot reads or changes them,
+        # and dropping one last keeps the z-row reduced at every pivot.
+        redundant = []
         for i in range(len(rows) - 1, -1, -1):
             if basis[i] >= struct_cols:
                 entry = min((j for j in rows[i] if j < struct_cols), default=None)
                 if entry is None:
-                    del rows[i]
-                    del basis[i]
+                    redundant.append(i)
                 else:
                     tab.pivot(i, entry)
+        for i in redundant:  # descending
+            del rows[i]
+            del basis[i]
         rows[:] = [
             _primitive({j: x for j, x in row.items() if not struct_cols <= j < rhs_col})
             for row in rows
         ]
+        tab.zrow = {}  # the phase-1 z-row, over the deleted artificial columns
     return tab
 
 
