@@ -22,7 +22,7 @@ from typing import Sequence
 
 from satpoly.errors import BudgetError, InputError
 from satpoly.linsys import MAX_TEXT_VARS
-from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
+from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_token
 
 
 def flat_index(i: int, j: int, k: int, l: int, n: int) -> int:
@@ -108,7 +108,7 @@ class BlockPoint:
         for i in range(m):
             end = 6 * (i + 1) * n
             for k in range(3):
-                parsed = [parse_rational(t) for t in rows[3 * i + k]]
+                parsed = [parse_token(t)[0] for t in rows[3 * i + k]]
                 start = 6 * i * n + 2 * k
                 p.values[start:end:6] = parsed[0::2]
                 p.values[start + 1 : end : 6] = parsed[1::2]

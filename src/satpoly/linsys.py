@@ -15,8 +15,11 @@ back-substitution and the point read off the final tableau divide, in
 ``Fraction``.  Row tests at a point scale the point once by the lcm of its
 denominators and then work in integers; one pass finds the rows active at
 a set of points and the columns they pin at zero.  The text reader
-parses only the nonzero tokens of a dense row, each distinct token once,
-and keeps integral values as ``int``s, the form the builders emit.
+checks a row's shape in O(1) and parses only the nonzero tokens of a
+dense row, each distinct token once through the cache it shares with the
+block-point reader, and keeps integral values as ``int``s, the form the
+builders emit; a row of ``int``s enters elimination with no ``Fraction``
+work.
 
 A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
@@ -36,13 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from satpoly.errors import BudgetError, InputError, InternalInvariantError
-from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_rational
+from satpoly.rational import Rational, content_lines, format_rational, parse_int, parse_token
 
 Row = dict[int, Rational]
 """A sparse row: column index to coefficient; absent columns are zero."""
@@ -218,21 +221,27 @@ def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
 
 
 def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
-    """A dense text row (``c1 ... cN | rhs``) as a sparse row and its right side."""
+    """A dense text row (``c1 ... cN | rhs``) as a sparse row and its right side.
+
+    The shape is checked in O(1), by the length and the ``|`` at the
+    separator's place (a negative ``var_count`` fits no row).  A ``|`` among
+    the coefficients fails to parse, so the tokens are scanned for one only
+    on an error, to choose the message.
+    """
+    if var_count >= 0 and len(tokens) == var_count + 2 and tokens[var_count] == "|":
+        try:
+            row = {
+                j: c
+                for j in range(var_count)
+                if tokens[j] != "0" and (c := parse_token(tokens[j])[1])
+            }
+            return row, parse_token(tokens[-1])[1]
+        except InputError:
+            if "|" not in tokens[:var_count]:
+                raise
     if "|" not in tokens:
         raise InputError("constraint row missing '|' separator")
-    if tokens.index("|") != var_count or len(tokens) != var_count + 2:
-        raise InputError("constraint row has wrong shape")
-    row = {j: c for j in range(var_count) if tokens[j] != "0" and (c := _parse_value(tokens[j]))}
-    return row, _parse_value(tokens[-1])
-
-
-@lru_cache(maxsize=64)
-def _parse_value(token: str) -> Rational:
-    """The value of one token, an ``int`` when integral; a dense text repeats
-    a few distinct tokens, so each is parsed once (an error is not cached)."""
-    value = parse_rational(token)
-    return value.numerator if value.denominator == 1 else value
+    raise InputError("constraint row has wrong shape")
 
 
 def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
@@ -271,6 +280,8 @@ def _int_row(values: Row) -> dict[int, int]:
     scaling a row changes neither its span nor its solutions.
     """
     row = {j: v for j, v in values.items() if v}
+    if all(type(v) is int for v in row.values()):  # the builders' and the reader's rows
+        return _primitive(row)
     nums, _ = _scaled(list(row.values()))
     return _primitive(dict(zip(row, nums)))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from satpoly.errors import InputError
@@ -32,6 +33,19 @@ def parse_rational(text: str) -> Rational:
         raise InputError(f"rational literal too long: {len(text)} characters") from None
     except ZeroDivisionError:
         raise InputError(f"zero denominator: {text!r}") from None
+
+
+@lru_cache(maxsize=64)
+def parse_token(token: str) -> tuple[Rational, int | Rational]:
+    """``parse_rational(token)``, and the same value as an ``int`` when integral.
+
+    The first form is what a block point holds, the second what a sparse
+    row holds.  Both text readers share this one cache: a dense text repeats
+    a few distinct tokens, so each is parsed once.  The values are
+    immutable, so sharing them is safe; an error is not cached.
+    """
+    value = parse_rational(token)
+    return value, value.numerator if value.denominator == 1 else value
 
 
 def parse_int(tokens: Sequence[str], index: int, what: str) -> int:

@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from satpoly.blockpoint import BlockPoint
 from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import (
+    MAX_TEXT_VARS,
     LinearSystem,
     Row,
     _int_row,
@@ -219,12 +220,16 @@ def construct_clique(
 
     Codes agree between row and col on the first ``min(m, n)`` coordinates
     (cols restricted to {0,1}) and are zero elsewhere; any two of them
-    differ in both vectors, hence are pairwise adjacent.
+    differ in both vectors, hence are pairwise adjacent.  ``budget`` bounds
+    the number of codes and ``MAX_TEXT_VARS`` their entries, ``m + n`` per
+    code: the 10^9 x 1 grid has two codes, each 10^9 + 1 entries long.
     """
     _check_grid(m, n)
     p = min(m, n)
     if p >= budget.bit_length() or 2**p > budget:  # as in enumerate_integral_vertices
         raise BudgetError(f"the {m}x{n} clique exceeds budget {budget}")
+    if 2**p * (m + n) > MAX_TEXT_VARS:
+        raise BudgetError(f"the {m}x{n} clique's codes exceed {MAX_TEXT_VARS} entries")
     out = []
     for bits in itertools.product((0, 1), repeat=p):
         row = tuple(bits) + (0,) * (m - p)
@@ -481,10 +486,14 @@ def enumerate_lp_vertices(
 
     if lineality:
         return []
-    found = {
-        tuple(Fraction(y[v], y[t]) for v in range(n_struct)) for y in rays if y[t] > 0
-    }
-    return sorted(map(list, found))
+    # Each vertex times the lcm of the rays' t: integer tuples that dedupe and
+    # sort as the vertices do, the scale being positive.  They share a few
+    # distinct entries, so each Fraction is built once.
+    bounded = [y for y in rays if y[t] > 0]
+    scale = lcm(*(y[t] for y in bounded))
+    found = {tuple(x * (scale // y[t]) for x in y[:n_struct]) for y in bounded}
+    value = {x: Fraction(x, scale) for x in set().union(*found)}
+    return [[value[x] for x in vertex] for vertex in sorted(found)]
 
 
 def _apply(row: dict[int, int], y: list[int]) -> int:

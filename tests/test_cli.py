@@ -80,6 +80,8 @@ BUDGET_REFUSALS = {
     "enumerate-huge": ["vertices", "enumerate", "--m", "10000000", "--n", "1"],
     "diameter-huge": ["vertices", "diameter", "--m", "100000000", "--n", "3"],
     "clique-huge": ["vertices", "clique", "--m", "100000000", "--n", "100000000"],
+    # two codes, each 10^9 + 1 entries long
+    "clique-long": ["vertices", "clique", "--m", "1000000000", "--n", "1"],
 }
 
 

@@ -5,12 +5,14 @@ kernel gets them as sparse rows through :func:`sparse_rows`.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from satpoly.linsys import (
     LinearSystem,
+    _int_row,
     _solve_equalities,
     rank,
     rank_at_most,
@@ -115,3 +117,29 @@ def test_kernel_handles_negative_pivots_and_large_entries():
     rows = [([-2, big], -1), ([big, Fraction(-7, 5)], big), ([-4, 2 * big], -2)]
     assert _solve_equalities(sparse_rows(rows), 2) == gauss_jordan(rows, 2)[:2]
     assert rank([coeffs for coeffs, _ in sparse_rows(rows)]) == 2
+
+
+# Integral rows come as ints and as Fraction(k, 1); proper fractions mix in.
+ROW_VALUES = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+    st.booleans().map(lambda big: 10**30 + 1 if big else -(10**30)),
+)
+
+
+def int_row_reference(values):
+    """The primitive positive integer multiple of a rational row, in ``Fraction``."""
+    row = {j: Fraction(v) for j, v in values.items() if v}
+    scaled = {j: v * lcm(*(x.denominator for x in row.values())) for j, v in row.items()}
+    g = gcd(*(int(v) for v in scaled.values()))
+    return {j: int(v) // g for j, v in scaled.items()}
+
+
+@given(st.dictionaries(st.integers(0, 30), ROW_VALUES, max_size=8))
+def test_int_row_is_the_primitive_positive_integer_multiple(values):
+    snapshot = dict(values)
+    got = _int_row(values)
+    assert got == int_row_reference(values)
+    assert all(type(v) is int for v in got.values())
+    assert got is not values and values == snapshot  # a new row: elimination consumes it

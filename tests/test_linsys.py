@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -524,17 +525,24 @@ def test_row_reader_drops_zero_values_and_keeps_validation():
     assert back.ineq_rows == (({1: -2}, 0),)
     assert [type(v) for v in (back.eq_rows[0][1], back.ineq_rows[0][0][1])] == [int, int]
     bad_rows = [
-        "1/0 0 0 0 | 1",
-        "0.0 0 0 0 | 1",
-        "+1 0 0 0 | 1",
-        "x 0 0 0 | 1",
-        "0 0 0 0 | 0.0",
-        "0 0 0 0 1",  # no '|'
-        "0 0 0 | 1",  # short
-        "0 0 0 0 0 | 1",  # long
-        "0 0 0 0 | 1 2",
-        "0 0 0 0 |",
+        ("1/0 0 0 0 | 1", "zero denominator: '1/0'"),
+        ("0.0 0 0 0 | 1", "not a rational literal: '0.0'"),
+        ("+1 0 0 0 | 1", "not a rational literal: '+1'"),
+        ("x 0 0 0 | 1", "not a rational literal: 'x'"),
+        ("0 0 0 0 | 0.0", "not a rational literal: '0.0'"),
+        ("0 0 0 0 1", "constraint row missing '|' separator"),
+        ("0 0 0 | 1", "constraint row has wrong shape"),  # short
+        ("0 0 0 0 0 | 1", "constraint row has wrong shape"),  # long
+        ("0 0 0 0 | 1 2", "constraint row has wrong shape"),
+        ("0 0 0 0 |", "constraint row has wrong shape"),
+        # a '|' at the separator's place and a second among the coefficients
+        ("0 | 0 0 | 1", "constraint row has wrong shape"),
+        ("x | 0 0 | 1", "constraint row has wrong shape"),
+        ("0 0 0 0 | |", "not a rational literal: '|'"),
     ]
-    for row in bad_rows:
-        with pytest.raises(InputError):
+    for row, message in bad_rows:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             LinearSystem.from_text(f"vars 4\nle {row}\n")
+    # tokens[-1] is the '|' of a one-token row, which no header fits
+    with pytest.raises(InputError, match="^constraint row has wrong shape$"):
+        LinearSystem.from_text("vars -1\nle |\n")

@@ -108,6 +108,11 @@ def test_skeleton_and_clique_budgets():
         construct_clique(5, 5, budget=31)
     with pytest.raises(BudgetError):
         construct_clique(40, 40)
+    # Two codes, or 2^19, within the code budget but each very long.
+    assert [c.m for c in construct_clique(499_999, 1)] == [499_999] * 2
+    for m, n in ((500_000, 1), (10**9, 1), (1, 10**9), (19, 8000)):
+        with pytest.raises(BudgetError, match="entries"):
+            construct_clique(m, n)
 
 
 def test_adjacency_trichotomy_examples():
@@ -369,6 +374,30 @@ def test_enumerate_lp_vertices_with_inequalities():
         (Fraction(0), ONE),
         (ONE, Fraction(0)),
     ]
+
+
+def census_reference(vertices):
+    """The vertices as ``Fraction`` tuples, deduped and sorted in ``Fraction`` order."""
+    return sorted(map(list, {tuple(Fraction(x) for x in v) for v in vertices}))
+
+
+def test_census_returns_fractions_in_fraction_order():
+    # Vertices with denominators 1, 2, 3 and 5.  Sorted unscaled, the
+    # primitive rays would put (1/2, 0), ray (1, 0 | t = 2), before
+    # (2/5, 1/5), ray (2, 1 | t = 5).
+    two_cuts = LinearSystem(2, ineq_rows=[({0: 2, 1: 1}, 1), ({0: 1, 1: 3}, 1)])
+    verts = enumerate_lp_vertices(two_cuts)
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    assert verts == [[0, 0], [0, third], [2 * fifth, fifth], [Fraction(1, 2), 0]]
+    assert verts == brute_force_vertices(two_cuts)
+    satp = build_satp_lp(1, 2)
+    census = enumerate_lp_vertices(satp)
+    assert len(census) == 18
+    assert {x.denominator for v in census for x in v} == {1}  # integral, yet Fractions
+    assert all(verify_vertex(v, satp) for v in census)
+    for found in (verts, census):
+        assert found == census_reference(found)
+        assert all(type(x) is Fraction for v in found for x in v)
 
 
 def brute_force_vertices(sys):
