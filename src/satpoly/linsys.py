@@ -21,6 +21,15 @@ block-point reader, and keeps integral values as ``int``s, the form the
 builders emit; a row of ``int``s enters elimination with no ``Fraction``
 work.
 
+Both simplex phases price by Dantzig's rule: the column with the most
+negative reduced cost enters, ties to the smaller column.  Degenerate
+pivots, frequent at the SATP and BQP vertices, can cycle under that rule,
+so after :data:`STALL` of them in a row Bland's smallest-index rule (Bland
+1977) takes over until the next nondegenerate pivot.  This terminates: a nondegenerate pivot strictly
+raises the objective, so a basis can repeat only inside one run of
+degenerate pivots, and a run longer than ``STALL`` continues under Bland's
+rule, which cannot cycle.
+
 A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
 tableau, or the finding that there is none, is computed once per system
@@ -53,6 +62,10 @@ Row = dict[int, Rational]
 #: The largest ``vars`` header :meth:`LinearSystem.from_text` accepts, checked before
 #: any per-variable allocation; the SATP system of a 10x10 grid has 600 variables.
 MAX_TEXT_VARS = 10**6
+
+#: Consecutive degenerate pivots after which :meth:`_Tableau.run` leaves
+#: Dantzig's rule for Bland's, until the next nondegenerate pivot.
+STALL = 20
 
 
 @dataclass(frozen=True)
@@ -198,12 +211,12 @@ def frozen_rows(
     """``rows`` as a tuple of ``(coeffs, rhs)`` pairs, each dict ``coeffs``
     wrapped, not copied, in a :class:`types.MappingProxyType`; InputError for
     a row that is not a map or names a column outside ``range(var_count)``."""
-    columns = range(var_count)
+    in_range = frozenset(range(var_count)).issuperset
     frozen = []
     for coeffs, rhs in rows:
         if isinstance(coeffs, dict):
             coeffs = MappingProxyType(coeffs)
-        if not isinstance(coeffs, MappingProxyType) or any(j not in columns for j in coeffs):
+        if not isinstance(coeffs, MappingProxyType) or not in_range(coeffs):
             raise InputError(
                 f"constraint row must be a {{column: coefficient}} dict over "
                 f"columns 0..{var_count - 1}"
@@ -408,7 +421,12 @@ class LpResult:
 
 @dataclass
 class _Tableau:
-    """Sparse integer simplex tableau with Bland's anti-cycling rule.
+    """Sparse integer simplex tableau: Dantzig's pricing, Bland's rule after a stall.
+
+    :meth:`run` enters the column of most negative z-row entry, and after
+    :data:`STALL` degenerate pivots in a row the smallest column with a
+    negative entry, until a pivot is nondegenerate; only a run of degenerate
+    pivots can repeat a basis, and Bland's rule ends every long one.
 
     ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
     of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
@@ -474,14 +492,29 @@ class _Tableau:
 
     def run(self, cost: Row) -> str:
         """Maximize ``cost``, a row over all columns, over the columns below
-        ``struct_cols``; returns the status, with :attr:`zrow` the final z-row."""
+        ``struct_cols``; returns the status, with :attr:`zrow` the final z-row.
+
+        Dantzig's rule: the entering column has the most negative z-row
+        entry, ties to the smaller column; the z-row is one positive multiple
+        of the reduced costs, so this is their argmin.  After :data:`STALL`
+        degenerate pivots in a row (the winning right side is 0), Bland's
+        rule, the smallest column with a negative entry, enters until the
+        next nondegenerate pivot.  The leaving row has the least ratio,
+        ties to the smallest basic column.
+
+        This terminates: a nondegenerate pivot strictly raises the
+        objective, so a basis can repeat only inside one run of degenerate
+        pivots, and a run longer than ``STALL`` continues under Bland's
+        rule, which cannot cycle (Bland 1977).
+        """
         rows, basis, rhs, struct_cols = self.rows, self.basis, self.rhs, self.struct_cols
         self.zrow = self.reduce(_int_row({j: -c for j, c in cost.items()}))
+        stalled = 0
         while True:
-            zrow = self.zrow
-            enter = min((j for j, x in zrow.items() if j < struct_cols and x < 0), default=-1)
-            if enter < 0:
+            negative = [(x, j) for j, x in self.zrow.items() if x < 0 and j < struct_cols]
+            if not negative:
                 return "optimal"
+            enter = min(negative)[1] if stalled < STALL else min(j for _, j in negative)
             # rhs_i / a_i, in which the row scale cancels, against the best, cross-multiplied
             leave = best_rhs = best_a = -1
             for i, ri in enumerate(rows):
@@ -493,6 +526,7 @@ class _Tableau:
                         leave, best_rhs, best_a = i, r, a
             if leave < 0:
                 return "unbounded"
+            stalled = stalled + 1 if best_rhs == 0 else 0
             self.pivot(leave, enter)
 
     def add_row(self, coeffs: Mapping[int, Rational], rhs: Rational, slack: int) -> None:
@@ -614,10 +648,14 @@ def lp_maximize(
     """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
 
     Two-phase simplex on one :class:`_Tableau`: phase 1 (:func:`_phase1`)
-    lays out the columns and finds a feasible basis, phase 2 optimizes with
-    Bland's smallest-index rule, which guarantees termination, and the
-    point is read off the final tableau.  Infeasible and unbounded inputs
-    are reported as statuses, never exceptions.
+    lays out the columns and finds a feasible basis, phase 2 optimizes, and
+    the point is read off the final tableau.  Both phases enter the column
+    of most negative reduced cost (Dantzig's rule), and after :data:`STALL`
+    degenerate pivots in a row the smallest such column (Bland's rule) until
+    a pivot is nondegenerate.  This terminates: nondegenerate pivots
+    strictly raise the objective, so only a run of degenerate pivots can
+    repeat a basis, and Bland's rule cannot cycle (Bland 1977).  Infeasible
+    and unbounded inputs are reported as statuses, never exceptions.
 
     Phase 1 never reads the objective, so its tableau is computed once per
     system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call

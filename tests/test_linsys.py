@@ -202,7 +202,7 @@ def test_lp_matches_vertex_enumeration_on_boxed_systems(lp):
 
 # sha256[:16] of the `satpoly lp` output for the objective (7v mod 5) - 2.
 LP_DIGESTS = {
-    ("satp", 3, 3): "c82c066127808527",
+    ("satp", 3, 3): "58dc07bb8735f08a",
     ("satp2", 3, 3): "a19e2131cf775700",
     ("bqp", None, 6): "fcf9dab18fd840af",
     ("met", None, 6): "719cee9a3a75994d",
@@ -297,6 +297,17 @@ def test_constructor_rejects_rows_outside_the_sparse_format():
         LinearSystem(2, ineq_rows=[({-1: 1}, 0)])
     with pytest.raises(InputError):
         LinearSystem(2, eq_rows=[([ONE, ONE], ONE)])  # a dense list row
+
+
+def test_a_row_key_outside_the_columns_is_refused_by_name():
+    message = "constraint row must be a {column: coefficient} dict over columns 0..2"
+    for key in (-1, 3, "a", 1.5):
+        for rows in ("eq_rows", "ineq_rows"):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                LinearSystem(3, **{rows: [({0: 1, key: 1}, 0)]})
+    # True == 1 and hash(True) == hash(1): it names column 1, as in range(3)
+    sys = LinearSystem(3, ineq_rows=[({True: 1}, 1)])
+    assert sys.is_feasible([0, 1, 0]) and not sys.is_feasible([0, 2, 0])
 
 
 def test_tight_rows_share_rows_and_emit_unit_rows():

@@ -2,7 +2,8 @@
 
 The reference below is the rational tableau and two-phase driver that
 :func:`satpoly.linsys.lp_maximize` ran on before its rows became integer
-rows.  Both must make the same pivots, in the same order, and return equal
+rows, with the entering rule written again over its ``Fraction`` reduced
+costs.  Both must make the same pivots, in the same order, and return equal
 results.  A cold solve, the first on a system, makes every pivot; a warm
 one, on a system that keeps its phase-1 tableau, makes only the phase-2
 pivots of the cold solve.
@@ -21,12 +22,12 @@ from hypothesis import strategies as st
 
 import satpoly.linsys as linsys
 from satpoly.builders import build_bqp_lp, build_satp_lp, met_triangle_rows, satp2_inequality_rows
-from satpoly.linsys import LinearSystem, LpResult, _Tableau, lp_maximize
+from satpoly.linsys import STALL, LinearSystem, LpResult, _Tableau, lp_maximize
 from tests.test_vertices import COEFFS
 
 
 class FractionTableau:
-    """Reference: sparse ``Fraction`` tableau with Bland's rule."""
+    """Reference: sparse ``Fraction`` tableau, Dantzig's rule with a Bland fallback."""
 
     def __init__(self, rows, basis, rhs):
         self.rows = rows
@@ -47,16 +48,26 @@ class FractionTableau:
         self.basis[row] = col
 
     def run(self, cost, allowed):
+        """Dantzig's rule: the column of least reduced cost enters, ties to the
+        smaller column, except that after ``STALL`` zero-ratio pivots in a row
+        the smallest column of negative reduced cost enters, until a pivot
+        with a positive ratio."""
         rows, basis, rhs = self.rows, self.basis, self.rhs
         zrow = {j: -c for j, c in cost.items()}
         for i, b in enumerate(basis):
             f = zrow.get(b)
             if f:
                 sub_scaled(zrow, f, rows[i])
+        degenerate = 0
         while True:
-            enter = min((j for j, x in zrow.items() if j < allowed and x < 0), default=-1)
-            if enter < 0:
+            columns = sorted(j for j, x in zrow.items() if j < allowed and x < 0)
+            if not columns:
                 return "optimal", zrow
+            enter = columns[0]
+            if degenerate < STALL:
+                for j in columns:
+                    if zrow[j] < zrow[enter]:
+                        enter = j
             leave = -1
             best = None
             for i, ri in enumerate(rows):
@@ -68,6 +79,7 @@ class FractionTableau:
                         leave = i
             if leave < 0:
                 return "unbounded", zrow
+            degenerate = degenerate + 1 if best == 0 else 0
             self.pivot(leave, enter)
             f = zrow.get(enter)
             if f:
@@ -158,14 +170,22 @@ def fraction_tight_set(sys, point):
     }
 
 
+class PivotCapReached(Exception):
+    """Raised by :func:`recorded_pivots` at the pivot past its cap."""
+
+
 @contextmanager
-def recorded_pivots(cls):
-    """The ``(row, col)`` of every ``cls.pivot`` call inside the block, in order."""
+def recorded_pivots(cls, cap=None):
+    """The ``(row, col)`` of every ``cls.pivot`` call inside the block, in order;
+    the pivot past ``cap`` raises :class:`PivotCapReached`, so a rule that
+    cycles fails instead of running forever."""
     pivots = []
     original = cls.pivot
 
     def pivot(self, row, col):
         pivots.append((row, col))
+        if cap is not None and len(pivots) > cap:
+            raise PivotCapReached(cap)
         original(self, row, col)
 
     cls.pivot = pivot
@@ -173,6 +193,20 @@ def recorded_pivots(cls):
         yield pivots
     finally:
         cls.pivot = original
+
+
+# Chvátal, Linear Programming (1983), p. 31: the largest-coefficient rule,
+# ties in the ratio test to the smallest basic column, cycles through six
+# degenerate bases from the slack basis.
+CHVATAL = LinearSystem(
+    4,
+    ineq_rows=[
+        ({0: Fraction(1, 2), 1: Fraction(-11, 2), 2: Fraction(-5, 2), 3: 9}, 0),
+        ({0: Fraction(1, 2), 1: Fraction(-3, 2), 2: Fraction(-1, 2), 3: 1}, 0),
+        ({0: 1}, 1),
+    ],
+)
+CHVATAL_OBJECTIVE = [10, -57, -9, -24]
 
 
 @st.composite
@@ -204,12 +238,13 @@ def lp_problems(draw):
 @example(  # an artificial left at level zero, pivoted out on a negative entry
     (LinearSystem(2, eq_rows=[({0: -1, 1: -1}, 0)], ineq_rows=[({0: 1, 1: 2}, 4)]), [1, -1])
 )
+@example((CHVATAL, CHVATAL_OBJECTIVE))  # STALL degenerate pivots, then Bland's rule
 def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
     sys, objective = problem
     sys = replace(sys)  # a new system has no phase-1 tableau: a cold solve
-    with recorded_pivots(_Tableau) as pivots:
+    with recorded_pivots(_Tableau, cap=200) as pivots:
         result = lp_maximize(sys, objective)
-    with recorded_pivots(FractionTableau) as reference_pivots:
+    with recorded_pivots(FractionTableau, cap=200) as reference_pivots:
         reference = fraction_lp_maximize(sys, objective)
     assert pivots == reference_pivots
     assert result == reference
@@ -217,6 +252,24 @@ def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
         assert sys.tight_set(result.point) == fraction_tight_set(sys, reference.point)
         assert type(result.value) is Fraction
         assert all(type(x) is Fraction for x in result.point)
+
+
+def test_the_bland_fallback_breaks_chvatals_cycle():
+    with recorded_pivots(_Tableau, cap=200) as pivots:
+        result = lp_maximize(replace(CHVATAL), CHVATAL_OBJECTIVE)
+    assert result == LpResult(status="Optimal", value=1, point=[1, 0, 1, 0])
+    # Dantzig's rule walks the cycle, six pivots a turn, for STALL degenerate pivots
+    assert pivots[6:STALL] == pivots[: STALL - 6]
+    # then Bland's rule leaves it (x1 enters where the cycle had the slack
+    # x6), and the first nondegenerate pivot, on x1 <= 1, is the last
+    assert pivots[STALL:] == [(0, 2), (1, 3), (0, 4), (1, 0), (2, 2)]
+
+
+def test_dantzig_pricing_alone_cycles_on_chvatals_example(monkeypatch):
+    monkeypatch.setattr(linsys, "STALL", 10**9)
+    with pytest.raises(PivotCapReached):
+        with recorded_pivots(_Tableau, cap=200):
+            lp_maximize(replace(CHVATAL), CHVATAL_OBJECTIVE)
 
 
 @settings(max_examples=200, deadline=None)
