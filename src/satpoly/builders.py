@@ -221,8 +221,8 @@ def build_bqp_lp(n: int) -> LinearSystem:
 
     Per pair i < j: ``x_i + x_j - x_{ij} <= 1``, ``x_{ij} <= x_i``,
     ``x_{ij} <= x_j``; nonnegativity on every variable.  The ``x_i <= 1``
-    bounds are implied by the pair rows but emitted explicitly to keep
-    phase 1 simple and the polyhedron visibly bounded.
+    bounds are implied by the pair rows but emitted explicitly to keep the
+    polyhedron visibly bounded.
     """
     if n < 2:
         raise InputError("n must be at least 2")

@@ -21,21 +21,25 @@ block-point reader, and keeps integral values as ``int``s, the form the
 builders emit; a row of ``int``s enters elimination with no ``Fraction``
 work.
 
-Both simplex phases price by Dantzig's rule: the column with the most
-negative reduced cost enters, ties to the smaller column.  Degenerate
-pivots, frequent at the SATP and BQP vertices, can cycle under that rule,
-so after :data:`STALL` of them in a row Bland's smallest-index rule (Bland
-1977) takes over until the next nondegenerate pivot.  This terminates: a nondegenerate pivot strictly
-raises the objective, so a basis can repeat only inside one run of
-degenerate pivots, and a run longer than ``STALL`` continues under Bland's
-rule, which cannot cycle.
+Phase 1 is a crash basis and the dual simplex: the inequality rows start
+on their slacks, each independent equality row is pivoted in on its
+smallest column, and :meth:`_Tableau.restore` makes the basis feasible
+from an empty z-row, under which every basis is dual feasible.  The dual
+Bland rule it pivots by cannot cycle (Bland 1977), so phase 1 ends.
+Phase 2 prices by Dantzig's rule: the column with the most negative
+reduced cost enters, ties to the smaller column.  Degenerate pivots,
+frequent at the SATP and BQP vertices, can cycle under that rule, so after
+:data:`STALL` of them in a row Bland's smallest-index rule takes over
+until the next nondegenerate pivot.  This terminates: a nondegenerate
+pivot strictly raises the objective, so a basis can repeat only inside
+one run of degenerate pivots, and a run longer than ``STALL`` continues
+under Bland's rule, which cannot cycle.
 
 A system is immutable: it holds tuples of rows, each a read-only map.
 Phase 1 of the simplex depends only on the system, so its feasible
 tableau, or the finding that there is none, is computed once per system
 object and kept on it; a system solved for many objectives runs phase 1
-once.  Phase 1 deletes the artificial columns, so phase 2 never updates
-them.
+once.
 
 Separation is warm: :func:`lp_maximize` takes lazy ``<=`` rows, which
 join the optimal tableau only once its point violates them, each with its
@@ -421,27 +425,27 @@ class LpResult:
 
 @dataclass
 class _Tableau:
-    """Sparse integer simplex tableau: Dantzig's pricing, Bland's rule after a stall.
+    """Sparse integer simplex tableau: primal simplex for phase 2, dual simplex otherwise.
 
     :meth:`run` enters the column of most negative z-row entry, and after
     :data:`STALL` degenerate pivots in a row the smallest column with a
     negative entry, until a pivot is nondegenerate; only a run of degenerate
     pivots can repeat a basis, and Bland's rule ends every long one.
+    :meth:`restore`, the dual simplex, is the one routine that makes a basis
+    feasible: in phase 1 and after each round of cuts.
 
     ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
-    of a free variable.  Columns from ``struct_cols`` up to ``rhs`` belong to
-    artificials, which never enter; phase 1 deletes them once they are out
-    of the basis.  Lazy row k adds the slack column ``rhs + 1 + k``.  Row
-    ``i`` is an integer row, right side in column ``rhs``, standing for
-    ``rows[i] / rows[i][basis[i]]``: its basic entry, kept positive by every
-    pivot, is its denominator.  Entries that cancel are dropped, so a stored
-    zero is never chosen as a pivot.  ``zrow`` is the z-row of the cost
-    :meth:`run` was last given, a positive multiple of the reduced costs
+    of a free variable; the slack columns follow, then the right side in
+    column ``rhs``.  Lazy row k adds the slack column ``rhs + 1 + k``.  Row
+    ``i`` is an integer row standing for ``rows[i] / rows[i][basis[i]]``:
+    its basic entry, kept positive by every pivot, is its denominator.
+    Entries that cancel are dropped, so a stored zero is never chosen as a
+    pivot.  ``zrow`` is the z-row of the cost :meth:`run` was last given,
+    empty before the first, a positive multiple of the reduced costs
     (z_j - c_j, optimal when all >= 0); :meth:`pivot` keeps it reduced.
     """
 
     col_of_var: list[tuple[int, Optional[int]]]
-    struct_cols: int
     rhs: int
     rows: list[dict[int, int]]
     basis: list[int]
@@ -491,8 +495,8 @@ class _Tableau:
         self.basis[row] = col
 
     def run(self, cost: Row) -> str:
-        """Maximize ``cost``, a row over all columns, over the columns below
-        ``struct_cols``; returns the status, with :attr:`zrow` the final z-row.
+        """Phase 2: maximize ``cost``, a row over the columns below ``rhs``,
+        from a feasible basis; returns the status, with :attr:`zrow` the final z-row.
 
         Dantzig's rule: the entering column has the most negative z-row
         entry, ties to the smaller column; the z-row is one positive multiple
@@ -507,11 +511,11 @@ class _Tableau:
         pivots, and a run longer than ``STALL`` continues under Bland's
         rule, which cannot cycle (Bland 1977).
         """
-        rows, basis, rhs, struct_cols = self.rows, self.basis, self.rhs, self.struct_cols
+        rows, basis, rhs = self.rows, self.basis, self.rhs
         self.zrow = self.reduce(_int_row({j: -c for j, c in cost.items()}))
         stalled = 0
         while True:
-            negative = [(x, j) for j, x in self.zrow.items() if x < 0 and j < struct_cols]
+            negative = [(x, j) for j, x in self.zrow.items() if x < 0 and j < rhs]
             if not negative:
                 return "optimal"
             enter = min(negative)[1] if stalled < STALL else min(j for _, j in negative)
@@ -544,6 +548,9 @@ class _Tableau:
     def restore(self) -> str:
         """Dual simplex from a dual-feasible :attr:`zrow`; returns the status.
 
+        Phase 1 calls it with the empty z-row, under which every basis is
+        dual feasible, and each cut round with the optimal z-row.
+
         Dual Bland rule: the leaving row has the smallest basic column among
         the rows with a negative right side, and the entering column has the
         least ratio ``zrow[j] / -a_j`` over the negative entries ``a_j`` of
@@ -571,73 +578,52 @@ class _Tableau:
 
 
 def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
-    """Lay out the columns, expand the rows and run phase 1; None if infeasible.
+    """Lay out the columns and find a feasible basis; None if the system is infeasible.
 
-    Phase 1 drives auxiliary variables out of the basis (uniform handling
-    of equality rows), pivots out the artificials left at level zero, drops
-    the redundant rows and deletes the artificial columns, which no pivot
-    rule reads again.  :attr:`LinearSystem._phase1_tableau` keeps the result.
+    A crash basis, then the dual simplex.  Each inequality row starts with
+    its slack basic.  Each equality row is reduced against the basis: a row
+    with nothing left is dropped as redundant, one with only its right side
+    left (``0 = b``, ``b != 0``) proves the system infeasible, and any other
+    joins the tableau, its smallest column pivoted in.  The empty z-row
+    prices every basis as dual feasible, so :meth:`_Tableau.restore` then
+    makes the basis primal feasible or proves the system infeasible; the
+    dual Bland rule it pivots by cannot cycle (Bland 1977).
+    :attr:`LinearSystem._phase1_tableau` keeps the result.
     """
-    nonneg, eq_rows, ineq_rows = sys.nonneg, sys.eq_rows, sys.ineq_rows
     # Column layout: one column per nonnegative variable, a (+,-) pair per
-    # free variable, one slack per inequality row, one artificial per row
-    # with no slack to start the basis on, then the right side.
+    # free variable, one slack per inequality row, then the right side.
     col_of_var: list[tuple[int, Optional[int]]] = []
     ncols = 0
-    for flag in nonneg:
+    for flag in sys.nonneg:
         if flag:
             col_of_var.append((ncols, None))
             ncols += 1
         else:
             col_of_var.append((ncols, ncols + 1))
             ncols += 2
-    slack0 = ncols
-    struct_cols = ncols + len(ineq_rows)
-    rhs_col = struct_cols + len(eq_rows) + sum(rhs < 0 for _, rhs in ineq_rows)
+    rhs_col = ncols + len(sys.ineq_rows)
 
-    tab = _Tableau(col_of_var, struct_cols, rhs_col, rows=[], basis=[])
+    tab = _Tableau(col_of_var, rhs_col, rows=[], basis=[])
     rows, basis = tab.rows, tab.basis
-    art = struct_cols
-    # k counts from -len(eq_rows): negative on equalities, the slack index after.
-    for k, (coeffs, rhs) in enumerate([*eq_rows, *ineq_rows], -len(eq_rows)):
+    # The inequalities first, each basic in its slack: no row reduces another.
+    for slack, (coeffs, rhs) in enumerate(sys.ineq_rows, ncols):
         row = tab.expand(coeffs.items())
-        if k >= 0:
-            row[slack0 + k] = 1
-        if rhs:
-            row[rhs_col] = rhs
-        if rhs < 0:
-            row = {j: -x for j, x in row.items()}
-        if k >= 0 and rhs >= 0:
-            basis.append(slack0 + k)
-        else:  # an equality, or a slack whose coefficient became -1
-            row[art] = 1
-            basis.append(art)
-            art += 1
+        row[slack] = 1
+        row[rhs_col] = rhs
         rows.append(_int_row(row))
-
-    if art > struct_cols:
-        if tab.run({c: -1 for c in range(struct_cols, art)}) != "optimal" or tab.zrow.get(rhs_col):
+        basis.append(slack)
+    for coeffs, rhs in sys.eq_rows:
+        row = tab.expand(coeffs.items())
+        row[rhs_col] = rhs
+        row = tab.reduce(_int_row(row))
+        if not row:
+            continue
+        if len(row) == 1 and rhs_col in row:
             return None
-        # Pivot remaining zero-level artificials out, then drop the redundant
-        # rows, those with no structural entry: no pivot reads or changes them,
-        # and dropping one last keeps the z-row reduced at every pivot.
-        redundant = []
-        for i in range(len(rows) - 1, -1, -1):
-            if basis[i] >= struct_cols:
-                entry = min((j for j in rows[i] if j < struct_cols), default=None)
-                if entry is None:
-                    redundant.append(i)
-                else:
-                    tab.pivot(i, entry)
-        for i in redundant:  # descending
-            del rows[i]
-            del basis[i]
-        rows[:] = [
-            _primitive({j: x for j, x in row.items() if not struct_cols <= j < rhs_col})
-            for row in rows
-        ]
-        tab.zrow = {}  # the phase-1 z-row, over the deleted artificial columns
-    return tab
+        rows.append(row)
+        basis.append(min(row))  # the right side is the last column
+        tab.pivot(len(rows) - 1, basis[-1])
+    return tab if tab.restore() == "optimal" else None
 
 
 def lp_maximize(
@@ -647,15 +633,17 @@ def lp_maximize(
 ) -> LpResult:
     """Maximize ``objective . x`` over ``sys`` with exact rational arithmetic.
 
-    Two-phase simplex on one :class:`_Tableau`: phase 1 (:func:`_phase1`)
-    lays out the columns and finds a feasible basis, phase 2 optimizes, and
-    the point is read off the final tableau.  Both phases enter the column
+    Two-phase simplex on one :class:`_Tableau`.  Phase 1 (:func:`_phase1`)
+    lays out the columns, starts a basis on the slacks and the independent
+    equality rows, and makes it feasible by the dual simplex under the dual
+    Bland rule, which cannot cycle (Bland 1977).  Phase 2 enters the column
     of most negative reduced cost (Dantzig's rule), and after :data:`STALL`
     degenerate pivots in a row the smallest such column (Bland's rule) until
     a pivot is nondegenerate.  This terminates: nondegenerate pivots
     strictly raise the objective, so only a run of degenerate pivots can
-    repeat a basis, and Bland's rule cannot cycle (Bland 1977).  Infeasible
-    and unbounded inputs are reported as statuses, never exceptions.
+    repeat a basis, and Bland's rule cannot cycle.  The point is read off
+    the final tableau.  Infeasible and unbounded inputs are reported as
+    statuses, never exceptions.
 
     Phase 1 never reads the objective, so its tableau is computed once per
     system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call
@@ -677,7 +665,12 @@ def lp_maximize(
         map(frozenset(range(sys.var_count)).issuperset, (coeffs for coeffs, _ in lazy_rows))
     ):
         raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}")
-    nonzero = {v: Fraction(c) for v, c in enumerate(objective) if c}
+    # ints and Fractions have the numerator and denominator _scaled reads
+    nonzero = {
+        v: c if isinstance(c, (int, Fraction)) else Fraction(c)
+        for v, c in enumerate(objective)
+        if c
+    }
     nums, denom = _scaled(list(nonzero.values()))
     cost = dict(zip(nonzero, nums))  # the objective times denom, in integers
     ready = sys._phase1_tableau

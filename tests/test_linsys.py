@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,21 @@ def test_lp_free_variable():
     res = lp_maximize(sys, [Fraction(-1)])
     assert res.status == "Optimal"
     assert res.value == 5 and res.point == [Fraction(-5)]
+
+
+def test_lp_objective_entries_of_every_type_give_one_cost():
+    # ints and Fractions are scaled as they are, other types through Fraction(c)
+    sys = LinearSystem(3, ineq_rows=[({0: 1, 1: 1, 2: 1}, 2), ({0: 1}, 1), ({2: 1}, 1)])
+    expected = lp_maximize(sys, [Fraction(3, 2), Fraction(0), Fraction(1)])
+    assert expected.value == Fraction(5, 2)
+    for objective in (
+        [Fraction(3, 2), 0, True],
+        [1.5, 0.0, 1],
+        [Decimal("1.5"), Decimal(0), Fraction(1)],
+        ["3/2", 0, 1],
+    ):
+        result = lp_maximize(sys, objective)
+        assert result == expected and type(result.value) is Fraction
 
 
 def test_lp_point_replay_exact():

@@ -278,7 +278,7 @@ def test_wstar_checks_positive_point_in_normalized_coordinates():
 # sha256[:16] over the rewritten point, the ledger and the decomposition
 # (alpha, q and the text of h) of a seeded sample: every exchange and every
 # eps must stay the same.
-WSTAR_DIGEST = "95e37a99194354b9"
+WSTAR_DIGEST = "c1712cdf1a609e00"
 
 
 def test_construct_wstar_digest():

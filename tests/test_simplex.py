@@ -1,12 +1,14 @@
 """The integer simplex tableau against the ``Fraction`` tableau it replaced.
 
-The reference below is the rational tableau and two-phase driver that
-:func:`satpoly.linsys.lp_maximize` ran on before its rows became integer
-rows, with the entering rule written again over its ``Fraction`` reduced
-costs.  Both must make the same pivots, in the same order, and return equal
-results.  A cold solve, the first on a system, makes every pivot; a warm
-one, on a system that keeps its phase-1 tableau, makes only the phase-2
-pivots of the cold solve.
+The reference below is a rational tableau and two-phase solver written
+apart from :mod:`satpoly.linsys`: phase 1 starts the inequality rows on
+their slacks, pivots each independent equality row in on its smallest
+column, and restores feasibility by a ``Fraction`` dual simplex under the
+dual Bland rule; phase 2 prices by Dantzig's rule with the Bland fallback,
+over its ``Fraction`` reduced costs.  Both must make the same pivots, in
+the same order, and return equal results.  A cold solve, the first on a
+system, makes every pivot; a warm one, on a system that keeps its phase-1
+tableau, makes only the phase-2 pivots of the cold solve.
 """
 
 import random
@@ -27,7 +29,8 @@ from tests.test_vertices import COEFFS
 
 
 class FractionTableau:
-    """Reference: sparse ``Fraction`` tableau, Dantzig's rule with a Bland fallback."""
+    """Reference: sparse ``Fraction`` tableau, each row over a basic entry of 1;
+    Dantzig's rule with a Bland fallback, and the dual Bland rule."""
 
     def __init__(self, rows, basis, rhs):
         self.rows = rows
@@ -85,6 +88,34 @@ class FractionTableau:
             if f:
                 sub_scaled(zrow, f, rows[leave])
 
+    def restore(self, zrow):
+        """Dual simplex from the dual-feasible ``zrow``, which it keeps reduced:
+        of the rows with a negative right side the one with the smallest basic
+        column leaves, and of the columns with a negative entry ``a`` in that
+        row the one of least ``zrow[j] / -a`` enters, ties to the smaller
+        column; a leaving row with no negative entry proves infeasibility."""
+        rows, basis, rhs = self.rows, self.basis, self.rhs
+        while True:
+            infeasible = [i for i, ri in enumerate(rows) if ri.get(rhs, 0) < 0]
+            if not infeasible:
+                return "optimal"
+            leave = min(infeasible, key=lambda i: basis[i])
+            enter = -1
+            best = None
+            for j in sorted(rows[leave]):
+                a = rows[leave][j]
+                if j != rhs and a < 0:
+                    ratio = zrow.get(j, 0) / -a
+                    if best is None or ratio < best:
+                        best = ratio
+                        enter = j
+            if enter < 0:
+                return "infeasible"
+            self.pivot(leave, enter)
+            f = zrow.get(enter)
+            if f:
+                sub_scaled(zrow, f, rows[leave])
+
 
 def sub_scaled(row, f, other):
     """``row -= f * other`` in place, dropping the entries that cancel."""
@@ -105,8 +136,7 @@ def fraction_lp_maximize(sys, objective):
         col_of_var.append((ncols, None) if flag else (ncols, ncols + 1))
         ncols += 1 if flag else 2
     slack0 = ncols
-    struct_cols = ncols + len(sys.ineq_rows)
-    rhs_col = struct_cols + len(sys.eq_rows) + sum(rhs < 0 for _, rhs in sys.ineq_rows)
+    rhs_col = ncols + len(sys.ineq_rows)
 
     def expand(coeffs):
         row = {}
@@ -118,39 +148,33 @@ def fraction_lp_maximize(sys, objective):
                     row[neg] = -row[pos]
         return row
 
-    rows, basis = [], []
-    art = struct_cols
-    for k, (coeffs, rhs) in enumerate([*sys.eq_rows, *sys.ineq_rows], -len(sys.eq_rows)):
+    tab = FractionTableau([], [], rhs_col)
+    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
         row = expand(coeffs)
-        if k >= 0:
-            row[slack0 + k] = Fraction(1)
+        row[slack0 + k] = Fraction(1)
         if rhs:
             row[rhs_col] = Fraction(rhs)
-        if rhs < 0:
-            row = {j: -x for j, x in row.items()}
-        if k >= 0 and rhs >= 0:
-            basis.append(slack0 + k)
-        else:
-            row[art] = Fraction(1)
-            basis.append(art)
-            art += 1
-        rows.append(row)
-
-    tab = FractionTableau(rows, basis, rhs_col)
-    if art > struct_cols:
-        status, zrow = tab.run({c: Fraction(-1) for c in range(struct_cols, art)}, struct_cols)
-        if status != "optimal" or zrow.get(rhs_col):
+        tab.rows.append(row)
+        tab.basis.append(slack0 + k)
+    for coeffs, rhs in sys.eq_rows:
+        row = expand(coeffs)
+        if rhs:
+            row[rhs_col] = Fraction(rhs)
+        for i, b in enumerate(tab.basis):
+            f = row.get(b)
+            if f:
+                sub_scaled(row, f, tab.rows[i])
+        if not row:  # a combination of the rows before it
+            continue
+        if list(row) == [rhs_col]:  # 0 = rhs with rhs != 0
             return LpResult(status="Infeasible")
-        for i in range(len(tab.rows) - 1, -1, -1):
-            if tab.basis[i] >= struct_cols:
-                entry = min((j for j in tab.rows[i] if j < struct_cols), default=None)
-                if entry is None:
-                    del tab.rows[i]
-                    del tab.basis[i]
-                else:
-                    tab.pivot(i, entry)
+        tab.rows.append(row)
+        tab.basis.append(None)
+        tab.pivot(len(tab.rows) - 1, min(row))
+    if tab.restore({}) == "infeasible":
+        return LpResult(status="Infeasible")
 
-    status, _ = tab.run(expand(cost), struct_cols)
+    status, _ = tab.run(expand(cost), rhs_col)
     if status == "unbounded":
         return LpResult(status="Unbounded")
     zero = Fraction(0)
@@ -235,8 +259,20 @@ def lp_problems(draw):
 @example(  # a tie in the ratio test, broken by the lower basic column
     (LinearSystem(2, ineq_rows=[({0: 1}, 1), ({0: 2, 1: 1}, 2), ({1: 1}, 0)]), [1, 1])
 )
-@example(  # an artificial left at level zero, pivoted out on a negative entry
+@example(  # an equality row pivoted in on a negative entry, its right side zero
     (LinearSystem(2, eq_rows=[({0: -1, 1: -1}, 0)], ineq_rows=[({0: 1, 1: 2}, 4)]), [1, -1])
+)
+@example(  # a duplicated equality row reduces to nothing and is dropped
+    (LinearSystem(2, eq_rows=[({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 2)]), [1, 0])
+)
+@example(  # the second equality reduces to 0 = 1: Infeasible with no dual pivot
+    (LinearSystem(2, eq_rows=[({0: 1, 1: 1}, 1), ({0: 2, 1: 2}, 3)]), [1, 0])
+)
+@example(  # an equality over a free variable, its minus column entering by a dual pivot
+    (LinearSystem(2, eq_rows=[({0: -1, 1: 1}, 2)], nonneg=[False, True]), [1, -2])
+)
+@example(  # x1 + x2 = -1 over nonnegative variables: the dual phase ends infeasible
+    (LinearSystem(2, eq_rows=[({0: 1, 1: 1}, -1)]), [1, 1])
 )
 @example((CHVATAL, CHVATAL_OBJECTIVE))  # STALL degenerate pivots, then Bland's rule
 def test_integer_tableau_pivots_like_the_fraction_tableau(problem):
@@ -300,17 +336,18 @@ def lazy_lp_problems(draw):
 def checked_z_rows():
     """Check after every ``run``, ``add_row``, ``restore`` and ``pivot`` that
     ``tab.zrow`` is the cost row last given to ``run`` reduced at the current
-    basis; yields the names of the checked calls, in order."""
-    checked, costs = [], {}
+    basis, the empty cost for a tableau not yet given one (phase 1's); yields
+    the names of the checked calls, in order."""
+    checked, costs = [], {}  # id(tab) -> (tab, cost): a kept tab's id is not reused
     originals = {name: getattr(_Tableau, name) for name in ("run", "add_row", "restore", "pivot")}
 
     def checking(name):
         def call(tab, *args):
             if name == "run":
-                costs[id(tab)] = args[0]
+                costs[id(tab)] = tab, args[0]
             result = originals[name](tab, *args)
-            cost = linsys._int_row({j: -c for j, c in costs[id(tab)].items()})
-            assert tab.zrow == tab.reduce(cost), name
+            _, cost = costs.get(id(tab), (tab, {}))
+            assert tab.zrow == tab.reduce(linsys._int_row({j: -c for j, c in cost.items()})), name
             checked.append(name)
             return result
 
@@ -334,11 +371,12 @@ def test_the_z_row_is_the_cost_row_reduced_at_the_basis(problem):
 
 
 def test_the_z_row_checks_reach_every_tableau_method():
+    # phase 1's restore, with no pivot from the feasible slack basis, then
     # two cut rounds, each with one dual pivot
     sys = LinearSystem(2, ineq_rows=[({0: 1}, 2), ({1: 1}, 2)])
     with checked_z_rows() as checked:
         lp_maximize(sys, [2, 1], lazy_rows=[({0: 1}, 1), ({0: -1, 1: 1}, Fraction(1, 2))])
-    assert checked.count("run") == 1 and checked.count("restore") == 2
+    assert checked.count("run") == 1 and checked.count("restore") == 3
     assert checked.count("add_row") == 2 and checked.count("pivot") == 4
 
 
