@@ -40,7 +40,7 @@ from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, flat_index
 from satpoly.errors import BudgetError, FaceMembershipError, InputError
-from satpoly.linsys import MAX_TEXT_VARS, LinearSystem, Row, frozen_rows
+from satpoly.linsys import MAX_TEXT_VARS, FrozenRows, LinearSystem, Row, frozen_rows
 from satpoly.rational import Rational
 
 _ZERO = Fraction(0)
@@ -142,7 +142,7 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
 
 
 @_memoized
-def satp2_inequality_rows(m: int, n: int) -> tuple[tuple[Row, Rational], ...]:
+def satp2_inequality_rows(m: int, n: int) -> FrozenRows:
     """The O(m^2 n^2) strengthening rows.
 
     For every ordered pair of block rows ``i != k`` and block columns
@@ -240,7 +240,7 @@ def build_bqp_lp(n: int) -> LinearSystem:
 
 
 @_memoized
-def met_triangle_rows(n: int) -> tuple[tuple[Row, Rational], ...]:
+def met_triangle_rows(n: int) -> FrozenRows:
     """The four triangle rows of every triple i < j < k (4 * C(n,3) rows,
     18 coefficients per triple); refused over ``MAX_TEXT_VARS`` coefficients."""
     if 3 * n * (n - 1) * (n - 2) > MAX_TEXT_VARS:

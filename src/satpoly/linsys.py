@@ -11,15 +11,22 @@ fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
 1967), content divided out.  Rank and solving reduce rows into an echelon
 basis; the simplex's one state type, :class:`_Tableau`, keeps each row
 over its basic entry, and its z-row with them.  Only a unique solution's
-back-substitution and the point read off the final tableau divide, in
-``Fraction``.  Row tests at a point scale the point once by the lcm of its
-denominators and then work in integers; one pass finds the rows active at
-a set of points and the columns they pin at zero.  The text reader
-checks a row's shape in O(1) and parses only the nonzero tokens of a
-dense row, each distinct token once through the cache it shares with the
-block-point reader, and keeps integral values as ``int``s, the form the
-builders emit; a row of ``int``s enters elimination with no ``Fraction``
-work.
+back-substitution divides, in ``Fraction``.  The simplex reads its point
+off the final tableau as integers over one common denominator.
+
+Row tests at a point work in integers: the point is scaled once by the
+lcm of its denominators (the tableau's point already is), and a
+:class:`FrozenRows` keeps a column index, built on first use, through
+which a test sums every row over the point's nonzero entries alone.  The
+feasibility test, the rows active at a set of points (with the columns
+they pin at zero, those outside the points' support) and the separation
+of lazy rows all read rows this way.
+
+The text reader checks a row's shape in O(1) and parses only the nonzero
+tokens of a dense row, each distinct token once through the cache it
+shares with the block-point reader, and keeps integral values as
+``int``s, the form the builders emit; a row of ``int``s enters
+elimination with no ``Fraction`` work.
 
 Phase 1 is a crash basis and the dual simplex: the inequality rows start
 on their slacks, each independent equality row is pivoted in on its
@@ -88,8 +95,8 @@ class LinearSystem:
     """
 
     var_count: int
-    eq_rows: tuple[tuple[Mapping[int, Rational], Rational], ...] = ()
-    ineq_rows: tuple[tuple[Mapping[int, Rational], Rational], ...] = ()
+    eq_rows: "FrozenRows" = ()
+    ineq_rows: "FrozenRows" = ()
     nonneg: tuple[bool, ...] = ()
 
     def __post_init__(self):
@@ -122,46 +129,38 @@ class LinearSystem:
     def _scaled_if_feasible(self, point: Sequence[Rational]) -> Optional[tuple[list[int], int]]:
         """``point`` scaled by :meth:`_scaled_point` if it satisfies the system, else None."""
         xs, scale = self._scaled_point(point)
+        return (xs, scale) if self._holds(xs, scale) else None
+
+    def _holds(self, xs: list[int], scale: int) -> bool:
+        """True iff the point ``xs / scale``, of ``var_count`` entries, satisfies the system."""
         if any(flag and x < 0 for flag, x in zip(self.nonneg, xs)):
-            return None
-        if any(sum(c * xs[j] for j, c in a.items()) != b * scale for a, b in self.eq_rows):
-            return None
-        if next(_violated(self.ineq_rows, xs, scale), None) is not None:
-            return None
-        return xs, scale
+            return False
+        eq = self.eq_rows
+        if any(t != b * scale for t, (_, b) in zip(eq.activities(xs), eq)):
+            return False
+        return next(_violated(self.ineq_rows, xs, scale), None) is None
 
     def _tight_at(self, scaled: Sequence[tuple[list[int], int]]) -> tuple[list[int], set[int]]:
         """The one pass finding the rows met with equality at the points ``xs / scale``.
 
         Returns the indices of the rows active at every point, every equality
         row ``0 .. E-1`` and then ``E + k`` for each inequality row k met with
-        equality, and the pinned columns: the nonnegative ones zero at every point.
+        equality, and the pinned columns: the nonnegative ones outside the
+        points' support.
         """
-        e = len(self.eq_rows)
+        e, ineq = len(self.eq_rows), self.ineq_rows
+        activities = [(ineq.activities(xs), scale) for xs, scale in scaled]
         rows = list(range(e))
-        for k, (a, b) in enumerate(self.ineq_rows):
-            if all(sum(c * xs[j] for j, c in a.items()) == b * scale for xs, scale in scaled):
-                rows.append(e + k)
-        pinned = {
-            v for v, flag in enumerate(self.nonneg) if flag and all(xs[v] == 0 for xs, _ in scaled)
-        }
+        rows += [
+            e + k for k, (_, b) in enumerate(ineq) if all(t[k] == b * s for t, s in activities)
+        ]
+        support = {j for xs, _ in scaled for j, x in enumerate(xs) if x}
+        pinned = {v for v, flag in enumerate(self.nonneg) if flag and v not in support}
         return rows, pinned
 
     def tight_set(self, point: Sequence[Rational]) -> set[int]:
         """Indices of the rows active at ``point``, numbered as :meth:`_tight_at` numbers them."""
         return set(self._tight_at([self._scaled_point(point)])[0])
-
-    def tight_rows(self, *points: Sequence[Rational]) -> "LinearSystem":
-        """Equality system of all constraints active at every one of ``points``.
-
-        Includes every equality row, every inequality row met with equality
-        at each point, and a unit row for every nonnegative variable that
-        is zero at each point.
-        """
-        indices, pinned = self._tight_at([self._scaled_point(p) for p in points])
-        rows = self.eq_rows + self.ineq_rows
-        eq_rows = [rows[i] for i in indices] + [({v: 1}, 0) for v in sorted(pinned)]
-        return LinearSystem(self.var_count, eq_rows=eq_rows, nonneg=[False] * self.var_count)
 
     # -- serialization -----------------------------------------------------
 
@@ -209,12 +208,52 @@ class LinearSystem:
         return LinearSystem(var_count, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
 
 
+class FrozenRows(tuple):
+    """A tuple of ``(coeffs, rhs)`` rows over the columns ``range(var_count)``,
+    each ``coeffs`` a read-only map; :func:`frozen_rows` makes and checks one.
+
+    :attr:`columns` is built on first use and kept, so a row test at a point
+    reads only the entries in the point's support.
+    """
+
+    var_count: int
+
+    def __new__(cls, rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int):
+        self = super().__new__(cls, rows)
+        self.var_count = var_count
+        return self
+
+    @cached_property
+    def columns(self) -> dict[int, list[tuple[int, Rational]]]:
+        """Each column the rows name, with its ``(row, coefficient)`` pairs, zeros left out;
+        its size is the rows' entry count, whatever ``var_count`` is."""
+        index: dict[int, list[tuple[int, Rational]]] = {}
+        for i, (coeffs, _) in enumerate(self):
+            for j, c in coeffs.items():
+                if c:
+                    index.setdefault(j, []).append((i, c))
+        return index
+
+    def activities(self, xs: Sequence[int]) -> list[Rational]:
+        """``coeffs . xs`` for every row, summed over the nonzero entries of ``xs`` only."""
+        totals: list[Rational] = [0] * len(self)
+        columns = self.columns
+        for j, x in enumerate(xs):
+            if x and (column := columns.get(j)):
+                for i, c in column:
+                    totals[i] += c * x
+        return totals
+
+
 def frozen_rows(
     rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int
-) -> tuple[tuple[Mapping[int, Rational], Rational], ...]:
-    """``rows`` as a tuple of ``(coeffs, rhs)`` pairs, each dict ``coeffs``
-    wrapped, not copied, in a :class:`types.MappingProxyType`; InputError for
-    a row that is not a map or names a column outside ``range(var_count)``."""
+) -> FrozenRows:
+    """``rows`` as :class:`FrozenRows`, each dict ``coeffs`` wrapped, not copied,
+    in a :class:`types.MappingProxyType`; InputError for a row that is not a
+    map or names a column outside ``range(var_count)``.  Rows already frozen
+    for ``var_count`` columns are returned as they are, unchecked."""
+    if type(rows) is FrozenRows and rows.var_count == var_count:
+        return rows
     in_range = frozenset(range(var_count)).issuperset
     frozen = []
     for coeffs, rhs in rows:
@@ -226,7 +265,7 @@ def frozen_rows(
                 f"columns 0..{var_count - 1}"
             )
         frozen.append((coeffs, rhs))
-    return tuple(frozen)
+    return FrozenRows(frozen, var_count)
 
 
 def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
@@ -271,9 +310,9 @@ def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
     return [x.numerator * (scale // d) for x, d in zip(point, dens)], scale
 
 
-def _violated(rows: Sequence[tuple[Row, Rational]], xs: list[int], scale: int) -> Iterator[int]:
+def _violated(rows: FrozenRows, xs: list[int], scale: int) -> Iterator[int]:
     """Indices of the ``<=`` rows that the point ``xs / scale`` violates, in row order."""
-    return (k for k, (a, b) in enumerate(rows) if sum(c * xs[j] for j, c in a.items()) > b * scale)
+    return (k for k, (t, (_, b)) in enumerate(zip(rows.activities(xs), rows)) if t > b * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +474,19 @@ class _Tableau:
     feasible: in phase 1 and after each round of cuts.
 
     ``col_of_var[v]`` is the column of ``x_v``, or the ``(+, -)`` column pair
-    of a free variable; the slack columns follow, then the right side in
-    column ``rhs``.  Lazy row k adds the slack column ``rhs + 1 + k``.  Row
-    ``i`` is an integer row standing for ``rows[i] / rows[i][basis[i]]``:
-    its basic entry, kept positive by every pivot, is its denominator.
-    Entries that cancel are dropped, so a stored zero is never chosen as a
-    pivot.  ``zrow`` is the z-row of the cost :meth:`run` was last given,
-    empty before the first, a positive multiple of the reduced costs
-    (z_j - c_j, optimal when all >= 0); :meth:`pivot` keeps it reduced.
+    of a free variable: these structural columns are ``0 .. ncols-1``.  The
+    slack columns follow, then the right side in column ``rhs``.  Lazy row k
+    adds the slack column ``rhs + 1 + k``.  Row ``i`` is an integer row
+    standing for ``rows[i] / rows[i][basis[i]]``: its basic entry, kept
+    positive by every pivot, is its denominator.  Entries that cancel are
+    dropped, so a stored zero is never chosen as a pivot.  ``zrow`` is the
+    z-row of the cost :meth:`run` was last given, empty before the first, a
+    positive multiple of the reduced costs (z_j - c_j, optimal when all
+    >= 0); :meth:`pivot` keeps it reduced.
     """
 
     col_of_var: list[tuple[int, Optional[int]]]
+    ncols: int
     rhs: int
     rows: list[dict[int, int]]
     basis: list[int]
@@ -466,14 +507,19 @@ class _Tableau:
                     row[neg] = -c
         return row
 
-    def point(self) -> list[Fraction]:
-        """The basic solution: each variable's value, a free one's ``+`` less its ``-``."""
-        rhs, zero = self.rhs, Fraction(0)
-        values = {b: Fraction(row.get(rhs, 0), row[b]) for b, row in zip(self.basis, self.rows)}
-        return [
-            values.get(pos, zero) if neg is None else values.get(pos, zero) - values.get(neg, zero)
-            for pos, neg in self.col_of_var
-        ]
+    def point(self) -> tuple[list[int], int]:
+        """The basic solution as ``(xs, L)``: ``xs[v] / L`` is each variable's value, a
+        free one's ``+`` less its ``-``; only the structural basic rows are read."""
+        rhs, ncols = self.rhs, self.ncols
+        values = {}  # basic structural column -> its value in lowest terms
+        for b, row in zip(self.basis, self.rows):
+            if b < ncols and (r := row.get(rhs)):
+                g = gcd(r, row[b])
+                values[b] = r // g, row[b] // g
+        scale = reduce(lcm, {d for _, d in values.values()}, 1)
+        scaled = {b: r * (scale // d) for b, (r, d) in values.items()}
+        # a nonnegative variable's neg is None, which no column is
+        return [scaled.get(pos, 0) - scaled.get(neg, 0) for pos, neg in self.col_of_var], scale
 
     def reduce(self, row: dict[int, int]) -> dict[int, int]:
         """``row`` with its entries in basic columns cleared against the basic rows."""
@@ -603,7 +649,7 @@ def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
             ncols += 2
     rhs_col = ncols + len(sys.ineq_rows)
 
-    tab = _Tableau(col_of_var, rhs_col, rows=[], basis=[])
+    tab = _Tableau(col_of_var, ncols, rhs_col, rows=[], basis=[])
     rows, basis = tab.rows, tab.basis
     # The inequalities first, each basic in its slack: no row reduces another.
     for slack, (coeffs, rhs) in enumerate(sys.ineq_rows, ncols):
@@ -642,8 +688,8 @@ def lp_maximize(
     a pivot is nondegenerate.  This terminates: nondegenerate pivots
     strictly raise the objective, so only a run of degenerate pivots can
     repeat a basis, and Bland's rule cannot cycle.  The point is read off
-    the final tableau.  Infeasible and unbounded inputs are reported as
-    statuses, never exceptions.
+    the final tableau as integers over one denominator.  Infeasible and
+    unbounded inputs are reported as statuses, never exceptions.
 
     Phase 1 never reads the objective, so its tableau is computed once per
     system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call
@@ -651,8 +697,9 @@ def lp_maximize(
     phase-2 pivots of a cold solve and returns the same result.
 
     ``lazy_rows`` are ``(coeffs, rhs)`` rows ``coeffs . x <= rhs`` over the
-    columns of ``sys``, separated from the optimum: the rows its point
-    violates join the tableau (:meth:`_Tableau.add_row`), the dual simplex
+    columns of ``sys``, frozen by :func:`frozen_rows`, separated from the
+    optimum through their column index: the rows its point violates join
+    the tableau (:meth:`_Tableau.add_row`), the dual simplex
     (:meth:`_Tableau.restore`) makes the point feasible again, and this
     repeats until no lazy row is violated.  The result is the base optimum,
     with the optimum over ``sys`` plus every lazy row in ``lazy``: it is
@@ -661,10 +708,11 @@ def lp_maximize(
     """
     if len(objective) != sys.var_count:
         raise InputError("objective length does not match variable count")
-    if lazy_rows is not None and not all(
-        map(frozenset(range(sys.var_count)).issuperset, (coeffs for coeffs, _ in lazy_rows))
-    ):
-        raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}")
+    if lazy_rows is not None:
+        try:
+            lazy_rows = frozen_rows(lazy_rows, sys.var_count)
+        except InputError:
+            raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}") from None
     # ints and Fractions have the numerator and denominator _scaled reads
     nonzero = {
         v: c if isinstance(c, (int, Fraction)) else Fraction(c)
@@ -680,12 +728,13 @@ def lp_maximize(
     tab = ready.copy()  # the system's tableau is shared
     if tab.run(tab.expand(cost.items())) == "unbounded":
         return _no_optimum("Unbounded", lazy_rows)
-    result = _optimum(sys, cost, denom, tab.point())
+    xs, scale = tab.point()
+    result = _optimum(sys, cost, denom, xs, scale)
     if lazy_rows is None:
         return result
 
-    point, cuts = result.point, set()
-    while violated := list(_violated(lazy_rows, *_scaled(point))):
+    cuts = set()
+    while violated := list(_violated(lazy_rows, xs, scale)):
         if not cuts.isdisjoint(violated):
             raise InternalInvariantError("LP optimizer violates one of its own cuts")
         cuts.update(violated)
@@ -694,9 +743,9 @@ def lp_maximize(
         if tab.restore() == "infeasible":
             result.lazy = LpResult(status="Infeasible")
             return result
-        point = tab.point()
+        xs, scale = tab.point()
     # The loop ends only at a point that meets every lazy row.
-    result.lazy = _optimum(sys, cost, denom, point) if cuts else replace(result)
+    result.lazy = _optimum(sys, cost, denom, xs, scale) if cuts else replace(result)
     if result.lazy.value > result.value:  # pragma: no cover - sandwich guard
         raise InternalInvariantError("lazy-row optimum exceeded the base optimum")
     return result
@@ -707,12 +756,12 @@ def _no_optimum(status: str, lazy_rows) -> LpResult:
     return LpResult(status=status, lazy=None if lazy_rows is None else LpResult(status=status))
 
 
-def _optimum(sys: LinearSystem, cost: dict[int, int], denom: int, point: list[Fraction]):
-    """The Optimal :class:`LpResult` at ``point`` for the objective ``cost / denom``;
-    InternalInvariantError unless ``point`` is in ``sys``."""
-    scaled = sys._scaled_if_feasible(point)  # serves the guard and the value
-    if scaled is None:  # pragma: no cover - exactness guard
+def _optimum(sys: LinearSystem, cost: dict[int, int], denom: int, xs: list[int], scale: int):
+    """The Optimal :class:`LpResult` at the point ``xs / scale`` for the objective
+    ``cost / denom``, its point built with one ``Fraction`` per distinct entry;
+    InternalInvariantError unless the point is in ``sys``."""
+    if not sys._holds(xs, scale):  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
-    xs, scale = scaled
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), denom * scale)
-    return LpResult(status="Optimal", value=value, point=point)
+    entries = {x: Fraction(x, scale) for x in set(xs)}
+    return LpResult(status="Optimal", value=value, point=[entries[x] for x in xs])

@@ -337,12 +337,20 @@ def _free_rows(sys: LinearSystem, *scaled: tuple[list[int], int]) -> tuple[list[
     The unit rows of the pinned columns span exactly those coordinates, so
     eliminating them is the same as deleting the pinned columns from the
     other rows: the tight system's rank is ``len(pinned)`` plus the rank of
-    the rows returned here.
+    the rows returned here.  The rows are read off the systems' column
+    indexes over the free columns alone, so a row with no free entry is
+    never built.
     """
     indices, pinned = sys._tight_at(scaled)
-    rows = sys.eq_rows + sys.ineq_rows
-    free = [{j: c for j, c in rows[i][0].items() if j not in pinned} for i in indices]
-    return free, sys.var_count - len(pinned)
+    free = [j for j in range(sys.var_count) if j not in pinned]
+    tight: dict[int, Row] = {i: {} for i in indices}  # row index -> its free entries
+    for offset, frozen in ((0, sys.eq_rows), (len(sys.eq_rows), sys.ineq_rows)):
+        columns = frozen.columns
+        for j in free:
+            for k, c in columns.get(j, ()):
+                if (row := tight.get(offset + k)) is not None:
+                    row[j] = c
+    return [row for row in tight.values() if row], len(free)
 
 
 def _is_vertex(sys: LinearSystem, scaled: tuple[list[int], int]) -> bool:

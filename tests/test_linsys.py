@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpoly.builders import PolytopeId, build_satp_lp
@@ -17,13 +17,15 @@ from satpoly.linsys import (
     LpResult,
     _Tableau,
     _scaled,
+    _violated,
+    frozen_rows,
     lp_maximize,
     rank,
     rank_at_most,
     unique_solution,
 )
 from satpoly.rational import format_rational, format_vector
-from satpoly.vertices import _free_rows, enumerate_lp_vertices, fractional_vertex
+from satpoly.vertices import _free_rows, enumerate_lp_vertices, fractional_vertex, is_edge
 from tests.test_elimination import sparse_rows
 from tests.test_vertices import COEFFS
 
@@ -262,8 +264,8 @@ def test_rank_fractional_rows():
 
 def test_rank_of_table9_tight_system():
     point = fractional_vertex(6)
-    tight = build_satp_lp(6, 6).tight_rows(point.flat())
-    assert rank([coeffs for coeffs, _ in tight.eq_rows]) == 216
+    tight = reference_tight_rows(build_satp_lp(6, 6), [point.flat()])
+    assert rank([coeffs for coeffs, _ in tight]) == 216
 
 
 def test_unique_solution_cases():
@@ -275,8 +277,8 @@ def test_unique_solution_cases():
 
 def test_unique_solution_recovers_table9_point():
     point = fractional_vertex(6)
-    tight = build_satp_lp(6, 6).tight_rows(point.flat())
-    assert unique_solution(tight) == point.flat()
+    tight = reference_tight_rows(build_satp_lp(6, 6), [point.flat()])
+    assert unique_solution(LinearSystem(216, eq_rows=tight)) == point.flat()
 
 
 def test_system_serialization_roundtrip():
@@ -326,22 +328,17 @@ def test_a_row_key_outside_the_columns_is_refused_by_name():
     assert sys.is_feasible([0, 1, 0]) and not sys.is_feasible([0, 2, 0])
 
 
-def test_tight_rows_share_rows_and_emit_unit_rows():
+def test_free_rows_drop_the_pinned_columns_and_the_rows_left_empty():
     sys = LinearSystem(
         3,
         eq_rows=[({0: 1, 1: 1, 2: 1}, 1)],
-        ineq_rows=[({0: 1, 1: -1}, 0), ({1: 1}, 1)],
+        ineq_rows=[({0: 1, 1: -1}, 0), ({1: 1}, 1), ({0: 1, 2: -1}, 0)],
     )
-    tight = sys.tight_rows([ZERO, ONE, ZERO])
-    assert tight.eq_rows[0][0] is sys.eq_rows[0][0]
-    assert tight.eq_rows[1][0] is sys.ineq_rows[1][0]
-    assert tight.eq_rows == (
-        ({0: 1, 1: 1, 2: 1}, 1),
-        ({1: 1}, 1),
-        ({0: 1}, 0),
-        ({2: 1}, 0),
-    )
-    assert tight.nonneg == (False,) * 3
+    # at (0, 1, 0) row 1 is slack, rows 2 and 3 are met and columns 0 and 2 are pinned
+    at = _scaled([ZERO, ONE, ZERO])
+    assert sys._tight_at([at]) == ([0, 2, 3], {0, 2})
+    # the last row has no free entry, so no row is built for it
+    assert _free_rows(sys, at) == ([{1: 1}, {1: 1}], 1)
 
 
 def test_row_tests_refuse_a_point_of_the_wrong_length():
@@ -349,15 +346,15 @@ def test_row_tests_refuse_a_point_of_the_wrong_length():
     sys = build_satp_lp(1, 1)
     point = [ONE] + [ZERO] * 5
     for wrong in (point + [ZERO], point[:5]):
-        for points in ([wrong], [point, wrong]):
+        for pair in ((point, wrong), (wrong, point)):
             with pytest.raises(InputError, match="point has wrong dimension"):
-                sys.tight_rows(*points)
+                is_edge(sys, *pair)
         with pytest.raises(InputError, match="point has wrong dimension"):
             sys.tight_set(wrong)
         with pytest.raises(InputError, match="point has wrong dimension"):
             sys.is_feasible(wrong)
-    # the equality row and the unit rows of the five zero entries
-    assert len(sys.tight_rows(point).eq_rows) == 6
+    # the equality row, and the five zero entries pinned
+    assert sys._tight_at([_scaled(point)]) == ([0], {1, 2, 3, 4, 5})
     assert sys.tight_set(point) == {0}
 
 
@@ -423,19 +420,26 @@ def systems_at_points(draw):
     return system, point, other, objective
 
 
-def reference_tight_rows(system, points):
-    rows = list(system.eq_rows)
-    rows += [
-        (coeffs, rhs)
-        for coeffs, rhs in system.ineq_rows
+def reference_tight_at(system, points):
+    """The rows met with equality at every point, numbered as ``_tight_at``
+    numbers them, and the nonnegative columns zero at every point."""
+    e = len(system.eq_rows)
+    rows = list(range(e)) + [
+        e + k
+        for k, (coeffs, rhs) in enumerate(system.ineq_rows)
         if all(reference_value(coeffs, p) == rhs for p in points)
     ]
-    rows += [
-        ({v: 1}, 0)
-        for v, flag in enumerate(system.nonneg)
-        if flag and all(p[v] == 0 for p in points)
-    ]
-    return tuple(rows)
+    pinned = {
+        v for v, flag in enumerate(system.nonneg) if flag and all(p[v] == 0 for p in points)
+    }
+    return rows, pinned
+
+
+def reference_tight_rows(system, points):
+    """The rows active at every point, then a unit row for each pinned column."""
+    indices, pinned = reference_tight_at(system, points)
+    rows = system.eq_rows + system.ineq_rows
+    return tuple([rows[i] for i in indices] + [({v: 1}, 0) for v in sorted(pinned)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -454,7 +458,7 @@ def test_row_tests_match_a_fraction_reference(case):
     )
     assert system.is_feasible(point) == feasible
     for points in ([point], [point, other]):
-        assert system.tight_rows(*points).eq_rows == reference_tight_rows(system, points)
+        assert system._tight_at(list(map(_scaled, points))) == reference_tight_at(system, points)
 
     # Box every variable into [-3, 3], so that the LP is optimal or infeasible.
     boxes = [({v: sign}, 3) for v in range(system.var_count) for sign in (1, -1)]
@@ -478,13 +482,78 @@ def test_row_tests_match_a_fraction_reference(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(systems_at_points())
+@example(  # an empty row violated everywhere, at the zero point
+    (LinearSystem(2, ineq_rows=[({}, -1), ({0: 1}, 0)]), [0, 0], [0, 0], [1, 1])
+)
+@example(  # free columns at negative values, Fraction coefficients and right sides
+    (
+        LinearSystem(
+            2,
+            eq_rows=[({0: Fraction(1, 2), 1: 1}, Fraction(-5, 4))],
+            ineq_rows=[({0: Fraction(-2, 3)}, Fraction(1, 3)), ({1: -1}, 0)],
+            nonneg=[False, False],
+        ),
+        [Fraction(-1, 2), -1],
+        [0, 0],
+        [1, -1],
+    )
+)
+def test_integer_row_tests_match_a_fraction_reference(case):
+    system, point, _, objective = case
+    n = system.var_count
+    xs, scale = _scaled(point)
+    for rows in (system.eq_rows, system.ineq_rows):
+        values = [reference_value(coeffs, point) for coeffs, _ in rows]
+        assert [Fraction(t, scale) for t in rows.activities(xs)] == values
+    violated = [
+        k
+        for k, (coeffs, rhs) in enumerate(system.ineq_rows)
+        if reference_value(coeffs, point) > rhs
+    ]
+    assert list(_violated(system.ineq_rows, xs, scale)) == violated
+    feasible = (
+        all(reference_value(coeffs, point) == rhs for coeffs, rhs in system.eq_rows)
+        and not violated
+        and all(x >= 0 for flag, x in zip(system.nonneg, point) if flag)
+    )
+    assert system._scaled_if_feasible(point) == ((xs, scale) if feasible else None)
+
+    # The inequality rows as lazy rows over a box: a plain list is frozen, rows
+    # frozen for this width pass through, rows frozen for more are checked again.
+    box = LinearSystem(
+        n, ineq_rows=[({v: sign}, 3) for v in range(n) for sign in (1, -1)], nonneg=system.nonneg
+    )
+    plain = [(dict(coeffs), rhs) for coeffs, rhs in system.ineq_rows]
+    expected = lp_maximize(box, objective, lazy_rows=plain)
+    if expected.lazy.status == "Optimal":
+        assert all(reference_value(coeffs, expected.lazy.point) <= rhs for coeffs, rhs in plain)
+    assert frozen_rows(system.ineq_rows, n) is system.ineq_rows
+    assert lp_maximize(box, objective, lazy_rows=system.ineq_rows) == expected
+    wide = frozen_rows(plain, n + 1)
+    assert frozen_rows(wide, n) is not wide and frozen_rows(wide, n) == wide
+    assert lp_maximize(box, objective, lazy_rows=wide) == expected
+    outside = frozen_rows([*plain, ({n: 1}, 0)], n + 1)
+    with pytest.raises(InputError, match=f"^lazy row names a column outside 0..{n - 1}$"):
+        lp_maximize(box, objective, lazy_rows=outside)
+
+
+def test_the_column_index_holds_only_the_columns_its_rows_name():
+    # the index costs the rows' entries, not the vars header
+    last = MAX_TEXT_VARS - 1
+    sys = LinearSystem(MAX_TEXT_VARS, ineq_rows=[({0: 1, last: 2}, 1)])
+    assert sys.ineq_rows.columns == {0: [(0, 1)], last: [(0, 2)]}
+    assert sys.eq_rows.columns == {}
+
+
+@settings(max_examples=200, deadline=None)
 @given(systems_at_points(), st.data())
 def test_free_rows_keep_the_rank_of_the_tight_rows(case, data):
     system, point, other, _ = case
     for points in ([point], [point, other]):
         rows, free = _free_rows(system, *map(_scaled, points))
         pinned = system.var_count - free
-        tight = [coeffs for coeffs, _ in system.tight_rows(*points).eq_rows]
+        tight = [coeffs for coeffs, _ in reference_tight_rows(system, points)]
         assert pinned + rank(rows) == rank(tight)
         cap = data.draw(st.integers(pinned, system.var_count))
         assert pinned + rank_at_most(rows, cap - pinned) == rank_at_most(tight, cap)
