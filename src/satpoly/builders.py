@@ -40,7 +40,7 @@ from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, flat_index
 from satpoly.errors import BudgetError, FaceMembershipError, InputError
-from satpoly.linsys import MAX_TEXT_VARS, FrozenRows, LinearSystem, Row, frozen_rows
+from satpoly.linsys import MAX_TEXT_VARS, FrozenRows, LinearSystem, Row
 from satpoly.rational import Rational
 
 _ZERO = Fraction(0)
@@ -185,7 +185,7 @@ def satp2_inequality_rows(m: int, n: int) -> FrozenRows:
                             ((k, l), ODD_CELLS),
                         ]
                     )
-    return frozen_rows(rows, 6 * m * n)
+    return FrozenRows(rows, 6 * m * n)
 
 
 def build_satp2_lp(m: int, n: int) -> LinearSystem:
@@ -256,7 +256,7 @@ def met_triangle_rows(n: int) -> FrozenRows:
                 rows.append(({i: -1, pij: 1, pik: 1, pjk: -1}, 0))
                 rows.append(({j: -1, pij: 1, pik: -1, pjk: 1}, 0))
                 rows.append(({k: -1, pij: -1, pik: 1, pjk: 1}, 0))
-    return frozen_rows(rows, bqp_var_count(n))
+    return FrozenRows(rows, bqp_var_count(n))
 
 
 def build_met(n: int) -> LinearSystem:

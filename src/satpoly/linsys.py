@@ -12,7 +12,9 @@ fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
 basis; the simplex's one state type, :class:`_Tableau`, keeps each row
 over its basic entry, and its z-row with them.  Only a unique solution's
 back-substitution divides, in ``Fraction``.  The simplex reads its point
-off the final tableau as integers over one common denominator.
+off the final tableau as integers over one common denominator; those
+integers, like the vertex census's, become ``Fraction``s in one place,
+:func:`_unscaled`, which builds one per distinct entry.
 
 Row tests at a point work in integers: the point is scaled once by the
 lcm of its denominators (the tableau's point already is), and a
@@ -42,11 +44,14 @@ pivot strictly raises the objective, so a basis can repeat only inside
 one run of degenerate pivots, and a run longer than ``STALL`` continues
 under Bland's rule, which cannot cycle.
 
-A system is immutable: it holds tuples of rows, each a read-only map.
-Phase 1 of the simplex depends only on the system, so its feasible
-tableau, or the finding that there is none, is computed once per system
-object and kept on it; a system solved for many objectives runs phase 1
-once.
+A system is immutable: its rows are :class:`FrozenRows`, tuples of
+read-only maps, and constructing one is the only way rows are frozen, so
+every row set has had its keys checked as columns, at a cost of its
+entries.  Phase 1 of the simplex depends only on the system, so its
+feasible tableau, or the finding that there is none, is computed once per
+system object and kept on it; a system solved for many objectives runs
+phase 1 once.  The tableau's rows, the system's and the cuts added later,
+are all built by one :meth:`_Tableau.row`.
 
 Separation is warm: :func:`lp_maximize` takes lazy ``<=`` rows, which
 join the optimal tableau only once its point violates them, each with its
@@ -60,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -88,7 +94,8 @@ class LinearSystem:
     an inequality row means ``coeffs . x <= rhs``.  ``nonneg[v]`` marks
     ``x_v >= 0``; an empty ``nonneg`` marks every variable.
 
-    A system is immutable: it stores its rows and flags as tuples and each
+    A system is immutable: it stores its flags as a tuple and its rows as
+    :class:`FrozenRows`, which checks their columns and keeps each
     ``coeffs`` as a read-only view of the dict it was given, which a caller
     must not change later.  A row already read-only is shared, not wrapped
     again.  The phase-1 result of :func:`lp_maximize` is kept on the system.
@@ -107,7 +114,7 @@ class LinearSystem:
             raise InputError("nonneg flag list has wrong length")
         object.__setattr__(self, "nonneg", nonneg)
         for name in ("eq_rows", "ineq_rows"):
-            object.__setattr__(self, name, frozen_rows(getattr(self, name), self.var_count))
+            object.__setattr__(self, name, FrozenRows(getattr(self, name), self.var_count))
 
     @cached_property
     def _phase1_tableau(self) -> Optional["_Tableau"]:
@@ -124,12 +131,7 @@ class LinearSystem:
 
     def is_feasible(self, point: Sequence[Rational]) -> bool:
         """Exact membership test."""
-        return self._scaled_if_feasible(point) is not None
-
-    def _scaled_if_feasible(self, point: Sequence[Rational]) -> Optional[tuple[list[int], int]]:
-        """``point`` scaled by :meth:`_scaled_point` if it satisfies the system, else None."""
-        xs, scale = self._scaled_point(point)
-        return (xs, scale) if self._holds(xs, scale) else None
+        return self._holds(*self._scaled_point(point))
 
     def _holds(self, xs: list[int], scale: int) -> bool:
         """True iff the point ``xs / scale``, of ``var_count`` entries, satisfies the system."""
@@ -210,7 +212,13 @@ class LinearSystem:
 
 class FrozenRows(tuple):
     """A tuple of ``(coeffs, rhs)`` rows over the columns ``range(var_count)``,
-    each ``coeffs`` a read-only map; :func:`frozen_rows` makes and checks one.
+    each ``coeffs`` a read-only map.
+
+    ``FrozenRows(rows, var_count)`` wraps each dict ``coeffs``, not copied, in
+    a :class:`types.MappingProxyType`, and raises InputError for a row that
+    is not a map or has a key that is not an ``int`` in ``range(var_count)``;
+    the check costs the rows' entries, whatever ``var_count`` is.  Rows
+    already frozen for ``var_count`` columns are returned as they are.
 
     :attr:`columns` is built on first use and kept, so a row test at a point
     reads only the entries in the point's support.
@@ -219,9 +227,23 @@ class FrozenRows(tuple):
     var_count: int
 
     def __new__(cls, rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int):
-        self = super().__new__(cls, rows)
-        self.var_count = var_count
-        return self
+        if type(rows) is FrozenRows and rows.var_count == var_count:
+            return rows
+        rows = [(MappingProxyType(c) if isinstance(c, dict) else c, rhs) for c, rhs in rows]
+        maps = [coeffs for coeffs, _ in rows]
+        if all(isinstance(c, MappingProxyType) for c in maps):
+            # The types are read per entry and the range per distinct key: a set
+            # of the keys alone could keep one row's 1 and drop another's 1.0.
+            keys = set().union(*maps)
+            ints = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(maps))))
+            if ints and (not keys or 0 <= min(keys) and max(keys) < var_count):
+                self = super().__new__(cls, rows)
+                self.var_count = var_count
+                return self
+        raise InputError(
+            f"constraint row must be a {{column: coefficient}} dict over "
+            f"columns 0..{var_count - 1}"
+        )
 
     @cached_property
     def columns(self) -> dict[int, list[tuple[int, Rational]]]:
@@ -243,29 +265,6 @@ class FrozenRows(tuple):
                 for i, c in column:
                     totals[i] += c * x
         return totals
-
-
-def frozen_rows(
-    rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int
-) -> FrozenRows:
-    """``rows`` as :class:`FrozenRows`, each dict ``coeffs`` wrapped, not copied,
-    in a :class:`types.MappingProxyType`; InputError for a row that is not a
-    map or names a column outside ``range(var_count)``.  Rows already frozen
-    for ``var_count`` columns are returned as they are, unchecked."""
-    if type(rows) is FrozenRows and rows.var_count == var_count:
-        return rows
-    in_range = frozenset(range(var_count)).issuperset
-    frozen = []
-    for coeffs, rhs in rows:
-        if isinstance(coeffs, dict):
-            coeffs = MappingProxyType(coeffs)
-        if not isinstance(coeffs, MappingProxyType) or not in_range(coeffs):
-            raise InputError(
-                f"constraint row must be a {{column: coefficient}} dict over "
-                f"columns 0..{var_count - 1}"
-            )
-        frozen.append((coeffs, rhs))
-    return FrozenRows(frozen, var_count)
 
 
 def _row_text(coeffs: Row, rhs: Rational, var_count: int) -> str:
@@ -308,6 +307,13 @@ def _scaled(point: Sequence[Rational]) -> tuple[list[int], int]:
     dens = [x.denominator for x in point]
     scale = reduce(lcm, set(dens), 1)
     return [x.numerator * (scale // d) for x, d in zip(point, dens)], scale
+
+
+def _unscaled(xs: Sequence[int], scale: int) -> list[Fraction]:
+    """The inverse of :func:`_scaled`: ``xs / scale`` as ``Fraction``s, one built per
+    distinct entry."""
+    entries = {x: Fraction(x, scale) for x in set(xs)}
+    return [entries[x] for x in xs]
 
 
 def _violated(rows: FrozenRows, xs: list[int], scale: int) -> Iterator[int]:
@@ -507,6 +513,17 @@ class _Tableau:
                     row[neg] = -c
         return row
 
+    def row(
+        self, coeffs: Mapping[int, Rational], rhs: Rational, slack: Optional[int] = None
+    ) -> dict[int, int]:
+        """``coeffs . x = rhs`` over the columns as a primitive integer row, unreduced;
+        a ``slack`` column adds its unit entry, for ``coeffs . x + s = rhs``."""
+        row = self.expand(coeffs.items())
+        if slack is not None:
+            row[slack] = 1
+        row[self.rhs] = rhs
+        return _int_row(row)
+
     def point(self) -> tuple[list[int], int]:
         """The basic solution as ``(xs, L)``: ``xs[v] / L`` is each variable's value, a
         free one's ``+`` less its ``-``; only the structural basic rows are read."""
@@ -585,10 +602,7 @@ class _Tableau:
         The row is reduced against the basic rows, so its right side is
         negative exactly when the basic solution violates ``coeffs . x <= rhs``.
         """
-        row = self.expand(coeffs.items())
-        row[slack] = 1
-        row[self.rhs] = rhs
-        self.rows.append(self.reduce(_int_row(row)))
+        self.rows.append(self.reduce(self.row(coeffs, rhs, slack)))
         self.basis.append(slack)
 
     def restore(self) -> str:
@@ -653,15 +667,10 @@ def _phase1(sys: LinearSystem) -> Optional[_Tableau]:
     rows, basis = tab.rows, tab.basis
     # The inequalities first, each basic in its slack: no row reduces another.
     for slack, (coeffs, rhs) in enumerate(sys.ineq_rows, ncols):
-        row = tab.expand(coeffs.items())
-        row[slack] = 1
-        row[rhs_col] = rhs
-        rows.append(_int_row(row))
+        rows.append(tab.row(coeffs, rhs, slack))
         basis.append(slack)
     for coeffs, rhs in sys.eq_rows:
-        row = tab.expand(coeffs.items())
-        row[rhs_col] = rhs
-        row = tab.reduce(_int_row(row))
+        row = tab.reduce(tab.row(coeffs, rhs))
         if not row:
             continue
         if len(row) == 1 and rhs_col in row:
@@ -697,11 +706,13 @@ def lp_maximize(
     phase-2 pivots of a cold solve and returns the same result.
 
     ``lazy_rows`` are ``(coeffs, rhs)`` rows ``coeffs . x <= rhs`` over the
-    columns of ``sys``, frozen by :func:`frozen_rows`, separated from the
-    optimum through their column index: the rows its point violates join
-    the tableau (:meth:`_Tableau.add_row`), the dual simplex
-    (:meth:`_Tableau.restore`) makes the point feasible again, and this
-    repeats until no lazy row is violated.  The result is the base optimum,
+    columns of ``sys``.  They are frozen and checked as :class:`FrozenRows`
+    (rows already frozen for the width of ``sys``, as the builders return
+    them, are used as they are) and separated from the optimum through
+    their column index: the rows its point violates join the tableau
+    (:meth:`_Tableau.add_row`), the dual simplex (:meth:`_Tableau.restore`)
+    makes the point feasible again, and this repeats until no lazy row is
+    violated.  The result is the base optimum,
     with the optimum over ``sys`` plus every lazy row in ``lazy``: it is
     Infeasible when the lazy rows empty the feasible set, and it has the
     base status when the base has no optimum to separate.
@@ -710,7 +721,7 @@ def lp_maximize(
         raise InputError("objective length does not match variable count")
     if lazy_rows is not None:
         try:
-            lazy_rows = frozen_rows(lazy_rows, sys.var_count)
+            lazy_rows = FrozenRows(lazy_rows, sys.var_count)
         except InputError:
             raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}") from None
     # ints and Fractions have the numerator and denominator _scaled reads
@@ -758,10 +769,9 @@ def _no_optimum(status: str, lazy_rows) -> LpResult:
 
 def _optimum(sys: LinearSystem, cost: dict[int, int], denom: int, xs: list[int], scale: int):
     """The Optimal :class:`LpResult` at the point ``xs / scale`` for the objective
-    ``cost / denom``, its point built with one ``Fraction`` per distinct entry;
+    ``cost / denom``, its point built by :func:`_unscaled`;
     InternalInvariantError unless the point is in ``sys``."""
     if not sys._holds(xs, scale):  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), denom * scale)
-    entries = {x: Fraction(x, scale) for x in set(xs)}
-    return LpResult(status="Optimal", value=value, point=[entries[x] for x in xs])
+    return LpResult(status="Optimal", value=value, point=_unscaled(xs, scale))

@@ -30,6 +30,7 @@ from satpoly.linsys import (
     Row,
     _int_row,
     _solve_equalities,  # unused here; perfbench/tracing.py wraps this name
+    _unscaled,
     rank,
     rank_at_most,
 )
@@ -261,56 +262,38 @@ def fractional_vertex(n: int) -> BlockPoint:
     if n < 4:
         raise InputError("fractional vertex construction needs n >= 4")
     x = Fraction(1, n + 1)
-
-    def r1(j: int) -> Fraction:  # 1-based column, top-row sum
-        return (n // 2) * x if j == 1 else (n + 1 - j) * x
-
-    def r2(j: int) -> Fraction:
-        return ((n + 1) // 2) * x if j == 1 else (j // 2) * x
-
-    def r3(j: int) -> Fraction:
-        return x if j == 1 else ((j + 1) // 2) * x
-
     p = BlockPoint.zeros(n, n)
-    for i1 in range(1, n + 1):
-        for j1 in range(1, n + 1):
-            i, j = i1 - 1, j1 - 1
+    for j1 in range(1, n + 1):
+        # the top-row sums of the 1-based column j1
+        if j1 == 1:
+            r1, r2, r3 = (n // 2) * x, ((n + 1) // 2) * x, x
+        else:
+            r1, r2, r3 = (n + 1 - j1) * x, (j1 // 2) * x, ((j1 + 1) // 2) * x
+        for i1 in range(1, n + 1):
+            # a patterned block's cells take r1, r2 and r3; a filler names its four
+            values = r1, r2, r3
             if j1 == 1 and i1 == n - 1:
-                p[i, j, 0, 1] = r1(j1)
-                p[i, j, 1, 0] = r2(j1)
-                p[i, j, 2, 0] = r3(j1)
+                cells = (0, 1), (1, 0), (2, 0)
             elif j1 == 1 and i1 == n:
-                p[i, j, 0, 0] = r1(j1)
-                p[i, j, 1, 1] = r2(j1)
-                p[i, j, 2, 0] = r3(j1)
+                cells = (0, 0), (1, 1), (2, 0)
             elif i1 == j1:
-                p[i, j, 0, 0] = r1(j1)
-                p[i, j, 1, 0] = r2(j1)
-                p[i, j, 2, 1] = r3(j1)
+                cells = (0, 0), (1, 0), (2, 1)
             elif j1 == i1 + 1:
-                p[i, j, 0, 0] = r1(j1)
-                p[i, j, 1, 1] = r2(j1)
-                p[i, j, 2, 0] = r3(j1)
+                cells = (0, 0), (1, 1), (2, 0)
             elif j1 >= 2 and i1 in (2 * j1 - 1, 2 * j1):
-                p[i, j, 0, 0] = r1(j1)
-                p[i, j, 1, 1] = r2(j1)
-                p[i, j, 2, 1] = r3(j1)
+                cells = (0, 0), (1, 1), (2, 1)
             elif i1 < j1:
                 v = ((i1 + 1) // 2) * x
-                p[i, j, 0, 0] = r1(j1)
-                p[i, j, 1, 0] = r2(j1)
-                p[i, j, 2, 0] = r3(j1) - v
-                p[i, j, 2, 1] = v
+                cells, values = ((0, 0), (1, 0), (2, 0), (2, 1)), (r1, r2, r3 - v, v)
             else:
-                y = ((i1 + 1) // 2) * x - r3(j1)
-                p[i, j, 0, 0] = r1(j1) - y
-                p[i, j, 0, 1] = y
-                p[i, j, 1, 0] = r2(j1)
-                p[i, j, 2, 1] = r3(j1)
+                y = ((i1 + 1) // 2) * x - r3
+                cells, values = ((0, 0), (0, 1), (1, 0), (2, 1)), (r1 - y, y, r2, r3)
+            for (k, l), value in zip(cells, values):
+                p[i1 - 1, j1 - 1, k, l] = value
 
     sys = build_satp_lp(n, n)
-    scaled = sys._scaled_if_feasible(p.flat())
-    if scaled is None:
+    scaled = sys._scaled_point(p.flat())
+    if not sys._holds(*scaled):
         raise InternalInvariantError("constructed fractional point is infeasible")
     if not _is_vertex(sys, scaled):
         raise InternalInvariantError("constructed fractional point is not a vertex")
@@ -325,8 +308,8 @@ def fractional_vertex(n: int) -> BlockPoint:
 def _scaled_feasible(sys: LinearSystem, flat: list[Rational]) -> tuple[list[int], int]:
     """``flat`` scaled to integers, once for all the tests at it; InputError
     unless it is a point of ``sys``."""
-    scaled = sys._scaled_if_feasible(flat)
-    if scaled is None:
+    scaled = sys._scaled_point(flat)
+    if not sys._holds(*scaled):
         raise InputError("point is not feasible for the system")
     return scaled
 
@@ -496,12 +479,12 @@ def enumerate_lp_vertices(
         return []
     # Each vertex times the lcm of the rays' t: integer tuples that dedupe and
     # sort as the vertices do, the scale being positive.  They share a few
-    # distinct entries, so each Fraction is built once.
+    # distinct entries, so they are unscaled in one call, one run of entries.
     bounded = [y for y in rays if y[t] > 0]
     scale = lcm(*(y[t] for y in bounded))
     found = {tuple(x * (scale // y[t]) for x in y[:n_struct]) for y in bounded}
-    value = {x: Fraction(x, scale) for x in set().union(*found)}
-    return [[value[x] for x in vertex] for vertex in sorted(found)]
+    entries = iter(_unscaled([x for vertex in sorted(found) for x in vertex], scale))
+    return [list(itertools.islice(entries, n_struct)) for _ in found]
 
 
 def _apply(row: dict[int, int], y: list[int]) -> int:

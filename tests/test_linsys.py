@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -13,12 +14,12 @@ from satpoly.builders import PolytopeId, build_satp_lp
 from satpoly.errors import BudgetError, InputError
 from satpoly.linsys import (
     MAX_TEXT_VARS,
+    FrozenRows,
     LinearSystem,
     LpResult,
     _Tableau,
     _scaled,
     _violated,
-    frozen_rows,
     lp_maximize,
     rank,
     rank_at_most,
@@ -319,10 +320,14 @@ def test_constructor_rejects_rows_outside_the_sparse_format():
 
 def test_a_row_key_outside_the_columns_is_refused_by_name():
     message = "constraint row must be a {column: coefficient} dict over columns 0..2"
-    for key in (-1, 3, "a", 1.5):
+    for key in (-1, 3, "a", 1.5, 1.0):
         for rows in ("eq_rows", "ineq_rows"):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 LinearSystem(3, **{rows: [({0: 1, key: 1}, 0)]})
+    # the class itself checks, and 1.0 is refused beside another row's 1
+    for rows in ([({99: 1}, 1)], [({1: 1}, 0), ({1.0: 1}, 0)]):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            FrozenRows(rows, 3)
     # True == 1 and hash(True) == hash(1): it names column 1, as in range(3)
     sys = LinearSystem(3, ineq_rows=[({True: 1}, 1)])
     assert sys.is_feasible([0, 1, 0]) and not sys.is_feasible([0, 2, 0])
@@ -517,7 +522,8 @@ def test_integer_row_tests_match_a_fraction_reference(case):
         and not violated
         and all(x >= 0 for flag, x in zip(system.nonneg, point) if flag)
     )
-    assert system._scaled_if_feasible(point) == ((xs, scale) if feasible else None)
+    assert system._scaled_point(point) == (xs, scale)
+    assert system._holds(xs, scale) == feasible
 
     # The inequality rows as lazy rows over a box: a plain list is frozen, rows
     # frozen for this width pass through, rows frozen for more are checked again.
@@ -528,12 +534,12 @@ def test_integer_row_tests_match_a_fraction_reference(case):
     expected = lp_maximize(box, objective, lazy_rows=plain)
     if expected.lazy.status == "Optimal":
         assert all(reference_value(coeffs, expected.lazy.point) <= rhs for coeffs, rhs in plain)
-    assert frozen_rows(system.ineq_rows, n) is system.ineq_rows
+    assert FrozenRows(system.ineq_rows, n) is system.ineq_rows
     assert lp_maximize(box, objective, lazy_rows=system.ineq_rows) == expected
-    wide = frozen_rows(plain, n + 1)
-    assert frozen_rows(wide, n) is not wide and frozen_rows(wide, n) == wide
+    wide = FrozenRows(plain, n + 1)
+    assert FrozenRows(wide, n) is not wide and FrozenRows(wide, n) == wide
     assert lp_maximize(box, objective, lazy_rows=wide) == expected
-    outside = frozen_rows([*plain, ({n: 1}, 0)], n + 1)
+    outside = FrozenRows([*plain, ({n: 1}, 0)], n + 1)
     with pytest.raises(InputError, match=f"^lazy row names a column outside 0..{n - 1}$"):
         lp_maximize(box, objective, lazy_rows=outside)
 
@@ -544,6 +550,17 @@ def test_the_column_index_holds_only_the_columns_its_rows_name():
     sys = LinearSystem(MAX_TEXT_VARS, ineq_rows=[({0: 1, last: 2}, 1)])
     assert sys.ineq_rows.columns == {0: [(0, 1)], last: [(0, 2)]}
     assert sys.eq_rows.columns == {}
+
+
+def test_the_row_check_costs_the_entries_not_the_vars_header():
+    # the 10^6 nonneg flags take 7.6 MiB; a set of every column took 74.8 MiB
+    tracemalloc.start()
+    try:
+        LinearSystem(MAX_TEXT_VARS, ineq_rows=[({0: 1}, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @settings(max_examples=200, deadline=None)

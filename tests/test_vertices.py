@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 from collections import deque
@@ -210,6 +211,26 @@ def test_fractional_vertex_smallest_case():
     sys = build_satp_lp(4, 4)
     assert sys.is_feasible(p.flat())
     assert verify_vertex(p, sys)
+
+
+#: sha256 of ``fractional_vertex(n).to_text()``, pinned for every n the table covers.
+FRACTIONAL_TEXT_SHA256 = {
+    4: "04617abd8800d81513aada6406aa1fd1fd021d275d101b94627923a30d95c30b",
+    5: "1425886c1dd130ef761ce6e66b9365e5a15a349065a69f9b1ca1b6dd2ae9c90f",
+    6: "36271150357fb44c14af1be5e9c6889f55db0c86641d5e63e59f700c22c39f77",
+    7: "54ec3363c1fdde8edd99ad58ba9ee54e048e8932d061081009c24ff9cad954dd",
+    8: "c7a7893822016b47c91b2ceebfe5fe45ab0853c2aca24e9c68f616400c2156dc",
+    9: "b1617a07f916164ff0b2c0b5b85b72953e9861c8570624765a22a54608a39129",
+    10: "005ee84cd1fe72ece8da0498bf77f52a00fb122c041099caa69d65ad3a1997a0",
+    11: "5bf6696cdc41a0204f148fb53acf400161bb66cfa3ed9015e609d4b15355bf04",
+    12: "a95625bb29f705b9f769c49a8ad784aa677cc559a12ce72505003c3baa0452ab",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FRACTIONAL_TEXT_SHA256))
+def test_fractional_vertex_text_is_pinned(n):
+    text = fractional_vertex(n).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == FRACTIONAL_TEXT_SHA256[n]
 
 
 def test_fractional_vertex_rejects_small_n():
