@@ -210,15 +210,22 @@ class LinearSystem:
         return LinearSystem(var_count, eq_rows=eq_rows, ineq_rows=ineq_rows, nonneg=nonneg)
 
 
+class _ColumnError(InputError):
+    """A row key that is not a column in ``range(var_count)``."""
+
+
 class FrozenRows(tuple):
     """A tuple of ``(coeffs, rhs)`` rows over the columns ``range(var_count)``,
     each ``coeffs`` a read-only map.
 
     ``FrozenRows(rows, var_count)`` wraps each dict ``coeffs``, not copied, in
-    a :class:`types.MappingProxyType`, and raises InputError for a row that
-    is not a map or has a key that is not an ``int`` in ``range(var_count)``;
-    the check costs the rows' entries, whatever ``var_count`` is.  Rows
-    already frozen for ``var_count`` columns are returned as they are.
+    a :class:`types.MappingProxyType`.  It raises InputError for a row that
+    is not a ``(map, rhs)`` pair, a coefficient or right side that is not an
+    ``int`` or a ``Fraction``, or a key that is not an ``int`` in
+    ``range(var_count)``; the check costs the rows' entries, whatever
+    ``var_count`` is.  Rows already frozen for ``var_count`` columns are
+    returned as they are.  Pickling and deep copies rebuild from plain
+    ``dict`` rows and ``var_count``.
 
     :attr:`columns` is built on first use and kept, so a row test at a point
     reads only the entries in the point's support.
@@ -229,21 +236,36 @@ class FrozenRows(tuple):
     def __new__(cls, rows: Iterable[tuple[Mapping[int, Rational], Rational]], var_count: int):
         if type(rows) is FrozenRows and rows.var_count == var_count:
             return rows
-        rows = [(MappingProxyType(c) if isinstance(c, dict) else c, rhs) for c, rhs in rows]
+        pair = "constraint row must be a ({column: coefficient}, rhs) pair"
+        try:
+            rows = [(MappingProxyType(c) if isinstance(c, dict) else c, rhs) for c, rhs in rows]
+        except (TypeError, ValueError):  # a row that does not unpack as a pair
+            raise InputError(pair) from None
         maps = [coeffs for coeffs, _ in rows]
-        if all(isinstance(c, MappingProxyType) for c in maps):
-            # The types are read per entry and the range per distinct key: a set
-            # of the keys alone could keep one row's 1 and drop another's 1.0.
-            keys = set().union(*maps)
-            ints = all(issubclass(t, int) for t in set(map(type, chain.from_iterable(maps))))
-            if ints and (not keys or 0 <= min(keys) and max(keys) < var_count):
-                self = super().__new__(cls, rows)
-                self.var_count = var_count
-                return self
-        raise InputError(
-            f"constraint row must be a {{column: coefficient}} dict over "
-            f"columns 0..{var_count - 1}"
-        )
+        if not all(isinstance(c, MappingProxyType) for c in maps):
+            raise InputError(pair)
+        # The key types are read per entry and the range per distinct key: a set
+        # of the keys alone could keep one row's 1 and drop another's 1.0.  The
+        # value types take a second pass: one pass over (key, value) type pairs
+        # hashes a tuple per entry and costs more than the two.
+        keys = set().union(*maps)
+        if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(maps)))) or (
+            keys and not (0 <= min(keys) and max(keys) < var_count)
+        ):
+            raise _ColumnError(
+                f"constraint row must be a {{column: coefficient}} dict over "
+                f"columns 0..{var_count - 1}"
+            )
+        numbers = set(map(type, chain.from_iterable(map(MappingProxyType.values, maps))))
+        numbers.update(type(rhs) for _, rhs in rows)
+        if not all(issubclass(t, (int, Fraction)) for t in numbers):
+            raise InputError("constraint row values must be ints or Fractions")
+        self = super().__new__(cls, rows)
+        self.var_count = var_count
+        return self
+
+    def __reduce__(self):
+        return FrozenRows, ([(dict(c), rhs) for c, rhs in self], self.var_count)
 
     @cached_property
     def columns(self) -> dict[int, list[tuple[int, Rational]]]:
@@ -460,12 +482,18 @@ class LpResult:
     exactly; :meth:`LinearSystem.tight_set` lists the rows active there.
     ``lazy`` is the outcome once the lazy rows also hold, None when no lazy
     rows were given; ``status``, ``value`` and ``point`` stay the base optimum.
+    ``value`` and every entry of ``point`` are ``Fraction``s.
+
+    ``scaled_point`` is the same point as the simplex read it, ``(xs, L)``
+    with ``point[v] == xs[v] / L`` in integers, for a caller that goes on in
+    integers; equality and repr ignore it.
     """
 
     status: str  # "Optimal" | "Infeasible" | "Unbounded"
     value: Optional[Rational] = None
     point: Optional[list[Rational]] = None
     lazy: Optional["LpResult"] = None
+    scaled_point: Optional[tuple[list[int], int]] = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -500,7 +528,9 @@ class _Tableau:
 
     def copy(self) -> "_Tableau":
         """A tableau to pivot, with no z-row: :func:`_eliminate` consumes the rows it updates."""
-        return replace(self, rows=list(map(dict, self.rows)), basis=list(self.basis), zrow={})
+        return _Tableau(
+            self.col_of_var, self.ncols, self.rhs, list(map(dict, self.rows)), list(self.basis)
+        )
 
     def expand(self, coeffs: Iterable[tuple[int, Rational]]) -> Row:
         """The ``(variable, coefficient)`` pairs ``coeffs`` as a row over the columns."""
@@ -697,8 +727,14 @@ def lp_maximize(
     a pivot is nondegenerate.  This terminates: nondegenerate pivots
     strictly raise the objective, so only a run of degenerate pivots can
     repeat a basis, and Bland's rule cannot cycle.  The point is read off
-    the final tableau as integers over one denominator.  Infeasible and
-    unbounded inputs are reported as statuses, never exceptions.
+    the final tableau as integers over one denominator, kept as the
+    result's ``scaled_point``.  Infeasible and unbounded inputs are
+    reported as statuses, never exceptions.
+
+    An objective whose nonzero entries are all ``int`` is the integer cost
+    as it is; any other is scaled to integers by the lcm of its
+    denominators.  The cost row is made primitive before it prices, so a
+    positive multiple of an objective makes the same pivots.
 
     Phase 1 never reads the objective, so its tableau is computed once per
     system and kept on it (:attr:`LinearSystem._phase1_tableau`).  Each call
@@ -722,16 +758,16 @@ def lp_maximize(
     if lazy_rows is not None:
         try:
             lazy_rows = FrozenRows(lazy_rows, sys.var_count)
-        except InputError:
+        except _ColumnError:
             raise InputError(f"lazy row names a column outside 0..{sys.var_count - 1}") from None
-    # ints and Fractions have the numerator and denominator _scaled reads
-    nonzero = {
-        v: c if isinstance(c, (int, Fraction)) else Fraction(c)
-        for v, c in enumerate(objective)
-        if c
-    }
-    nums, denom = _scaled(list(nonzero.values()))
-    cost = dict(zip(nonzero, nums))  # the objective times denom, in integers
+    cost = {v: c for v, c in enumerate(objective) if c}
+    denom = 1  # cost is the objective times denom, in integers
+    if not all(type(c) is int for c in cost.values()):  # a bool is scaled too
+        # ints and Fractions have the numerator and denominator _scaled reads
+        nums, denom = _scaled(
+            [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in cost.values()]
+        )
+        cost = dict(zip(cost, nums))
     ready = sys._phase1_tableau
     if ready is None:
         return _no_optimum("Infeasible", lazy_rows)
@@ -769,9 +805,9 @@ def _no_optimum(status: str, lazy_rows) -> LpResult:
 
 def _optimum(sys: LinearSystem, cost: dict[int, int], denom: int, xs: list[int], scale: int):
     """The Optimal :class:`LpResult` at the point ``xs / scale`` for the objective
-    ``cost / denom``, its point built by :func:`_unscaled`;
-    InternalInvariantError unless the point is in ``sys``."""
+    ``cost / denom``, its point built by :func:`_unscaled` and ``(xs, scale)`` kept
+    as its ``scaled_point``; InternalInvariantError unless the point is in ``sys``."""
     if not sys._holds(xs, scale):  # pragma: no cover - exactness guard
         raise InternalInvariantError("simplex returned an infeasible point")
     value = Fraction(sum(c * xs[j] for j, c in cost.items()), denom * scale)
-    return LpResult(status="Optimal", value=value, point=_unscaled(xs, scale))
+    return LpResult("Optimal", value, _unscaled(xs, scale), scaled_point=(xs, scale))

@@ -7,6 +7,10 @@ column-balanced objectives: every block column j owns a pair of block
 rows (a_j, b_j) with ``c^{a,1} + c^{b,2} = c^{a,2} + c^{b,1}`` in every
 block row i.  :func:`recognize_satp` normalizes once, renaming each
 column's pair onto rows (2, 3), and all later work is in those coordinates.
+It also scales the objective to integers once, by the lcm of its
+denominators: the balance decision, the renamings, the LP cost and the
+witness's value all work on those integers, and the two optima are divided
+by the scale once at the end.
 
 The strengthened optimum is found by separation (Dantzig, Fulkerson and
 Johnson 1954): the strengthening rows are the lazy rows of one
@@ -19,10 +23,12 @@ constructively: the optimizer of the strengthened system is rewritten,
 by per-row column swaps, per-column row permutations, and
 objective-preserving four-cell exchanges, into a point with positive
 top-left mass in every block, which then splits as a convex combination
-``alpha * q + (1 - alpha) * h`` with q integral.  The normalization and
-the rewriting renamings are recorded in invertible ledgers, so the witness
-comes back in the caller's coordinates, where its value equalling the
-relaxation optimum certifies the answer.
+``alpha * q + (1 - alpha) * h`` with q integral.  The optimizer is read
+from the LP's integer optimum, ``int`` where an entry is integral and
+``Fraction`` where it is not.  The normalization and the rewriting
+renamings are recorded in invertible ledgers, so the witness comes back in
+the caller's coordinates, where its value equalling the relaxation optimum
+certifies the answer.
 """
 
 from __future__ import annotations
@@ -221,7 +227,7 @@ class _Rewriter:
             raise InternalInvariantError(
                 "exchange needs strictly positive cells to draw from"
             )
-        eps = min(d0, d1) / 2
+        eps = Fraction(min(d0, d1), 2)
         for o in inc:
             v[b + o] += eps
         for o in dec:
@@ -245,7 +251,9 @@ def construct_wstar(w: BlockPoint) -> tuple[BlockPoint, RenamingLedger]:
     unchanged with an identity ledger.  Otherwise ``w`` stays fixed while
     the rewriting renames only the ledger and shifts mass by exchanges
     that preserve every such objective's value.  Returns ``wstar`` with
-    the ledger from the coordinates of ``w`` to those of ``wstar``.
+    the ledger from the coordinates of ``w`` to those of ``wstar``.  The
+    values of ``w`` may mix ``int`` and ``Fraction``; an exchange moves a
+    ``Fraction``.
     """
     m, n = w.m, w.n
     if all(x > 0 for x in w.values[::6]):  # the top-left cell of every block
@@ -435,6 +443,12 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     :func:`construct_wstar`.  A positive answer comes with a maximizing
     integral witness in the caller's coordinates.
 
+    The objective is scaled to integers once, so the LP cost, the balance
+    decision and the witness's value are all integer work; the two optima
+    are divided by the scale once, and the values of the outcome are
+    ``Fraction``s.  The point handed to :func:`construct_wstar` is read from
+    the strengthened optimum's integer ``scaled_point``.
+
     The witness is its own certificate: its value is at most the integral
     maximum, which is at most the strengthened and relaxation optima, so a
     witness whose value equals the relaxation optimum proves the answer.
@@ -445,6 +459,8 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     """
     if (c.m, c.n) != (m, n):
         raise InputError("objective shape disagrees with the grid")
+    v, scale = _scaled(c.values)
+    c = BlockPoint(m, n, v)  # the objective times scale, in integers
     pre = normalization_ledger(c)  # raises BalanceError for an unbalanced column
     c0 = pre.apply_point(c)
     rows, base = satp2_inequality_rows(m, n), build_satp_lp(m, n)  # rows refused first
@@ -452,7 +468,8 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     answer = relaxed.value == strengthened.value
     witness = None
     if answer:
-        w = BlockPoint.from_flat(strengthened.point, m, n)
+        xs, d = strengthened.scaled_point
+        w = BlockPoint(m, n, [Fraction(x, d) if x % d else x // d for x in xs])
         _, ledger = construct_wstar(w)
         witness = compose_ledgers(ledger, pre).allones_preimage()
         if _code_value(c, witness.row, witness.col) != relaxed.value:
@@ -460,8 +477,8 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     return RecognitionOutcome(
         answer=answer,
         witness=witness,
-        relaxation_value=relaxed.value,
-        strengthened_value=strengthened.value,
+        relaxation_value=relaxed.value / scale,
+        strengthened_value=strengthened.value / scale,
     )
 
 
@@ -494,7 +511,7 @@ def _code_value(c: ObjectiveVector, row: tuple[int, ...], col: tuple[int, ...]) 
     """``c`` at the integral vertex coded ``(row, col)``: the m*n cells it selects."""
     v, n = c.values, c.n
     cols = [6 * j + 2 * cj for j, cj in enumerate(col)]  # cell (col_j, 0) of block (0, j)
-    total = Fraction(0)
+    total = 0
     for i, ri in enumerate(row):
         b = 6 * n * i + ri
         for o in cols:

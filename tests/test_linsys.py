@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
 import tracemalloc
@@ -90,6 +92,10 @@ def test_lp_objective_entries_of_every_type_give_one_cost():
     ):
         result = lp_maximize(sys, objective)
         assert result == expected and type(result.value) is Fraction
+    # an objective of ints is the cost as it is; twice the objective, twice the value
+    doubled = lp_maximize(sys, [3, 0, 2])
+    assert doubled.point == expected.point and doubled.value == 2 * expected.value
+    assert all(type(x) is Fraction for x in [doubled.value, *doubled.point])
 
 
 def test_lp_point_replay_exact():
@@ -331,6 +337,59 @@ def test_a_row_key_outside_the_columns_is_refused_by_name():
     # True == 1 and hash(True) == hash(1): it names column 1, as in range(3)
     sys = LinearSystem(3, ineq_rows=[({True: 1}, 1)])
     assert sys.is_feasible([0, 1, 0]) and not sys.is_feasible([0, 2, 0])
+
+
+def test_rows_with_values_or_shapes_outside_the_format_are_refused():
+    # a float coefficient once constructed and then raised AttributeError in
+    # lp_maximize, and a row that is not a pair raised a bare TypeError
+    pair = "constraint row must be a ({column: coefficient}, rhs) pair"
+    values = "constraint row values must be ints or Fractions"
+    cases = [
+        ([5], pair),
+        ([({0: 1},)], pair),
+        ([({0: 1}, 1, 0)], pair),
+        ([([1, 1], 1)], pair),
+        ([({0: 1}, 1), ({0: 1.5}, 1)], values),
+        ([({0: "1"}, 1)], values),
+        ([({0: Decimal(1)}, 1)], values),
+        ([({0: 1}, 1.0)], values),
+        ([({0: 1}, "1")], values),
+    ]
+    for rows, message in cases:
+        for name in ("eq_rows", "ineq_rows"):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                LinearSystem(2, **{name: rows})
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            lp_maximize(LinearSystem(2), [1, 0], lazy_rows=rows)
+    with pytest.raises(InputError, match=f"^{re.escape(pair)}$"):
+        FrozenRows(5, 2)
+    # ints, bools and Fractions are the values a row holds
+    sys = LinearSystem(2, ineq_rows=[({0: Fraction(1, 2), 1: True}, Fraction(3, 2)), ({0: 1}, 1)])
+    assert lp_maximize(sys, [1, 1]).value == 2
+
+
+def test_a_system_survives_deepcopy_and_pickle():
+    # deepcopy once raised TypeError from FrozenRows.__new__, and pickle
+    # refused the read-only row maps
+    systems = [
+        LinearSystem(
+            3,
+            eq_rows=[({0: 1, 1: 1, 2: 1}, 1)],
+            ineq_rows=[({0: Fraction(1, 2), 1: -1}, 0), ({1: 1}, Fraction(1, 3))],
+            nonneg=(True, False, True),
+        ),
+        build_satp_lp(2, 2),  # memoized, with its phase-1 tableau and column index kept
+    ]
+    lp_maximize(systems[1], [1] * 24)
+    for system in systems:
+        objective = [Fraction(k % 5, 1 + k % 3) for k in range(system.var_count)]
+        expected = lp_maximize(system, objective, lazy_rows=[({0: 1}, Fraction(1, 4))])
+        for copied in (copy.deepcopy(system), pickle.loads(pickle.dumps(system))):
+            assert copied == system and copied is not system
+            for rows in (copied.eq_rows, copied.ineq_rows):
+                assert type(rows) is FrozenRows and rows.var_count == system.var_count
+            result = lp_maximize(copied, objective, lazy_rows=[({0: 1}, Fraction(1, 4))])
+            assert result == expected
 
 
 def test_free_rows_drop_the_pinned_columns_and_the_rows_left_empty():

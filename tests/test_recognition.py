@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -497,6 +498,38 @@ def test_positive_recognition_normalizes_and_builds_once(monkeypatch):
     assert counts["build_satp2_lp"] == 0
     assert counts["build_satp_lp"] == 1
     assert counts["decompose"] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.one_of(st.integers(1, 6), st.just(Fraction(1, 2))),
+)
+def test_a_scaled_objective_scales_the_optima_and_keeps_the_witness(m, n, seed, k):
+    # recognize_satp scales its objective to integers once and divides the
+    # optima by that scale at the end: k * c gives c's answer and witness,
+    # and k times its values, which are Fractions whatever the input type
+    c = random_balanced_objective(random.Random(seed), m, n)
+    # an int k gives an objective of ints, the half one of Fractions
+    kc = [k * v.numerator if type(k) is int else k * v for v in c.values]
+    outcome, scaled = recognize_satp(c, m, n), recognize_satp(BlockPoint(m, n, kc), m, n)
+    assert (scaled.answer, scaled.witness) == (outcome.answer, outcome.witness)
+    assert scaled.relaxation_value == k * outcome.relaxation_value
+    assert scaled.strengthened_value == k * outcome.strengthened_value
+    for o in (outcome, scaled):
+        assert all(type(x) is Fraction for x in (o.relaxation_value, o.strengthened_value))
+    # the LP's point is Fractions too; its integer optimum rides on the
+    # result, outside equality and repr
+    result = lp_maximize(build_satp_lp(m, n), kc, lazy_rows=satp2_inequality_rows(m, n))
+    for res in (result, result.lazy):
+        xs, d = res.scaled_point
+        assert res.point == [Fraction(x, d) for x in xs]
+        assert all(type(x) is Fraction for x in [res.value, *res.point])
+        plain = replace(res, scaled_point=None)
+        assert res == plain and repr(res) == repr(plain)
+    assert result.value == scaled.relaxation_value
 
 
 def test_recognize_rejects_unbalanced():
