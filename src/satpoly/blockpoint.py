@@ -9,7 +9,11 @@ serves both feasible points and objective vectors; the text header tag
 The values are stored once, flat, in the fixed order every constraint
 builder and the LP use: row-major over ``(i, j, k, l)`` (:func:`flat_index`),
 so block ``(i, j)`` is the six values from offset ``6 * (i * n + j)``.
-Cells are read and written as ``p[i, j, k, l]``.  A grid of more than
+Cells are read and written as ``p[i, j, k, l]``.  An entry is an ``int``
+or a ``Fraction``: the objective constructors of :mod:`satpoly.reductions`
+and :mod:`satpoly.ecbgc` write ``int`` 0/±1 entries, equal in value and in
+text to ``Fraction`` ones, so divide an entry through ``Fraction``:
+``(x + y) / 2`` on ``int`` entries is a float.  A grid of more than
 :data:`satpoly.linsys.MAX_TEXT_VARS` values is refused with a
 ``BudgetError`` before anything is allocated.
 """
@@ -39,7 +43,8 @@ def _check_shape(m: int, n: int) -> None:
 
 @dataclass
 class BlockPoint:
-    """An ``m x n`` grid of 3x2 rational blocks: 6mn values in flat order."""
+    """An ``m x n`` grid of 3x2 rational blocks: 6mn values in flat order, each
+    an ``int`` or a ``Fraction`` (divide through ``Fraction``, never ``/``)."""
 
     m: int
     n: int

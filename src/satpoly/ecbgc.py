@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from satpoly.blockpoint import BlockPoint, ObjectiveVector
+from satpoly.blockpoint import BlockPoint, ObjectiveVector, _check_shape
 from satpoly.errors import (
     BalanceError,
     BudgetError,
@@ -106,12 +106,9 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
                 raise InputError(f"bad edge line: {line!r}")
             i, j = (parse_int(tokens, k, "edge line") for k in (1, 2))
             flags = tokens[4]
-            if len(flags) != 6 or any(ch not in "+-" for ch in flags):
+            if len(flags) != 6 or flags.strip("+-"):
                 raise InputError(f"expected six +/- flags: {line!r}")
-            pc = (
-                tuple(ch == "+" for ch in flags[:3]),
-                tuple(ch == "+" for ch in flags[3:]),
-            )
+            pc = (tuple(map("+".__eq__, flags[:3])), tuple(map("+".__eq__, flags[3:])))
             edges.append((i, j, pc))
         else:
             raise InputError(f"unknown line kind {tokens[0]!r}")
@@ -177,27 +174,29 @@ def objective_from_instance(
     U-color s with V-color k.  When an edge permits exactly one of the
     four combinations built from ``(a_j, b_j)``, the diagonally opposite
     cell gets -1 so the column stays balanced.  Non-edges contribute
-    zero blocks, which are balanced vacuously.
+    zero blocks, which are balanced vacuously.  The entries are ``int``.
     """
     if len(pairs) != inst.v_count:
         raise InputError("one pair per V-vertex required")
-    one = Fraction(1)
-    c = BlockPoint.zeros(inst.u_count, inst.v_count)
+    m, n = inst.u_count, inst.v_count
+    _check_shape(m, n)
+    c = [0] * (6 * m * n)
     for i, j, pc in inst.edges:
-        if not _pair_ok_for_edge(pc, *pairs[j - 1]):
+        a, b = pairs[j - 1]
+        if not _pair_ok_for_edge(pc, a, b):
             raise InputError(f"edge ({i},{j}) violates the subclass condition")
+        o = 6 * ((i - 1) * n + j - 1)  # cell (k, s) of block (i, j) is at o + 2k + s
         for s in range(2):
             for k in range(3):
                 if pc[s][k]:
-                    c[i - 1, j - 1, k, s] = one
-        a, b = pairs[j - 1]
+                    c[o + 2 * k + s] = 1
         quad = [(a - 1, 0), (a - 1, 1), (b - 1, 0), (b - 1, 1)]
         permitted = [(k, s) for k, s in quad if pc[s][k]]
         if len(permitted) == 1:
             k, s = permitted[0]
             partner_k = (b - 1) if k == a - 1 else (a - 1)
-            c[i - 1, j - 1, partner_k, 1 - s] = -one
-    return c
+            c[o + 2 * partner_k + 1 - s] = -1
+    return BlockPoint(m, n, c)
 
 
 def solve_ecbgc(inst: EcbgcInstance) -> Optional[Coloring]:
@@ -265,23 +264,19 @@ def reduce_x3sat_to_ecbgc(formula: Cnf3Formula) -> EcbgcInstance:
     (i, j) marks the cells where the exactly-one objective scores, so
     colorability coincides with exactly-one satisfiability.  A clause
     repeating a variable yields a single edge whose table is the union of
-    the per-place patterns.
+    the per-place patterns.  Only the incident blocks are read, in the
+    sorted (variable, clause) order, which is the grid's row-major order;
+    every other block of the objective is zero.
     """
-    w = objective_x3sat(formula)
+    w = objective_x3sat(formula).values
     n = formula.clause_count
+    incidences = sorted({(var, j) for j, clause in enumerate(formula.clauses) for var, _ in clause})
     edges = []
-    for i in range(formula.var_count):
-        for j in range(n):
-            b = 6 * (i * n + j)
-            blk = w.values[b : b + 6]  # cell (k, l) at 2k + l
-            if not any(blk):
-                continue
-            pc = (
-                tuple(x == 1 for x in blk[0::2]),
-                tuple(x == 1 for x in blk[1::2]),
-            )
-            edges.append((i + 1, j + 1, pc))
-    return EcbgcInstance(formula.var_count, formula.clause_count, tuple(edges))
+    for var, j in incidences:
+        b = 6 * ((var - 1) * n + j)
+        blk = w[b : b + 6]  # cell (k, l) at 2k + l, each 0 or 1
+        edges.append((var, j + 1, (tuple(map(bool, blk[0::2])), tuple(map(bool, blk[1::2])))))
+    return EcbgcInstance(formula.var_count, n, tuple(edges))
 
 
 def scale_edge_weights(

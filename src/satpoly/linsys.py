@@ -65,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -135,7 +135,7 @@ class LinearSystem:
 
     def _holds(self, xs: list[int], scale: int) -> bool:
         """True iff the point ``xs / scale``, of ``var_count`` entries, satisfies the system."""
-        if any(flag and x < 0 for flag, x in zip(self.nonneg, xs)):
+        if min(compress(xs, self.nonneg), default=0) < 0:
             return False
         eq = self.eq_rows
         if any(t != b * scale for t, (_, b) in zip(eq.activities(xs), eq)):

@@ -2,8 +2,8 @@
 
 ``Rational`` is the standard-library ``fractions.Fraction``: always
 canonical (reduced, positive denominator) and exact under arithmetic.
-The textual format is ``p/q`` or ``p`` with an optional leading minus;
-decimals are never read or written.
+The textual format is ``p/q`` or ``p`` in ASCII digits, with an optional
+leading minus; decimals are never read or written.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from satpoly.errors import InputError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Rational:
@@ -49,13 +49,18 @@ def parse_token(token: str) -> tuple[Rational, int | Rational]:
 
 
 def parse_int(tokens: Sequence[str], index: int, what: str) -> int:
-    """The integer ``tokens[index]``; a missing or malformed token is an InputError."""
+    """The integer ``tokens[index]``, ASCII ``-?[0-9]+`` (bare ``int()`` also takes
+    ``+2``, ``1_0`` and non-ASCII digits); anything else is an InputError."""
     if index >= len(tokens):
         raise InputError(f"missing integer in {what}")
-    try:
-        return int(tokens[index])
-    except ValueError:
-        raise InputError(f"not an integer in {what}: {tokens[index]!r}") from None
+    token = tokens[index]
+    digits = token.removeprefix("-")
+    if digits.isdigit() and digits.isascii():
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            pass
+    raise InputError(f"not an integer in {what}: {token!r}")
 
 
 def content_lines(text: str) -> list[str]:

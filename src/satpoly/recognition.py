@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector
@@ -60,6 +61,16 @@ from satpoly.vertices import DEFAULT_CODE_BUDGET, VertexCode, code_to_point, row
 # ---------------------------------------------------------------------------
 
 
+#: Each permutation of the three block rows, mapped to its inverse.
+_INVERSE = {p: tuple(p.index(k) for k in range(3)) for p in itertools.permutations(range(3))}
+#: Per permutation q and row swap s, the six cells (q[k], l ^ s) of a block, in
+#: the order of the cells (k, l) that read them.
+_READ = {
+    (q, s): itemgetter(*(2 * q[k] + (l ^ s) for k in range(3) for l in range(2)))
+    for q in _INVERSE for s in (False, True)
+}
+
+
 @dataclass
 class RenamingLedger:
     """Invertible record of the coordinate renamings applied to a grid.
@@ -81,27 +92,26 @@ class RenamingLedger:
 
     def cell_source(self, i: int, j: int, k: int, l: int) -> tuple[int, int]:
         """The original cell of block (i, j) shown at ``(k, l)`` in ledger coordinates."""
-        return self.col_perm[j].index(k), (1 - l) if self.row_swap[i] else l
+        return _INVERSE[self.col_perm[j]][k], l ^ self.row_swap[i]
 
-    def _targets(self, p: BlockPoint) -> list[int]:
-        """Per value of ``p``, where the renaming moves it: cell (k, l) of block
-        (i, j) goes to cell ``(col_perm[j][k], l)``, or ``1 - l`` if row i swaps."""
-        n, row_swap, col_perm = p.n, self.row_swap, self.col_perm
-        return [
-            6 * (i * n + j) + 2 * col_perm[j][k] + (l ^ row_swap[i])
-            for i in range(p.m) for j in range(n) for k in range(3) for l in range(2)
-        ]
+    def _blocks(self, p: BlockPoint, perms: Sequence[tuple[int, int, int]]) -> BlockPoint:
+        """``p`` read block by block: cell (k, l) of block (i, j) of the result is
+        cell ``(perms[j][k], l)`` of that block of ``p``, or ``1 - l`` if row i swaps."""
+        v, n, out = p.values, p.n, []
+        for i, swap in enumerate(self.row_swap):
+            for j, perm in enumerate(perms):
+                b = 6 * (i * n + j)
+                out += _READ[perm, swap](v[b : b + 6])
+        return BlockPoint(p.m, p.n, out)
 
     def apply_point(self, p: BlockPoint) -> BlockPoint:
-        """Map a point from original coordinates into ledger coordinates."""
-        out = BlockPoint.zeros(p.m, p.n)
-        for val, target in zip(p.values, self._targets(p)):
-            out.values[target] = val
-        return out
+        """Map a point from original coordinates into ledger coordinates: each
+        value is read from its :meth:`cell_source`."""
+        return self._blocks(p, [_INVERSE[perm] for perm in self.col_perm])
 
     def pullback_point(self, p: BlockPoint) -> BlockPoint:
         """Map a point from ledger coordinates back to the original ones."""
-        return BlockPoint(p.m, p.n, [p.values[target] for target in self._targets(p)])
+        return self._blocks(p, self.col_perm)
 
     def allones_preimage(self) -> VertexCode:
         """The integral code whose renamed point has its unit at cell (1,1) everywhere."""
@@ -447,7 +457,8 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     decision and the witness's value are all integer work; the two optima
     are divided by the scale once, and the values of the outcome are
     ``Fraction``s.  The point handed to :func:`construct_wstar` is read from
-    the strengthened optimum's integer ``scaled_point``.
+    the strengthened optimum's integer ``scaled_point``, and is that list
+    itself when its denominator is 1.
 
     The witness is its own certificate: its value is at most the integral
     maximum, which is at most the strengthened and relaxation optima, so a
@@ -469,7 +480,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     witness = None
     if answer:
         xs, d = strengthened.scaled_point
-        w = BlockPoint(m, n, [Fraction(x, d) if x % d else x // d for x in xs])
+        w = BlockPoint(m, n, xs if d == 1 else [Fraction(x, d) if x % d else x // d for x in xs])
         _, ledger = construct_wstar(w)
         witness = compose_ledgers(ledger, pre).allones_preimage()
         if _code_value(c, witness.row, witness.col) != relaxed.value:

@@ -16,7 +16,8 @@ of clause ``j``, writing into block ``(i, j)``:
   (mirrored for a negated literal).
 
 Cells are set to one, not accumulated, so clauses repeating a variable
-stay within the same convention.
+stay within the same convention.  The objectives hold ``int`` entries,
+each written at its flat offset ``6(i n + j) + 2k + l``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from satpoly.blockpoint import BlockPoint, ObjectiveVector
+from satpoly.blockpoint import BlockPoint, ObjectiveVector, _check_shape
 from satpoly.errors import InputError
 from satpoly.rational import Rational, content_lines, parse_int
 
@@ -85,49 +86,46 @@ def parse_cnf3(text: str) -> Cnf3Formula:
     return Cnf3Formula(header[0], tuple(clauses))
 
 
-def _empty_objective(formula: Cnf3Formula) -> ObjectiveVector:
-    return BlockPoint.zeros(formula.var_count, formula.clause_count)
-
-
 def objective_max3sat(formula: Cnf3Formula) -> ObjectiveVector:
     """One unit per literal: row = place, side = polarity."""
-    v = _empty_objective(formula)
-    one = Fraction(1)
+    m, n = formula.var_count, formula.clause_count
+    _check_shape(m, n)
+    v = [0] * (6 * m * n)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            v[var - 1, j, k, 1 if neg else 0] = one
-    return v
+            v[6 * ((var - 1) * n + j) + 2 * k + neg] = 1
+    return BlockPoint(m, n, v)
 
 
 def objective_x3sat(formula: Cnf3Formula) -> ObjectiveVector:
     """Exactly-one scoring: credit place k on one side, both others mirrored."""
-    w = _empty_objective(formula)
-    one = Fraction(1)
+    m, n = formula.var_count, formula.clause_count
+    _check_shape(m, n)
+    w = [0] * (6 * m * n)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            own, other = (1, 0) if neg else (0, 1)
-            w[var - 1, j, k, own] = one
+            b = 6 * ((var - 1) * n + j)
+            w[b + 2 * k + neg] = 1
             for s in range(3):
                 if s != k:
-                    w[var - 1, j, s, other] = one
-    return w
+                    w[b + 2 * s + 1 - neg] = 1
+    return BlockPoint(m, n, w)
 
 
 def objective_nae3sat(formula: Cnf3Formula) -> ObjectiveVector:
     """Not-all-equal scoring over the cyclic place order 1 -> 2 -> 3 -> 1."""
-    y = _empty_objective(formula)
-    one = Fraction(1)
+    m, n = formula.var_count, formula.clause_count
+    _check_shape(m, n)
+    y = [0] * (6 * m * n)
     for j, clause in enumerate(formula.clauses):
         for k, (var, neg) in enumerate(clause):
-            i = var - 1
+            b = 6 * ((var - 1) * n + j)
             k1 = (k + 1) % 3
             k2 = (k + 2) % 3
-            own, other = (1, 0) if neg else (0, 1)
-            y[i, j, k, own] = one
-            y[i, j, k1, other] = one
-            y[i, j, k2, 0] = one
-            y[i, j, k2, 1] = one
-    return y
+            y[b + 2 * k + neg] = 1
+            y[b + 2 * k1 + 1 - neg] = 1
+            y[b + 2 * k2] = y[b + 2 * k2 + 1] = 1
+    return BlockPoint(m, n, y)
 
 
 def assignment_from_code(code) -> Assignment:

@@ -69,12 +69,10 @@ class VertexCode:
         parts = text.strip().split(":")
         if len(parts) != 2 or not parts[0] or not parts[1]:
             raise InputError(f"bad vertex code {text!r}; expected ROW:COL digits")
-        try:
-            row = tuple(int(ch) for ch in parts[0])
-            col = tuple(int(ch) for ch in parts[1])
-        except ValueError as exc:
-            raise InputError(f"bad vertex code {text!r}") from exc
-        return VertexCode(row, col)
+        digits = "".join(parts)
+        if not (digits.isdigit() and digits.isascii()):
+            raise InputError(f"bad vertex code {text!r}")
+        return VertexCode(tuple(map(int, parts[0])), tuple(map(int, parts[1])))
 
 
 def code_to_point(code: VertexCode) -> BlockPoint:

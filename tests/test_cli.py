@@ -501,6 +501,63 @@ def test_malformed_integer_fields_are_input_errors(tmp_path, case):
 
 
 LP = ["lp", "--system", "{a}", "--objective", "{b}"]
+
+# Each case: arguments and file texts as in MALFORMED_INTEGERS, and the
+# message.  Integers are ASCII -?[0-9]+ and rationals add /[0-9]+: bare int()
+# takes every one of these tokens, and a \d pattern the Arabic-Indic digits.
+NOT_ASCII_INTEGERS = {
+    "vars-underscore": (["enum-lp-vertices", "--system", "{a}"], ["vars 1_0\n"],
+                        "not an integer in 'vars' header: '1_0'"),
+    "vars-plus": (["enum-lp-vertices", "--system", "{a}"], ["vars +2\n"],
+                  "not an integer in 'vars' header: '+2'"),
+    "vars-arabic": (["enum-lp-vertices", "--system", "{a}"], ["vars \u0661\n"],
+                    "not an integer in 'vars' header: '\u0661'"),
+    "ecbgc-underscore": (["ecbgc", "solve", "--instance", "{a}"], ["ecbgc 1_0 +1\n"],
+                         "not an integer in header: '1_0'"),
+    "ecbgc-arabic": (["ecbgc", "solve", "--instance", "{a}"], ["ecbgc \u0661 1\n"],
+                     "not an integer in header: '\u0661'"),
+    "edge-plus": (["ecbgc", "check", "--instance", "{a}"], ["ecbgc 1 1\nedge +1 1 : ++++++\n"],
+                  "not an integer in edge line: '+1'"),
+    "point-header": (VERIFY, [SYSTEM_1X1, "point \u0661 1\n1 0\n0 0\n0 0\n"],
+                     "not an integer in block-point header: '\u0661'"),
+    "point-cell": (VERIFY, [SYSTEM_1X1, "point 1 1\n\u0661 0\n0 0\n0 0\n"],
+                   "not a rational literal: '\u0661'"),
+    "system-cell": (VERIFY, ["vars 6\neq 1 1 1 1 1 \u0661 | 1\n", "point 1 1\n1 0\n0 0\n0 0\n"],
+                    "not a rational literal: '\u0661'"),
+    "objective-fraction": (LP, ["vars 1\nle 1 | 1\n", "\u0661/\u0662\n"],
+                           "not a rational literal: '\u0661/\u0662'"),
+    "p-cnf": (["reduce", "x3sat", "--cnf", "{a}"], ["p cnf 3 1_0\n"],
+              "not an integer in problem line: '1_0'"),
+    "literal": (["reduce", "x3sat", "--cnf", "{a}"], ["p cnf 3 1\n+1 2 3 0\n"],
+                "not an integer in clause line: '+1'"),
+    "vertex-code": (["vertices", "adjacent", "--u", "\u06610:00", "--v", "00:01"], [],
+                    "bad vertex code '\u06610:00'"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_ASCII_INTEGERS)
+def test_integers_are_ascii_digits(tmp_path, capsys, case):
+    args, files, message = NOT_ASCII_INTEGERS[case]
+    paths = {}
+    for key, content in zip("ab", files):
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(content, encoding="utf-8")
+    assert invoke(*(arg.format(**paths) for arg in args)) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_vertex_written_in_arabic_indic_digits_is_refused(tmp_path, capsys):
+    """The SATP 1x1 system and its vertex, every 1 written as U+0661: exit 2, not true."""
+    system, point = tmp_path / "system.txt", tmp_path / "point.txt"
+    system.write_text(invoke("build", "--polytope", "satp", "--m", "1", "--n", "1")[1])
+    point.write_text("point 1 1\n1 0\n0 0\n0 0\n")
+    assert invoke("verify-vertex", "--system", str(system), "--point", str(point)) == (0, "true\n")
+    for path in (system, point):
+        path.write_text(path.read_text().replace("1", "\u0661"), encoding="utf-8")
+    assert invoke("verify-vertex", "--system", str(system), "--point", str(point)) == (2, "")
+    assert capsys.readouterr().err.startswith("error: not ")
+
+
 UNREADABLE_INPUTS = {
     # past the interpreter's digit limit for int() of a string
     "long-literal": (LP, ["vars 1\neq 1 | " + "7" * 5000 + "\n", "1\n"]),

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satpoly.blockpoint import BlockPoint
@@ -33,6 +33,7 @@ from tests.conftest import (
     grid_point,
     random_subclass_instance,
 )
+from tests.test_reductions import cnf3_formulas, reference_objective
 
 FULL = ((True, True, True), (True, True, True))
 
@@ -292,3 +293,79 @@ def test_pair_searches_match_six_ordered_pairs():
             )
             linked += 1
     assert balanced >= 100 and linked >= 100
+
+
+TABLES = [(f[:3], f[3:]) for f in itertools.product((False, True), repeat=6)]
+
+
+def linked_by(pc, a, b):
+    """The docstring's biconditional: ``pc(a,1) = pc(b,2) = '+'  <=>  pc(a,2) = pc(b,1) = '+'``."""
+    return (pc[0][a - 1] and pc[1][b - 1]) == (pc[1][a - 1] and pc[0][b - 1])
+
+
+@st.composite
+def subclass_instances(draw):
+    """An instance and one linked pair per V-vertex, each edge's table linked by it."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pair = st.sampled_from(list(itertools.permutations((1, 2, 3), 2)))
+    pairs = tuple(draw(st.lists(pair, min_size=n, max_size=n)))
+    cells = draw(st.sets(st.tuples(st.integers(1, m), st.integers(1, n)), max_size=m * n))
+    edges = tuple(
+        (i, j, draw(st.sampled_from([pc for pc in TABLES if linked_by(pc, *pairs[j - 1])])))
+        for i, j in sorted(cells)
+    )
+    return EcbgcInstance(m, n, edges), pairs
+
+
+def reference_subclass_objective(inst, pairs):
+    """The objective cell by cell, as ``Fraction``s, from the docstring: 1 at each
+    permitted (V-color k, U-color s), and -1 diagonally opposite the one
+    permitted combination of (a_j, b_j) when there is only one."""
+    c = BlockPoint.zeros(inst.u_count, inst.v_count)
+    for i, j, pc in inst.edges:
+        for s in (1, 2):
+            for k in (1, 2, 3):
+                if pc[s - 1][k - 1]:
+                    c[i - 1, j - 1, k - 1, s - 1] = Fraction(1)
+        a, b = pairs[j - 1]
+        opposite = {(a, 1): (b, 2), (a, 2): (b, 1), (b, 1): (a, 2), (b, 2): (a, 1)}
+        permitted = [(k, s) for k, s in opposite if pc[s - 1][k - 1]]
+        if len(permitted) == 1:
+            k, s = opposite[permitted[0]]
+            c[i - 1, j - 1, k - 1, s - 1] = Fraction(-1)
+    return c
+
+
+@settings(max_examples=200, deadline=None)
+@given(subclass_instances())
+def test_subclass_objective_matches_a_fraction_reference(drawn):
+    inst, pairs = drawn
+    c = objective_from_instance(inst, pairs)
+    reference = reference_subclass_objective(inst, pairs)
+    assert c == reference
+    assert all(type(x) is int for x in c.values)  # never a float or a bool
+    assert c.to_text(tag="objective") == reference.to_text(tag="objective")
+    assert all(balances(c, j, a, b) for j, (a, b) in enumerate(pairs))
+
+
+def reference_reduction(formula):
+    """The parent construction: every block of the exactly-one objective, in
+    row-major order, is an edge when it has a nonzero cell."""
+    w = reference_objective(formula, "x")
+    edges = []
+    for i in range(formula.var_count):
+        for j in range(formula.clause_count):
+            blk = [w[i, j, k, l] for k in range(3) for l in range(2)]
+            if any(blk):
+                pc = (tuple(x == 1 for x in blk[0::2]), tuple(x == 1 for x in blk[1::2]))
+                edges.append((i + 1, j + 1, pc))
+    return EcbgcInstance(formula.var_count, formula.clause_count, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnf3_formulas())
+@example(Cnf3Formula(4, (((3, False), (3, True), (1, False)), ((1, True), (1, True), (1, True)))))
+def test_reduction_matches_a_reference_scanning_every_block(formula):
+    inst = reduce_x3sat_to_ecbgc(formula)
+    assert inst == reference_reduction(formula)  # the same edges in the same order
+    assert format_ecbgc(inst) == format_ecbgc(reference_reduction(formula))

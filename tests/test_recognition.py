@@ -649,3 +649,22 @@ def test_recognize_bqp_detects_fractional_optimum():
 def test_recognize_bqp_needs_three_vertices():
     with pytest.raises(InputError):
         recognize_bqp([Fraction(0)] * 3, 2)
+
+
+def test_ledger_reads_match_tuple_index_over_all_six_permutations():
+    """Block column j of a 2x6 grid carries the j-th permutation; block row 1 swaps."""
+    perms = list(itertools.permutations((0, 1, 2)))
+    ledger = RenamingLedger([False, True], perms)
+    p = BlockPoint(2, 6, [Fraction(x, 3) if x % 5 else x for x in range(72)])
+    applied, pulled = BlockPoint.zeros(2, 6), BlockPoint.zeros(2, 6)
+    for i, swap in enumerate(ledger.row_swap):
+        for j, perm in enumerate(perms):
+            for k in range(3):
+                for l in range(2):
+                    source = (perm.index(k), (1 - l) if swap else l)
+                    assert ledger.cell_source(i, j, k, l) == source
+                    applied[i, j, k, l] = p[(i, j, *source)]
+                    pulled[i, j, k, l] = p[i, j, perm[k], (1 - l) if swap else l]
+    assert ledger.apply_point(p) == applied
+    assert ledger.pullback_point(p) == pulled
+    assert ledger.pullback_point(applied) == p

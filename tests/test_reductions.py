@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from satpoly.blockpoint import BlockPoint
 from satpoly.errors import InputError
 from satpoly.recognition import integer_max_oracle
 from satpoly.reductions import (
@@ -213,3 +216,46 @@ def test_x3sat_column_bound():
                             column_only[i, jj, k, l] = Fraction(0)
         res = lp_maximize(sys, column_only.flat())
         assert res.value <= 3
+
+
+@st.composite
+def cnf3_formulas(draw, max_vars=5, max_clauses=5):
+    """Formulas over up to ``max_vars`` variables: literals may repeat a variable
+    inside a clause, and a variable may appear in no clause."""
+    m = draw(st.integers(1, max_vars))
+    literal = st.tuples(st.integers(1, m), st.booleans())
+    clauses = draw(st.lists(st.tuples(literal, literal, literal), min_size=1, max_size=max_clauses))
+    return Cnf3Formula(m, tuple(clauses))
+
+
+def reference_objective(formula, kind):
+    """The objective cell by cell, as ``Fraction``s, from the module docstring's
+    1-based conventions: place k, side 1 (side 2 for a negated literal)."""
+    c = BlockPoint.zeros(formula.var_count, formula.clause_count)
+    for j, clause in enumerate(formula.clauses, 1):
+        for k, (var, neg) in enumerate(clause, 1):
+            side, mirror = (2, 1) if neg else (1, 2)
+            k1, k2 = k % 3 + 1, (k + 1) % 3 + 1  # the next places, cyclically
+            cells = {
+                "max": [(k, side)],
+                "x": [(k, side)] + [(s, mirror) for s in (1, 2, 3) if s != k],
+                "nae": [(k, side), (k1, mirror), (k2, 1), (k2, 2)],
+            }[kind]
+            for row, col in cells:
+                c[var - 1, j - 1, row - 1, col - 1] = Fraction(1)
+    return c
+
+
+CONSTRUCTORS = {"max": objective_max3sat, "x": objective_x3sat, "nae": objective_nae3sat}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cnf3_formulas(), st.sampled_from(sorted(CONSTRUCTORS)))
+@example(Cnf3Formula(1, (((1, False), (1, True), (1, False)),)), "x")  # one variable, three places
+@example(Cnf3Formula(3, (((2, True), (2, True), (1, False)),)), "nae")  # variable 3 unused
+def test_objectives_match_a_fraction_reference(formula, kind):
+    c = CONSTRUCTORS[kind](formula)
+    reference = reference_objective(formula, kind)
+    assert c == reference
+    assert all(type(x) is int for x in c.values)  # never a float or a bool
+    assert c.to_text(tag="objective") == reference.to_text(tag="objective")
