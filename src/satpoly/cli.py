@@ -26,7 +26,7 @@ from satpoly.errors import BudgetError, InputError, SatpolyError, SubclassError
 from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.rational import content_lines, format_rational, format_vector, parse_rational
 from satpoly import ecbgc as ecbgc_mod
-from satpoly import recognition, reductions, vertices
+from satpoly import rational, recognition, reductions, vertices
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,6 +43,14 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag's value: ASCII ``-?[0-9]+``, as the text readers take integers."""
+    try:
+        return rational.parse_int([text], 0, "flag")
+    except InputError:  # an ArgumentTypeError exits 2 with argparse's usage line
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _read_flat_vector(path: str) -> list:
@@ -226,8 +234,8 @@ def _parser() -> argparse.ArgumentParser:
         required=True,
         choices=PolytopeId.KINDS,
     )
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=_int_flag)
+    p.add_argument("--n", type=_int_flag)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("lp", help="maximize an objective over a system")
@@ -240,13 +248,13 @@ def _parser() -> argparse.ArgumentParser:
     actions = p.add_subparsers(dest="action", required=True)
     for action in ("enumerate", "diameter", "clique"):
         a = actions.add_parser(action)
-        a.add_argument("--m", type=int, required=True)
-        a.add_argument("--n", type=int, required=True)
-        a.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
+        a.add_argument("--m", type=_int_flag, required=True)
+        a.add_argument("--n", type=_int_flag, required=True)
+        a.add_argument("--budget", type=_int_flag, default=vertices.DEFAULT_CODE_BUDGET)
     a = actions.add_parser("adjacent")
     a.add_argument("--u", required=True, help="vertex code ROW:COL, e.g. 01:20")
     a.add_argument("--v", required=True, help="vertex code ROW:COL")
-    actions.add_parser("fractional").add_argument("--n", type=int, required=True)
+    actions.add_parser("fractional").add_argument("--n", type=_int_flag, required=True)
 
     p = sub.add_parser("verify-vertex", help="algebraic vertex test")
     p.add_argument("--system", required=True)
@@ -255,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum-lp-vertices", help="exhaustive vertex enumeration")
     p.add_argument("--system", required=True)
-    p.add_argument("--budget", type=int, default=vertices.DEFAULT_LP_VERTEX_BUDGET)
+    p.add_argument("--budget", type=_int_flag, default=vertices.DEFAULT_LP_VERTEX_BUDGET)
     p.set_defaults(func=_cmd_enum_lp_vertices)
 
     p = sub.add_parser("reduce", help="3-CNF to objective vector")
@@ -269,7 +277,7 @@ def _parser() -> argparse.ArgumentParser:
     kinds.add_parser("satp").add_argument("--objective", required=True)
     a = kinds.add_parser("bqp")
     a.add_argument("--objective", required=True, help="flat rational vector file")
-    a.add_argument("--n", type=int, required=True)
+    a.add_argument("--n", type=_int_flag, required=True)
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.set_defaults(func=_cmd_oracle)
@@ -277,7 +285,7 @@ def _parser() -> argparse.ArgumentParser:
     for kind, flag in (("satp", "--objective"), ("ecbgc", "--instance")):
         a = kinds.add_parser(kind)
         a.add_argument(flag, required=True)
-        a.add_argument("--budget", type=int, default=vertices.DEFAULT_CODE_BUDGET)
+        a.add_argument("--budget", type=_int_flag, default=vertices.DEFAULT_CODE_BUDGET)
 
     p = sub.add_parser("ecbgc", help="edge-constrained bipartite coloring")
     p.set_defaults(func=_cmd_ecbgc)

@@ -6,14 +6,14 @@ from column to rational coefficient in which absent columns are zero.
 All arithmetic is exact; results satisfy their constraints with no
 tolerance anywhere.
 
-Rank, equation solving and the simplex share one exact row update:
-fraction-free elimination on sparse integer rows (Bareiss 1968, Edmonds
-1967), content divided out.  Rank and solving reduce rows into an echelon
-basis; the simplex's one state type, :class:`_Tableau`, keeps each row
-over its basic entry, and its z-row with them.  Only a unique solution's
-back-substitution divides, in ``Fraction``.  The simplex reads its point
-off the final tableau as integers over one common denominator; those
-integers, like the vertex census's, become ``Fraction``s in one place,
+Rank, equation solving, the simplex and the vertex census share one exact
+row update, :func:`_eliminate`: fraction-free elimination on sparse integer
+rows (Bareiss 1968, Edmonds 1967), content divided out.  Rank and solving
+reduce rows into an echelon basis, which the solve back-substitutes; the
+simplex's one state type, :class:`_Tableau`, keeps each row over its basic
+entry, and its z-row with them.  Nothing divides: the solve and simplex put
+their point's ratios over one denominator (:func:`_over_one_denominator`),
+and those integers, like the census's, become ``Fraction``s in one place,
 :func:`_unscaled`, which builds one per distinct entry.
 
 Row tests at a point work in integers: the point is scaled once by the
@@ -338,6 +338,17 @@ def _unscaled(xs: Sequence[int], scale: int) -> list[Fraction]:
     return [entries[x] for x in xs]
 
 
+def _over_one_denominator(ratios: Mapping[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
+    """Each ratio ``r / d`` (``d != 0``) of ``ratios`` as ``x / L``, with ``L > 0`` the lcm
+    of their denominators in lowest terms: the numerators ``x`` by key, and ``L``."""
+    lowest = {}
+    for k, (r, d) in ratios.items():
+        g = gcd(r, d)
+        lowest[k] = r // g, d // g
+    scale = reduce(lcm, {d for _, d in lowest.values()}, 1)
+    return {k: r * (scale // d) for k, (r, d) in lowest.items()}, scale
+
+
 def _violated(rows: FrozenRows, xs: list[int], scale: int) -> Iterator[int]:
     """Indices of the ``<=`` rows that the point ``xs / scale`` violates, in row order."""
     return (k for k, (t, (_, b)) in enumerate(zip(rows.activities(xs), rows)) if t > b * scale)
@@ -437,9 +448,10 @@ def _solve_equalities(
     """Solve ``coeffs . x == rhs`` rows exactly.
 
     The augmented rows are eliminated as integer rows (the right side is
-    column ``var_count``), then a unique solution is back-substituted in
-    ``Fraction``.  Returns ("unique", x), ("underdetermined", None), or
-    ("inconsistent", None).
+    column ``var_count``) and a unique solution is back-substituted in
+    integers, highest pivot first: :func:`_eliminate` clears each row against
+    the rows below it, which by then hold only their pivot and right side.
+    Returns ("unique", x), ("underdetermined", None), or ("inconsistent", None).
     """
     basis: dict[int, dict[int, int]] = {}
     augmented = (_int_row({**coeffs, var_count: rhs}) for coeffs, rhs in rows)
@@ -448,15 +460,13 @@ def _solve_equalities(
             return "inconsistent", None
     if len(basis) < var_count:
         return "underdetermined", None
-    solution: list[Rational] = [Fraction(0)] * var_count
     for col in sorted(basis, reverse=True):
-        row = basis[col]
-        total = Fraction(row.get(var_count, 0))
-        for j, a in row.items():
-            if col < j < var_count:
-                total -= a * solution[j]
-        solution[col] = total / row[col]
-    return "unique", solution
+        for j in [j for j in basis[col] if col < j < var_count]:
+            basis[col] = _eliminate(basis[col], basis[j], j)
+    scaled, scale = _over_one_denominator(
+        {col: (row.get(var_count, 0), row[col]) for col, row in basis.items()}
+    )
+    return "unique", _unscaled([scaled[v] for v in range(var_count)], scale)
 
 
 def unique_solution(sys: LinearSystem) -> Optional[list[Rational]]:
@@ -558,13 +568,10 @@ class _Tableau:
         """The basic solution as ``(xs, L)``: ``xs[v] / L`` is each variable's value, a
         free one's ``+`` less its ``-``; only the structural basic rows are read."""
         rhs, ncols = self.rhs, self.ncols
-        values = {}  # basic structural column -> its value in lowest terms
-        for b, row in zip(self.basis, self.rows):
-            if b < ncols and (r := row.get(rhs)):
-                g = gcd(r, row[b])
-                values[b] = r // g, row[b] // g
-        scale = reduce(lcm, {d for _, d in values.values()}, 1)
-        scaled = {b: r * (scale // d) for b, (r, d) in values.items()}
+        basic = zip(self.basis, self.rows)
+        scaled, scale = _over_one_denominator(
+            {b: (row[rhs], row[b]) for b, row in basic if b < ncols and rhs in row}
+        )
         # a nonnegative variable's neg is None, which no column is
         return [scaled.get(pos, 0) - scaled.get(neg, 0) for pos, neg in self.col_of_var], scale
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterator
 
 from satpoly.blockpoint import BlockPoint
@@ -28,6 +28,7 @@ from satpoly.linsys import (
     MAX_TEXT_VARS,
     LinearSystem,
     Row,
+    _eliminate,
     _int_row,
     _solve_equalities,  # unused here; perfbench/tracing.py wraps this name
     _unscaled,
@@ -402,21 +403,21 @@ def enumerate_lp_vertices(
     constraint the vector itself becomes a ray.  Otherwise the rays are
     split by sign and each (+, -) pair that is adjacent combines into a
     ray on the hyperplane; a pair is adjacent when no third ray is tight
-    at every sign constraint tight at both.  Rays are primitive integer
-    vectors.  A lineality direction left at the end means the polyhedron
-    has no vertex.  Results are sorted.
+    at every sign constraint tight at both.  Rays and lineality vectors are
+    sparse primitive integer rows, and the column after ``t`` holds their
+    value on the constraint at hand: :func:`~satpoly.linsys._eliminate`
+    clearing it is both the projection and the combination.  A lineality
+    direction left at the end means the polyhedron has no vertex.  Results
+    are sorted.
 
     Gated by ``budget`` on the structural variable count.
     """
     if sys.var_count > budget:
-        raise BudgetError(
-            f"{sys.var_count} variables exceed enumeration budget {budget}"
-        )
+        raise BudgetError(f"{sys.var_count} variables exceed enumeration budget {budget}")
 
     n_struct = sys.var_count
-    n_slack = len(sys.ineq_rows)
-    dim = n_struct + n_slack + 1
-    t = dim - 1
+    t = n_struct + len(sys.ineq_rows)
+    dim = t + 1  # the cone's dimension, and the value column past its columns
 
     # (row, bit): an equality row has bit 0; the sign constraint y_v >= 0
     # has bit 1 << v, the index of v in the rays' zero sets.
@@ -429,35 +430,31 @@ def enumerate_lp_vertices(
         if v >= n_struct or sys.nonneg[v]:
             constraints.append(({v: 1}, 1 << v))
 
-    lineality = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    rays: list[list[int]] = []
+    lineality: list[dict[int, int]] = [{v: 1} for v in range(dim)]
+    rays: list[dict[int, int]] = []
     zeros: list[int] = []  # per ray, the bits of the sign constraints it meets with 0
     done = 0  # bits of the sign constraints processed so far
 
     for row, bit in constraints:
-        lin_values = [_apply(row, y) for y in lineality]
-        ray_values = [_apply(row, y) for y in rays]
-        pivot = next((i for i, a in enumerate(lin_values) if a), None)
+        for y in itertools.chain(lineality, rays):  # column dim: the value on this row
+            y[dim] = sum(c * y[j] for j, c in row.items() if j in y)
+        pivot = next((i for i, y in enumerate(lineality) if y[dim]), None)
         if pivot is not None:
-            direction, a = lineality.pop(pivot), lin_values.pop(pivot)
-            if a < 0:
-                direction, a = [-x for x in direction], -a
-            lineality = [
-                _combine(a, y, -b, direction) for y, b in zip(lineality, lin_values)
-            ]
-            rays = [_combine(a, y, -b, direction) for y, b in zip(rays, ray_values)]
+            direction = lineality.pop(pivot)
+            if direction[dim] < 0:
+                direction = {j: -x for j, x in direction.items()}
+            lineality = [_eliminate(y, direction, dim) if y[dim] else y for y in lineality]
+            rays = [_eliminate(y, direction, dim) if y[dim] else y for y in rays]
             zeros = [z | bit for z in zeros]
             if bit:
                 rays.append(direction)
                 zeros.append(done)
         else:
-            new_rays, new_zeros = [], []
-            for y, z, b in zip(rays, zeros, ray_values):
-                if b == 0 or (bit and b > 0):
-                    new_rays.append(y)
-                    new_zeros.append(z | bit if b == 0 else z)
-            plus = [i for i, b in enumerate(ray_values) if b > 0]
-            minus = [i for i, b in enumerate(ray_values) if b < 0]
+            kept = [i for i, y in enumerate(rays) if y[dim] == 0 or (bit and y[dim] > 0)]
+            new_rays = [rays[i] for i in kept]
+            new_zeros = [zeros[i] if rays[i][dim] else zeros[i] | bit for i in kept]
+            plus = [i for i, y in enumerate(rays) if y[dim] > 0]
+            minus = [i for i, y in enumerate(rays) if y[dim] < 0]
             for i in plus:
                 for j in minus:
                     common = zeros[i] & zeros[j]
@@ -466,9 +463,7 @@ def enumerate_lp_vertices(
                         for k, z in enumerate(zeros)
                     ):
                         continue
-                    new_rays.append(
-                        _combine(ray_values[i], rays[j], -ray_values[j], rays[i])
-                    )
+                    new_rays.append(_eliminate(dict(rays[j]), rays[i], dim))
                     new_zeros.append(common | bit)
             rays, zeros = new_rays, new_zeros
         done |= bit
@@ -478,19 +473,8 @@ def enumerate_lp_vertices(
     # Each vertex times the lcm of the rays' t: integer tuples that dedupe and
     # sort as the vertices do, the scale being positive.  They share a few
     # distinct entries, so they are unscaled in one call, one run of entries.
-    bounded = [y for y in rays if y[t] > 0]
+    bounded = [y for y in rays if y.get(t, 0) > 0]
     scale = lcm(*(y[t] for y in bounded))
-    found = {tuple(x * (scale // y[t]) for x in y[:n_struct]) for y in bounded}
+    found = {tuple(y.get(v, 0) * (scale // y[t]) for v in range(n_struct)) for y in bounded}
     entries = iter(_unscaled([x for vertex in sorted(found) for x in vertex], scale))
     return [list(itertools.islice(entries, n_struct)) for _ in found]
-
-
-def _apply(row: dict[int, int], y: list[int]) -> int:
-    return sum(c * y[j] for j, c in row.items())
-
-
-def _combine(a: int, y: list[int], b: int, z: list[int]) -> list[int]:
-    """The primitive integer vector along ``a y + b z``."""
-    w = [a * p + b * q for p, q in zip(y, z)]
-    g = gcd(*w)
-    return [x // g for x in w] if g > 1 else w

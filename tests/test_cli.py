@@ -82,6 +82,9 @@ BUDGET_REFUSALS = {
     "clique-huge": ["vertices", "clique", "--m", "100000000", "--n", "100000000"],
     # two codes, each 10^9 + 1 entries long
     "clique-long": ["vertices", "clique", "--m", "1000000000", "--n", "1"],
+    # a negative budget is an integer flag, refused by the budget check
+    "enumerate-negative": ["vertices", "enumerate", "--m", "1", "--n", "1", "--budget", "-1"],
+    "diameter-negative": ["vertices", "diameter", "--m", "1", "--n", "1", "--budget", "-1"],
 }
 
 
@@ -544,6 +547,36 @@ def test_integers_are_ascii_digits(tmp_path, capsys, case):
         paths[key].write_text(content, encoding="utf-8")
     assert invoke(*(arg.format(**paths) for arg in args)) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Each case: an argv, its integer flag and the flag's value.  Bare int() takes
+# every value; the flags take ASCII -?[0-9]+ as the text readers do, so each
+# exits 2 with argparse's usage line before any file is read.
+NOT_ASCII_FLAGS = {
+    "enumerate-arabic": (["vertices", "enumerate", "--m", "\u0661", "--n", "1"], "--m", "\u0661"),
+    "enumerate-underscore": (["vertices", "enumerate", "--m", "1", "--n", "1_0"], "--n", "1_0"),
+    "fractional-plus": (["vertices", "fractional", "--n", "+5"], "--n", "+5"),
+    "diameter-space": (["vertices", "diameter", "--m", " 2", "--n", "2"], "--m", " 2"),
+    "clique-budget": (["vertices", "clique", "--m", "1", "--n", "1", "--budget", "+4"],
+                      "--budget", "+4"),
+    "build-arabic": (["build", "--polytope", "satp", "--m", "1", "--n", "\u0662"],
+                     "--n", "\u0662"),
+    "bqp-underscore": (["recognize", "bqp", "--objective", "none.txt", "--n", "1_2"],
+                       "--n", "1_2"),
+    "census-budget": (["enum-lp-vertices", "--system", "none.txt", "--budget", "2_4"],
+                      "--budget", "2_4"),
+    "oracle-budget": (["oracle", "satp", "--objective", "none.txt", "--budget", "\u0661"],
+                      "--budget", "\u0661"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_ASCII_FLAGS)
+def test_integer_flags_are_ascii_digits(capsys, case):
+    args, flag, value = NOT_ASCII_FLAGS[case]
+    assert invoke(*args) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: satpoly ")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
 
 
 def test_a_vertex_written_in_arabic_indic_digits_is_refused(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly import vertices
-from satpoly.builders import build_satp_lp
+from satpoly.builders import build_satp2_lp, build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import LinearSystem
 from satpoly.vertices import (
@@ -419,6 +419,25 @@ def test_census_returns_fractions_in_fraction_order():
     for found in (verts, census):
         assert found == census_reference(found)
         assert all(type(x) is Fraction for v in found for x in v)
+
+
+@pytest.mark.parametrize(
+    "build, m, n, count",
+    [(build_satp_lp, 1, 3, 54), (build_satp_lp, 3, 1, 24), (build_satp_lp, 1, 4, 162),
+     (build_satp2_lp, 2, 2, 76)],
+)
+def test_census_counts_on_block_grids(build, m, n, count):
+    """Grids of 18 to 24 variables, past the brute-force reference.  A 1xn or
+    mx1 grid has only its 2^m 3^n integral vertices; the SATP^2 2x2 system
+    adds inequality rows, whose slack columns the rays carry, and 40
+    fractional vertices to its 36 integral ones."""
+    sys = build(m, n)
+    census = enumerate_lp_vertices(sys)
+    assert len(census) == count
+    assert census == census_reference(census)
+    assert all(verify_vertex(v, sys) for v in census)
+    integral = [code_to_point(code).flat() for code in enumerate_integral_vertices(m, n)]
+    assert [v for v in census if all(x.denominator == 1 for x in v)] == sorted(integral)
 
 
 def brute_force_vertices(sys):
