@@ -13,6 +13,12 @@ formats are reproducible:
 Rows are sparse :data:`satpoly.linsys.Row` maps with plain integer
 ``+1``/``-1`` coefficients; the right sides are the integers 0, 1 and 3.
 
+Each builder refuses a size it will not build before it allocates anything:
+a non-positive block grid, or a quadric ``n`` below 2 (3 for MET), with
+``InputError``; a system of more than :data:`satpoly.linsys.MAX_TEXT_VARS`
+variables, or strengthening rows of more than that many coefficients, with
+``BudgetError``.  :data:`BUILDERS` names the five systems for the CLI.
+
 :func:`build_satp_lp`, :func:`satp2_inequality_rows`, :func:`build_bqp_lp`
 and :func:`met_triangle_rows` are memoized by their dimensions, 16 shapes
 each (``functools.lru_cache``): a repeated shape returns the same immutable
@@ -33,12 +39,10 @@ top-row-heavy row for each quadruple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
-from satpoly.blockpoint import BlockPoint, flat_index
+from satpoly.blockpoint import BlockPoint, _check_shape, flat_index
 from satpoly.errors import BudgetError, FaceMembershipError, InputError
 from satpoly.linsys import MAX_TEXT_VARS, FrozenRows, LinearSystem, Row
 from satpoly.rational import Rational
@@ -48,50 +52,6 @@ _ZERO = Fraction(0)
 # A memoized builder keeps the results of its 16 most recently used shapes.
 _memoized = lru_cache(maxsize=16)
 
-
-@dataclass(frozen=True)
-class PolytopeId:
-    """Name plus dimensions of one of the five buildable systems.
-
-    ``kind`` is one of ``satp``, ``satp2``, ``bqp``, ``bqp-std``, ``met``;
-    the block polytopes take ``(m, n)``, the quadric ones take ``n`` only.
-    A system over :data:`satpoly.linsys.MAX_TEXT_VARS` variables is refused.
-    """
-
-    kind: str
-    m: Optional[int] = None
-    n: Optional[int] = None
-
-    KINDS = ("satp", "satp2", "bqp", "bqp-std", "met")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise InputError(f"unknown polytope kind {self.kind!r}")
-        if self.kind in ("satp", "satp2"):
-            if not self.m or not self.n or self.m < 1 or self.n < 1:
-                raise InputError(f"{self.kind} needs positive m and n")
-            var_count = 6 * self.m * self.n
-        elif self.m is not None:
-            raise InputError(f"{self.kind} takes n only, not m")
-        elif not self.n or self.n < 1:
-            raise InputError(f"{self.kind} needs a positive n")
-        elif self.kind == "bqp-std":
-            var_count = bqp_std_var_count(self.n)
-        else:
-            var_count = bqp_var_count(self.n)
-        if var_count > MAX_TEXT_VARS:
-            raise BudgetError(f"the {self.kind} system exceeds {MAX_TEXT_VARS} variables")
-
-    def build(self) -> LinearSystem:
-        if self.kind == "satp":
-            return build_satp_lp(self.m, self.n)
-        if self.kind == "satp2":
-            return build_satp2_lp(self.m, self.n)
-        if self.kind == "bqp":
-            return build_bqp_lp(self.n)
-        if self.kind == "bqp-std":
-            return build_bqp_standard(self.n)
-        return build_met(self.n)
 
 # Per-block cell triples used by the strengthened system's inequalities.
 # "Odd" cells are (1,2),(2,1),(3,1); "even" cells are the complementary
@@ -109,10 +69,10 @@ def build_satp_lp(m: int, n: int) -> LinearSystem:
     Equalities: one block-sum row per block (mn rows), row-consistency of
     left-column sums across adjacent block columns (m(n-1) rows), and
     per-k row-sum consistency across adjacent block rows (3n(m-1) rows).
-    All 6mn variables are nonnegative.
+    All 6mn variables are nonnegative.  The grid must be positive and hold at
+    most ``MAX_TEXT_VARS`` values.
     """
-    if m < 1 or n < 1:
-        raise InputError("block grid dimensions must be positive")
+    _check_shape(m, n)
     nvars = 6 * m * n
     eq_rows: list[tuple[Row, Rational]] = []
 
@@ -148,8 +108,10 @@ def satp2_inequality_rows(m: int, n: int) -> FrozenRows:
     For every ordered pair of block rows ``i != k`` and block columns
     ``j != l`` two rows are emitted, each bounding a sum of four
     cell-triples (of four distinct blocks, so twelve distinct cells) by 3.
-    Rows over ``MAX_TEXT_VARS`` coefficients in all are refused unbuilt.
+    The grid is checked as :func:`build_satp_lp` checks it, and rows over
+    ``MAX_TEXT_VARS`` coefficients in all are refused unbuilt.
     """
+    _check_shape(m, n)
     if 24 * m * (m - 1) * n * (n - 1) > MAX_TEXT_VARS:
         raise BudgetError(f"the {m}x{n} satp2 rows exceed {MAX_TEXT_VARS} coefficients")
     rows: list[tuple[Row, Rational]] = []
@@ -222,11 +184,13 @@ def build_bqp_lp(n: int) -> LinearSystem:
     Per pair i < j: ``x_i + x_j - x_{ij} <= 1``, ``x_{ij} <= x_i``,
     ``x_{ij} <= x_j``; nonnegativity on every variable.  The ``x_i <= 1``
     bounds are implied by the pair rows but emitted explicitly to keep the
-    polyhedron visibly bounded.
+    polyhedron visibly bounded.  Refused over ``MAX_TEXT_VARS`` variables.
     """
     if n < 2:
         raise InputError("n must be at least 2")
     nvars = bqp_var_count(n)
+    if nvars > MAX_TEXT_VARS:
+        raise BudgetError(f"the bqp system exceeds {MAX_TEXT_VARS} variables")
     ineq: list[tuple[Row, Rational]] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -294,11 +258,14 @@ def build_bqp_standard(n: int) -> LinearSystem:
     Variables ``x^{k,l}_{i,j}`` for k, l in {1,2} over upper-triangular
     blocks i <= j.  Rows: block sums equal 1; top-row sums agree down each
     block column; left-column sums agree along each block row; the
-    diagonal off-cells vanish.  All variables nonnegative.
+    diagonal off-cells vanish.  All variables nonnegative.  Refused over
+    ``MAX_TEXT_VARS`` variables.
     """
     if n < 2:
         raise InputError("n must be at least 2")
     nvars = bqp_std_var_count(n)
+    if nvars > MAX_TEXT_VARS:
+        raise BudgetError(f"the bqp-std system exceeds {MAX_TEXT_VARS} variables")
     eq: list[tuple[Row, Rational]] = []
 
     for i, j in bqp_std_blocks(n):
@@ -328,6 +295,17 @@ def build_bqp_standard(n: int) -> LinearSystem:
             eq.append(({bqp_std_index(i, i, k, l, n): 1}, 0))
 
     return LinearSystem(nvars, eq_rows=eq, nonneg=[True] * nvars)
+
+
+#: The five systems by their ``satpoly build --polytope`` name: the two block
+#: systems take ``(m, n)``, the three quadric ones ``n`` only.
+BUILDERS = {
+    "satp": build_satp_lp,
+    "satp2": build_satp2_lp,
+    "bqp": build_bqp_lp,
+    "bqp-std": build_bqp_standard,
+    "met": build_met,
+}
 
 
 def bqp_point_to_standard(x: list[Rational], n: int) -> list[Rational]:

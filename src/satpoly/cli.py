@@ -21,7 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from satpoly.blockpoint import BlockPoint
-from satpoly.builders import PolytopeId
+from satpoly.builders import BUILDERS
 from satpoly.errors import BudgetError, InputError, SatpolyError, SubclassError
 from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.rational import content_lines, format_rational, format_vector, parse_rational
@@ -58,7 +58,17 @@ def _read_flat_vector(path: str) -> list:
 
 
 def _cmd_build(args) -> int:
-    system = PolytopeId(args.polytope, m=args.m, n=args.n).build()
+    kind, m, n = args.polytope, args.m, args.n
+    if kind in ("satp", "satp2"):
+        if m is None or n is None:
+            raise InputError(f"{kind} needs positive m and n")
+        system = BUILDERS[kind](m, n)
+    elif m is not None:
+        raise InputError(f"{kind} takes n only, not m")
+    elif n is None:
+        raise InputError(f"{kind} needs a positive n")
+    else:
+        system = BUILDERS[kind](n)
     sys.stdout.write(system.to_text())
     return EXIT_OK
 
@@ -229,11 +239,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a constraint system")
-    p.add_argument(
-        "--polytope",
-        required=True,
-        choices=PolytopeId.KINDS,
-    )
+    p.add_argument("--polytope", required=True, choices=BUILDERS)
     p.add_argument("--m", type=_int_flag)
     p.add_argument("--n", type=_int_flag)
     p.set_defaults(func=_cmd_build)

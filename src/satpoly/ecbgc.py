@@ -22,14 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from satpoly.blockpoint import BlockPoint, ObjectiveVector, _check_shape
-from satpoly.errors import (
-    BalanceError,
-    BudgetError,
-    InputError,
-    InternalInvariantError,
-    SubclassError,
-)
-from satpoly.linsys import MAX_TEXT_VARS
+from satpoly.errors import BalanceError, InputError, InternalInvariantError, SubclassError
 from satpoly.rational import Rational, content_lines, parse_int
 from satpoly.recognition import recognize_satp
 from satpoly.reductions import Cnf3Formula, objective_x3sat
@@ -48,13 +41,15 @@ BALANCING_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 @dataclass(frozen=True)
 class EcbgcInstance:
+    """A coloring instance on the ``u_count x v_count`` block grid, which must be
+    positive and hold at most ``MAX_TEXT_VARS`` values; checked before the edges."""
+
     u_count: int
     v_count: int
     edges: tuple[tuple[int, int, PcTable], ...]  # (i, j) 1-based
 
     def __post_init__(self):
-        if self.u_count < 1 or self.v_count < 1:
-            raise InputError("instance sizes must be positive")
+        _check_shape(self.u_count, self.v_count)
         seen = set()
         for i, j, _ in self.edges:
             if not (1 <= i <= self.u_count and 1 <= j <= self.v_count):
@@ -87,7 +82,6 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
 
     The six +/- flags run over the U color first, V color second:
     positions 1..3 are (u=1, v=1..3), positions 4..6 are (u=2, v=1..3).
-    A header whose grid holds over :data:`MAX_TEXT_VARS` values (6mn) is a BudgetError.
     """
     header = None
     edges = []
@@ -96,9 +90,7 @@ def parse_ecbgc(text: str) -> EcbgcInstance:
         if tokens[0] == "ecbgc":
             if header is not None or len(tokens) != 3:
                 raise InputError(f"bad or repeated header: {line!r}")
-            u, v = header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
-            if min(u, v) > 0 and 6 * u * v > MAX_TEXT_VARS:
-                raise BudgetError(f"the {u}x{v} block grid exceeds {MAX_TEXT_VARS} values")
+            header = tuple(parse_int(tokens, k, "header") for k in (1, 2))
         elif tokens[0] == "edge":
             if header is None:
                 raise InputError("edge line before the header")
@@ -179,7 +171,6 @@ def objective_from_instance(
     if len(pairs) != inst.v_count:
         raise InputError("one pair per V-vertex required")
     m, n = inst.u_count, inst.v_count
-    _check_shape(m, n)
     c = [0] * (6 * m * n)
     for i, j, pc in inst.edges:
         a, b = pairs[j - 1]

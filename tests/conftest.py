@@ -5,9 +5,16 @@ from fractions import Fraction
 import pytest
 
 from satpoly.blockpoint import BlockPoint
+from satpoly.builders import BUILDERS
 from satpoly.ecbgc import EcbgcInstance
 
 FORMULA_18 = "p cnf 4 3\n1 2 -3 0\n-1 3 4 0\n-2 3 -4 0\n"
+
+
+def build_kind(kind, m, n):
+    """The ``kind`` system of ``BUILDERS``: on the ``m x n`` grid, or for ``n``
+    alone when ``m`` is None."""
+    return BUILDERS[kind](n) if m is None else BUILDERS[kind](m, n)
 
 
 def grid_point(rows, denominator=1):

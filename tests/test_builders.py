@@ -1,12 +1,12 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from satpoly.builders import (
-    PolytopeId,
     bqp_pair_index,
     bqp_point_to_standard,
     bqp_standard_to_point,
@@ -21,10 +21,11 @@ from satpoly.builders import (
     project_satp_face_to_bqp,
     satp2_inequality_rows,
 )
+from satpoly.ecbgc import EcbgcInstance
 from satpoly.errors import BudgetError, FaceMembershipError, InputError
 from satpoly.linsys import LinearSystem, lp_maximize
 from satpoly.vertices import VertexCode, code_to_point, enumerate_integral_vertices
-from tests.conftest import grid_point, TABLE9_ROWS
+from tests.conftest import build_kind, grid_point, TABLE9_ROWS
 
 ONE = Fraction(1)
 
@@ -224,7 +225,7 @@ BUILD_TEXT_DIGESTS = [
 
 @pytest.mark.parametrize("kind,m,n,digest", BUILD_TEXT_DIGESTS)
 def test_build_text_digest(kind, m, n, digest):
-    text = PolytopeId(kind, m=m, n=n).build().to_text()
+    text = build_kind(kind, m, n).to_text()
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -246,17 +247,28 @@ def test_builder_serialization_roundtrip():
     assert back.nonneg == sys.nonneg
 
 
-def test_polytope_id_dispatch():
-    from satpoly.builders import PolytopeId
+# Each builder and the coloring instance refuse a grid that is empty or holds
+# over 10^6 values before anything is allocated; the quadric systems are just
+# over 10^6 variables: 1,000,405 for bqp at n = 1414, 1,001,112 for bqp-std at 707.
+API_REFUSALS = {
+    "satp-empty": (build_satp_lp, (0, 2), InputError, "must be positive"),
+    "satp-oversize": (build_satp_lp, (409, 409), BudgetError, "409x409 block grid exceeds"),
+    "satp2-rows-negative": (satp2_inequality_rows, (-1, 5), InputError, "must be positive"),
+    "satp2-rows-empty": (satp2_inequality_rows, (0, 3), InputError, "must be positive"),
+    "bqp-oversize": (build_bqp_lp, (1414,), BudgetError, "the bqp system exceeds 1000000"),
+    "bqp-std-oversize": (build_bqp_standard, (707,), BudgetError, "the bqp-std system exceeds"),
+    "ecbgc-oversize": (EcbgcInstance, (1, 10**7, ()), BudgetError, "1x10000000 block grid"),
+}
 
-    assert PolytopeId("satp", m=2, n=2).build().var_count == 24
-    assert PolytopeId("met", n=3).build().var_count == 6
-    assert PolytopeId("bqp-std", n=2).build().var_count == 12
-    with pytest.raises(InputError):
-        PolytopeId("cut", n=3)
-    with pytest.raises(InputError):
-        PolytopeId("satp", n=2)
-    with pytest.raises(InputError):
-        PolytopeId("bqp")
-    with pytest.raises(InputError):
-        PolytopeId("met", m=2, n=3)
+
+@pytest.mark.parametrize("case", API_REFUSALS)
+def test_builders_and_instance_refuse_before_allocating(case):
+    make, args, error, message = API_REFUSALS[case]
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=message):
+            make(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

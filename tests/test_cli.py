@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from satpoly import cli, ecbgc
 from satpoly.blockpoint import BlockPoint, objective_value
-from satpoly.builders import PolytopeId
+from satpoly.builders import BUILDERS
 from satpoly.cli import run
 from satpoly.errors import BalanceError, InternalInvariantError
 from satpoly.recognition import RenamingLedger, normalization_ledger, recognize_satp
@@ -131,6 +131,27 @@ def test_grid_refusals_allocate_nothing(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("refused: ") and err.count("\n") == 1
     assert peak < 2**20
+
+
+def test_build_dispatch(capsys):
+    """Each kind of the builder table builds from the flags it takes; an
+    unknown kind, a missing flag and a flag the kind does not take exit 2."""
+    for args, var_count in [
+        (["satp", "--m", "2", "--n", "2"], 24),
+        (["met", "--n", "3"], 6),
+        (["bqp-std", "--n", "2"], 12),
+    ]:
+        code, out = invoke("build", "--polytope", *args)
+        assert code == 0 and out.startswith(f"vars {var_count}\n")
+    for args, message in [
+        (["cut", "--n", "3"], "invalid choice: 'cut'"),
+        (["satp", "--n", "2"], "error: satp needs positive m and n\n"),
+        (["bqp"], "error: bqp needs a positive n\n"),
+        (["met", "--m", "2", "--n", "3"], "error: met takes n only, not m\n"),
+    ]:
+        capsys.readouterr()
+        assert invoke("build", "--polytope", *args) == (2, "")
+        assert message in capsys.readouterr().err
 
 
 STRENGTHENING_REFUSALS = {
@@ -749,7 +770,7 @@ INPUTS = {
 }
 ARG_VALUES = {
     "int": st.sampled_from([-1, 0, 1, 2, 3, 10**9]).map(str),
-    "polytope": st.sampled_from(PolytopeId.KINDS),
+    "polytope": st.sampled_from(tuple(BUILDERS)),
     "code": st.sampled_from(["00:00", "01:10", "0:0", "x"]),
     **{kind: st.sampled_from([f"{{{kind}}}", "{garbage}"]) for kind in INPUTS},
 }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from satpoly.builders import PolytopeId, build_satp_lp
+from satpoly.builders import build_satp_lp
 from satpoly.errors import BudgetError, InputError
 from satpoly.linsys import (
     MAX_TEXT_VARS,
@@ -29,6 +29,7 @@ from satpoly.linsys import (
 )
 from satpoly.rational import format_rational, format_vector
 from satpoly.vertices import _free_rows, enumerate_lp_vertices, fractional_vertex, is_edge
+from tests.conftest import build_kind
 from tests.test_elimination import sparse_rows
 from tests.test_vertices import COEFFS
 
@@ -236,7 +237,7 @@ LP_DIGESTS = {
 
 @pytest.mark.parametrize("kind,m,n", LP_DIGESTS)
 def test_lp_output_digest(kind, m, n):
-    sys = PolytopeId(kind, m=m, n=n).build()
+    sys = build_kind(kind, m, n)
     res = lp_maximize(sys, [(7 * v) % 5 - 2 for v in range(sys.var_count)])
     text = (
         f"status {res.status}\n"
@@ -683,7 +684,7 @@ BUILDER_KINDS = [
 
 @pytest.mark.parametrize("kind,m,n", BUILDER_KINDS)
 def test_builder_text_roundtrip_keeps_int_values(kind, m, n):
-    sys = PolytopeId(kind, m=m, n=n).build()
+    sys = build_kind(kind, m, n)
     back = LinearSystem.from_text(sys.to_text())
     assert back == sys
     rows = back.eq_rows + back.ineq_rows
