@@ -10,12 +10,12 @@ The values are stored once, flat, in the fixed order every constraint
 builder and the LP use: row-major over ``(i, j, k, l)`` (:func:`flat_index`),
 so block ``(i, j)`` is the six values from offset ``6 * (i * n + j)``.
 Cells are read and written as ``p[i, j, k, l]``.  An entry is an ``int``
-or a ``Fraction``: the objective constructors of :mod:`satpoly.reductions`
-and :mod:`satpoly.ecbgc` write ``int`` 0/±1 entries, equal in value and in
-text to ``Fraction`` ones, so divide an entry through ``Fraction``:
-``(x + y) / 2`` on ``int`` entries is a float.  A grid of more than
-:data:`satpoly.linsys.MAX_TEXT_VARS` values is refused with a
-``BudgetError`` before anything is allocated.
+or a ``Fraction``: the text reader and the objective constructors of
+:mod:`satpoly.reductions` and :mod:`satpoly.ecbgc` keep integral values as
+``int``, equal in value and in text to ``Fraction`` ones, so divide an
+entry through ``Fraction``: ``(x + y) / 2`` on ``int`` entries is a float.
+A grid of more than :data:`satpoly.linsys.MAX_TEXT_VARS` values is refused
+with a ``BudgetError`` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class BlockPoint:
         for i in range(m):
             end = 6 * (i + 1) * n
             for k in range(3):
-                parsed = [parse_token(t)[0] for t in rows[3 * i + k]]
+                parsed = [parse_token(t) for t in rows[3 * i + k]]
                 start = 6 * i * n + 2 * k
                 p.values[start:end:6] = parsed[0::2]
                 p.values[start + 1 : end : 6] = parsed[1::2]

@@ -24,7 +24,7 @@ from satpoly.blockpoint import BlockPoint
 from satpoly.builders import BUILDERS
 from satpoly.errors import BudgetError, InputError, SatpolyError, SubclassError
 from satpoly.linsys import LinearSystem, lp_maximize
-from satpoly.rational import content_lines, format_rational, format_vector, parse_rational
+from satpoly.rational import content_lines, format_rational, format_vector, parse_token
 from satpoly import ecbgc as ecbgc_mod
 from satpoly import rational, recognition, reductions, vertices
 
@@ -54,7 +54,7 @@ def _int_flag(text: str) -> int:
 
 
 def _read_flat_vector(path: str) -> list:
-    return [parse_rational(t) for line in content_lines(_read(path)) for t in line.split()]
+    return [parse_token(t) for line in content_lines(_read(path)) for t in line.split()]
 
 
 def _cmd_build(args) -> int:
@@ -131,12 +131,7 @@ def _cmd_enum_lp_vertices(args) -> int:
 
 def _cmd_reduce(args) -> int:
     formula = reductions.parse_cnf3(_read(args.cnf))
-    builder = {
-        "max3sat": reductions.objective_max3sat,
-        "x3sat": reductions.objective_x3sat,
-        "nae3sat": reductions.objective_nae3sat,
-    }[args.variant]
-    sys.stdout.write(builder(formula).to_text(tag="objective"))
+    sys.stdout.write(reductions.OBJECTIVES[args.variant](formula).to_text(tag="objective"))
     return EXIT_OK
 
 
@@ -273,7 +268,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enum_lp_vertices)
 
     p = sub.add_parser("reduce", help="3-CNF to objective vector")
-    p.add_argument("variant", choices=["max3sat", "x3sat", "nae3sat"])
+    p.add_argument("variant", choices=reductions.OBJECTIVES)
     p.add_argument("--cnf", required=True)
     p.set_defaults(func=_cmd_reduce)
 

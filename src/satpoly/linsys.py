@@ -310,9 +310,9 @@ def _parse_row(tokens: list[str], var_count: int) -> tuple[Row, Rational]:
             row = {
                 j: c
                 for j in range(var_count)
-                if tokens[j] != "0" and (c := parse_token(tokens[j])[1])
+                if tokens[j] != "0" and (c := parse_token(tokens[j]))
             }
-            return row, parse_token(tokens[-1])[1]
+            return row, parse_token(tokens[-1])
         except InputError:
             if "|" not in tokens[:var_count]:
                 raise

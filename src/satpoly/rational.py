@@ -36,16 +36,15 @@ def parse_rational(text: str) -> Rational:
 
 
 @lru_cache(maxsize=64)
-def parse_token(token: str) -> tuple[Rational, int | Rational]:
-    """``parse_rational(token)``, and the same value as an ``int`` when integral.
+def parse_token(token: str) -> int | Rational:
+    """``parse_rational(token)``, as an ``int`` when integral.
 
-    The first form is what a block point holds, the second what a sparse
-    row holds.  Both text readers share this one cache: a dense text repeats
-    a few distinct tokens, so each is parsed once.  The values are
-    immutable, so sharing them is safe; an error is not cached.
+    Every text reader reads its values here.  The one shared cache parses
+    each distinct token of a dense text once; its values are immutable, so
+    sharing them is safe, and an error is not cached.
     """
     value = parse_rational(token)
-    return value, value.numerator if value.denominator == 1 else value
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_int(tokens: Sequence[str], index: int, what: str) -> int:

@@ -23,12 +23,12 @@ constructively: the optimizer of the strengthened system is rewritten,
 by per-row column swaps, per-column row permutations, and
 objective-preserving four-cell exchanges, into a point with positive
 top-left mass in every block, which then splits as a convex combination
-``alpha * q + (1 - alpha) * h`` with q integral.  The optimizer is read
-from the LP's integer optimum, ``int`` where an entry is integral and
-``Fraction`` where it is not.  The normalization and the rewriting
-renamings are recorded in invertible ledgers, so the witness comes back in
-the caller's coordinates, where its value equalling the relaxation optimum
-certifies the answer.
+``alpha * q + (1 - alpha) * h`` with q integral.  The point rewritten is
+the LP's integer optimum as it is: the optimizer times a positive scale,
+which the rewriting's ledger does not depend on.  The normalization and
+the rewriting renamings are recorded in invertible ledgers, so the witness
+comes back in the caller's coordinates, where its value equalling the
+relaxation optimum certifies the answer.
 """
 
 from __future__ import annotations
@@ -201,14 +201,14 @@ class _Rewriter:
 
     # -- views -------------------------------------------------------------
 
-    def cell(self, i: int, j: int, kl) -> Fraction:
+    def cell(self, i: int, j: int, kl) -> Rational:
         k, l = self.ledger.cell_source(i, j, *kl)
         return self.p.values[6 * (i * self.p.n + j) + 2 * k + l]
 
-    def row_sum(self, j: int, k: int) -> Fraction:
+    def row_sum(self, j: int, k: int) -> Rational:
         return self.cell(0, j, (k, 0)) + self.cell(0, j, (k, 1))
 
-    def left_col_sum(self, i: int) -> Fraction:
+    def left_col_sum(self, i: int) -> Rational:
         return self.cell(i, 0, _X) + self.cell(i, 0, _Z) + self.cell(i, 0, _U)
 
     # -- the objective-preserving four-cell exchange ------------------------
@@ -260,10 +260,11 @@ def construct_wstar(w: BlockPoint) -> tuple[BlockPoint, RenamingLedger]:
     ``w`` already has positive top-left mass everywhere it is returned
     unchanged with an identity ledger.  Otherwise ``w`` stays fixed while
     the rewriting renames only the ledger and shifts mass by exchanges
-    that preserve every such objective's value.  Returns ``wstar`` with
-    the ledger from the coordinates of ``w`` to those of ``wstar``.  The
-    values of ``w`` may mix ``int`` and ``Fraction``; an exchange moves a
-    ``Fraction``.
+    that preserve every such objective's value.  Returns ``wstar`` and the
+    ledger from the coordinates of ``w`` to those of ``wstar``.  ``w`` may be
+    any positive multiple of an optimizer: each decision tests cells only for
+    zero or positive and an exchange moves half a cell, so ``k * w`` (k > 0)
+    gives the same ledger and ``k * wstar``.
     """
     m, n = w.m, w.n
     if all(x > 0 for x in w.values[::6]):  # the top-left cell of every block
@@ -449,16 +450,15 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     the same integral vertices, so comparing the two optima in normalized
     coordinates decides integral attainment.  The strengthened optimum is
     computed by separating the rows of :func:`satp2_inequality_rows` from
-    the base optimizer; its optimizer is also the point handed to
-    :func:`construct_wstar`.  A positive answer comes with a maximizing
-    integral witness in the caller's coordinates.
+    the base optimizer; :func:`construct_wstar` rewrites its optimizer.  A
+    positive answer comes with a maximizing integral witness in the
+    caller's coordinates.
 
     The objective is scaled to integers once, so the LP cost, the balance
     decision and the witness's value are all integer work; the two optima
     are divided by the scale once, and the values of the outcome are
-    ``Fraction``s.  The point handed to :func:`construct_wstar` is read from
-    the strengthened optimum's integer ``scaled_point``, and is that list
-    itself when its denominator is 1.
+    ``Fraction``s.  :func:`construct_wstar` takes the strengthened optimum's
+    integer ``scaled_point`` as it is, a positive multiple of its optimizer.
 
     The witness is its own certificate: its value is at most the integral
     maximum, which is at most the strengthened and relaxation optima, so a
@@ -479,9 +479,7 @@ def recognize_satp(c: ObjectiveVector, m: int, n: int) -> RecognitionOutcome:
     answer = relaxed.value == strengthened.value
     witness = None
     if answer:
-        xs, d = strengthened.scaled_point
-        w = BlockPoint(m, n, xs if d == 1 else [Fraction(x, d) if x % d else x // d for x in xs])
-        _, ledger = construct_wstar(w)
+        _, ledger = construct_wstar(BlockPoint(m, n, strengthened.scaled_point[0]))
         witness = compose_ledgers(ledger, pre).allones_preimage()
         if _code_value(c, witness.row, witness.col) != relaxed.value:
             raise InternalInvariantError("extracted witness misses the optimum")

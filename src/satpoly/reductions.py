@@ -128,6 +128,14 @@ def objective_nae3sat(formula: Cnf3Formula) -> ObjectiveVector:
     return BlockPoint(m, n, y)
 
 
+#: The three objective constructors by their ``satpoly reduce`` variant name.
+OBJECTIVES = {
+    "max3sat": objective_max3sat,
+    "x3sat": objective_x3sat,
+    "nae3sat": objective_nae3sat,
+}
+
+
 def assignment_from_code(code) -> Assignment:
     """Decode a truth assignment from a vertex code: ``u_i = 1 - row_i``."""
     return Assignment(tuple(r == 0 for r in code.row))

@@ -271,6 +271,23 @@ def test_recognize_bqp_cli(tmp_path):
     assert out.splitlines()[0] == "answer false"
 
 
+def test_an_integral_value_reads_alike_written_either_way(tmp_path):
+    # "2" and "4/2" are one value, read as an int: lp and recognize bqp print the same bytes
+    system = tmp_path / "system.txt"
+    system.write_text(BUILDERS["bqp"](3).to_text())
+    objective = tmp_path / "objective.txt"
+    runs = []
+    for two in ("2", "4/2"):
+        objective.write_text(f"1 1 1 -{two} -{two} -{two}\n")
+        assert [type(v) for v in cli._read_flat_vector(str(objective))] == [int] * 6
+        runs.append(
+            invoke("lp", "--system", str(system), "--objective", str(objective))
+            + invoke("recognize", "bqp", "--objective", str(objective), "--n", "3")
+        )
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][2] == 1  # the two exit codes
+
+
 def test_ecbgc_cli(tmp_path):
     instance = tmp_path / "instance.txt"
     instance.write_text(TABLE16_INSTANCE)

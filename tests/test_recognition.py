@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 import time
 from dataclasses import replace
@@ -303,14 +304,23 @@ def test_construct_wstar_digest():
                 w.values[o] += val * weight / sum(weights)
         cases.append(w)
     digest = hashlib.sha256()
-    rewritten = 0
+    rewritten = scaled = 0
     for w in cases:
         wstar, ledger = construct_wstar(w)
         rewritten += wstar != w
         alpha, q, h = decompose(wstar, ledger, build_satp_lp(w.m, w.n))
         for part in (wstar.to_text(), repr(ledger), repr(alpha), repr(q), h.to_text()):
             digest.update(part.encode())
+        # the rewriting is scale-free: w times the lcm L of its denominators,
+        # in integers, gives the same ledger and L times wstar
+        scale = math.lcm(*(x.denominator for x in w.values))
+        scaled += scale > 1
+        w_l = BlockPoint(w.m, w.n, [int(x * scale) for x in w.values])
+        wstar_l, ledger_l = construct_wstar(w_l)
+        assert ledger_l == ledger
+        assert wstar_l == BlockPoint(w.m, w.n, [scale * x for x in wstar.values])
     assert rewritten >= 30
+    assert scaled >= 20
     assert digest.hexdigest()[:16] == WSTAR_DIGEST
 
 

@@ -9,6 +9,8 @@ because the readers allocate what a header asks for once the text checks
 out.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +103,8 @@ CODE_TEXTS = st.one_of(
 def test_block_point_text_reads_or_is_an_input_error(drawn, expect_tag):
     (text, well_formed), tag = drawn
     point = read(lambda t: BlockPoint.from_text(t, expect_tag=expect_tag), text)
+    if point is not None:  # an integral value is read as an int, any other as a Fraction
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in point.values)
     if well_formed and expect_tag in (None, tag):
         assert point is not None
         assert BlockPoint.from_text(point.to_text()) == point
