@@ -312,12 +312,6 @@ def construct_wstar(w: BlockPoint) -> tuple[BlockPoint, RenamingLedger]:
         if iters > max_iters:
             raise InternalInvariantError("rewriting exceeded its iteration bound")
         i, j = target
-        if any(
-            state.cell(ii, jj, _X) == 0
-            for jj in state.rotated
-            for ii in range(m)
-        ):  # pragma: no cover - invariant guard
-            raise InternalInvariantError("a normalized column lost positivity")
 
         # Make the (2,1) cell of the focus block positive.
         if state.cell(i, j, _Z) == 0:
@@ -354,8 +348,6 @@ def construct_wstar(w: BlockPoint) -> tuple[BlockPoint, RenamingLedger]:
         blocked = False
         for k in range(m):
             if state.cell(k, j, _Z) == 0:
-                if state.cell(k, j, _T) <= 0:  # pragma: no cover - invariant guard
-                    raise InternalInvariantError("second-row mass vanished")
                 if state.cell(k, j, _U) > 0:
                     state.eps_fix(k, j, _Z)
                 else:

@@ -389,51 +389,53 @@ def enumerate_lp_vertices(
 ) -> list[list[Rational]]:
     """All vertices of the polyhedron, by the double-description method.
 
-    The polyhedron is homogenized to the cone over ``y = (x, slacks, t)``
-    cut out by ``a.x - b t = 0`` for each equality, ``a.x + s - b t = 0``
-    for each inequality, and ``y_v >= 0`` for every nonnegative column,
-    every slack and ``t``.  Its vertices are the extreme rays with
+    The polyhedron is homogenized to the cone over ``y = (x, t)`` cut out
+    by the hyperplane ``a.x - b t = 0`` for each equality and by the
+    half-spaces ``b t - a.x >= 0`` for each inequality and ``y_v >= 0``
+    for every nonnegative column and ``t``, each half-space with its own
+    bit in the rays' zero sets.  Its vertices are the extreme rays with
     ``t > 0``, scaled to ``t = 1``.
 
     The cone starts as all of space (an identity lineality basis, no rays)
     and takes the constraints one at a time, equalities first (Motzkin et
     al. 1953; Fukuda and Prodon 1996).  A constraint that is nonzero on
     the lineality consumes one lineality vector: the others and every ray
-    are projected onto its hyperplane along that vector, and for a sign
-    constraint the vector itself becomes a ray.  Otherwise the rays are
+    are projected onto its hyperplane along that vector, and for a
+    half-space the vector itself becomes a ray.  Otherwise the rays are
     split by sign and each (+, -) pair that is adjacent combines into a
     ray on the hyperplane; a pair is adjacent when no third ray is tight
-    at every sign constraint tight at both.  Rays and lineality vectors are
+    at every half-space tight at both.  Rays and lineality vectors are
     sparse primitive integer rows, and the column after ``t`` holds their
     value on the constraint at hand: :func:`~satpoly.linsys._eliminate`
     clearing it is both the projection and the combination.  A lineality
     direction left at the end means the polyhedron has no vertex.  Results
     are sorted.
 
-    Gated by ``budget`` on the structural variable count.
+    Gated by ``budget`` on the variable count, which also bounds the
+    cone's dimension, ``var_count + 1``.
     """
     if sys.var_count > budget:
         raise BudgetError(f"{sys.var_count} variables exceed enumeration budget {budget}")
 
-    n_struct = sys.var_count
-    t = n_struct + len(sys.ineq_rows)
+    t = sys.var_count
     dim = t + 1  # the cone's dimension, and the value column past its columns
 
-    # (row, bit): an equality row has bit 0; the sign constraint y_v >= 0
-    # has bit 1 << v, the index of v in the rays' zero sets.
+    # (row, bit): an equality row has bit 0, and each half-space its own bit
+    # in the rays' zero sets: 1 << v for y_v >= 0, 1 << (dim + k) for row k.
     constraints: list[tuple[dict[int, int], int]] = []
     for coeffs, rhs in sys.eq_rows:
         constraints.append((_int_row({**coeffs, t: -rhs}), 0))
-    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):
-        constraints.append((_int_row({**coeffs, n_struct + k: 1, t: -rhs}), 0))
     for v in range(dim):
-        if v >= n_struct or sys.nonneg[v]:
+        if v == t or sys.nonneg[v]:
             constraints.append(({v: 1}, 1 << v))
+    for k, (coeffs, rhs) in enumerate(sys.ineq_rows):  # b t - a.x >= 0
+        row = _int_row({**coeffs, t: -rhs})
+        constraints.append(({j: -c for j, c in row.items()}, 1 << (dim + k)))
 
     lineality: list[dict[int, int]] = [{v: 1} for v in range(dim)]
     rays: list[dict[int, int]] = []
-    zeros: list[int] = []  # per ray, the bits of the sign constraints it meets with 0
-    done = 0  # bits of the sign constraints processed so far
+    zeros: list[int] = []  # per ray, the bits of the half-spaces it meets with 0
+    done = 0  # bits of the half-spaces processed so far
 
     for row, bit in constraints:
         for y in itertools.chain(lineality, rays):  # column dim: the value on this row
@@ -475,6 +477,6 @@ def enumerate_lp_vertices(
     # distinct entries, so they are unscaled in one call, one run of entries.
     bounded = [y for y in rays if y.get(t, 0) > 0]
     scale = lcm(*(y[t] for y in bounded))
-    found = {tuple(y.get(v, 0) * (scale // y[t]) for v in range(n_struct)) for y in bounded}
+    found = {tuple(y.get(v, 0) * (scale // y[t]) for v in range(t)) for y in bounded}
     entries = iter(_unscaled([x for vertex in sorted(found) for x in vertex], scale))
-    return [list(itertools.islice(entries, n_struct)) for _ in found]
+    return [list(itertools.islice(entries, t)) for _ in found]

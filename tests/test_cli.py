@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -18,9 +19,15 @@ from satpoly.blockpoint import BlockPoint, objective_value
 from satpoly.builders import BUILDERS
 from satpoly.cli import run
 from satpoly.errors import BalanceError, InternalInvariantError
-from satpoly.recognition import RenamingLedger, normalization_ledger, recognize_satp
+from satpoly.recognition import (
+    _ROTATE,
+    RenamingLedger,
+    _Rewriter,
+    normalization_ledger,
+    recognize_satp,
+)
 from satpoly.vertices import VertexCode, code_to_point
-from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS
+from tests.conftest import FORMULA_18, TABLE16_INSTANCE, TABLE9_ROWS, random_balanced_objective
 
 
 def invoke(*args):
@@ -396,8 +403,9 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
 
 def test_a_witness_off_the_optimum_is_a_bug(monkeypatch, tmp_path, capsys):
     # the witness's value is the only check of a positive answer, so a
-    # ledger that decodes to a vertex off the optimum is a bug (exit 4),
-    # never a negative answer (exit 1)
+    # witness off the optimum is a bug (exit 4), never a negative answer
+    # (exit 1): planted after the rewriting, in a ledger that decodes to
+    # the wrong vertex, and inside it, in a rotation that renames nothing
     inst = ecbgc.parse_ecbgc(TABLE16_INSTANCE)
     c = ecbgc.objective_from_instance(inst, ecbgc.check_condition(inst).pairs)
     right = RenamingLedger.allones_preimage
@@ -413,6 +421,24 @@ def test_a_witness_off_the_optimum_is_a_bug(monkeypatch, tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text(TABLE16_INSTANCE)
     assert run(["ecbgc", "solve", "--instance", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: extracted witness misses the optimum\n"
+
+    monkeypatch.undo()
+    c = random_balanced_objective(random.Random(0), 2, 2)
+    assert recognize_satp(c, 2, 2).answer
+    right_kperm = _Rewriter.kperm
+
+    def kperm(state, j, sigma):
+        if sigma != _ROTATE:
+            right_kperm(state, j, sigma)
+
+    monkeypatch.setattr(_Rewriter, "kperm", kperm)
+    with pytest.raises(InternalInvariantError):
+        recognize_satp(c, 2, 2)
+    path.write_text(c.to_text(tag="objective"))
+    assert run(["recognize", "satp", "--objective", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: extracted witness misses the optimum\n"

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satpoly import vertices
-from satpoly.builders import build_satp2_lp, build_satp_lp
+from satpoly.builders import build_bqp_lp, build_met, build_satp2_lp, build_satp_lp
 from satpoly.errors import BudgetError, InputError, InternalInvariantError, NotAVertexError
 from satpoly.linsys import LinearSystem
+from satpoly.rational import format_vector
 from satpoly.vertices import (
     SkeletonGraph,
     VertexCode,
@@ -429,7 +430,7 @@ def test_census_returns_fractions_in_fraction_order():
 def test_census_counts_on_block_grids(build, m, n, count):
     """Grids of 18 to 24 variables, past the brute-force reference.  A 1xn or
     mx1 grid has only its 2^m 3^n integral vertices; the SATP^2 2x2 system
-    adds inequality rows, whose slack columns the rays carry, and 40
+    adds inequality rows, each a half-space of the (x, t) cone, and 40
     fractional vertices to its 36 integral ones."""
     sys = build(m, n)
     census = enumerate_lp_vertices(sys)
@@ -438,6 +439,33 @@ def test_census_counts_on_block_grids(build, m, n, count):
     assert all(verify_vertex(v, sys) for v in census)
     integral = [code_to_point(code).flat() for code in enumerate_integral_vertices(m, n)]
     assert [v for v in census if all(x.denominator == 1 for x in v)] == sorted(integral)
+
+
+#: (builder, n, vertices, integral vertices, coordinates, sha256[:16] of the
+#: census as ``satpoly enum-lp-vertices`` prints it), the digests fixed when
+#: each inequality row had a slack column in the cone.
+QUADRIC_CENSUSES = [
+    (build_bqp_lp, 3, 12, 8, {0, Fraction(1, 2), 1}, "bf264ab4da8db94c"),
+    (build_bqp_lp, 4, 104, 16, {0, Fraction(1, 2), 1}, "011e9088635e5944"),
+    (build_met, 3, 8, 8, {0, 1}, "715fe711e285373e"),
+    (build_met, 4, 32, 16, {0, Fraction(1, 3), Fraction(2, 3), 1}, "f0ef0e0456694ad9"),
+]
+
+
+@pytest.mark.parametrize("build, n, count, integral, coordinates, digest", QUADRIC_CENSUSES)
+def test_census_on_the_quadric_systems(build, n, count, integral, coordinates, digest):
+    """Systems with many inequality rows and no equality.  The quadric
+    relaxation's vertices are half-integral (Padberg); the metric
+    strengthening cuts the fractional ones off at n = 3 and leaves thirds
+    at n = 4."""
+    sys = build(n)
+    census = enumerate_lp_vertices(sys)
+    assert len(census) == count
+    assert sum(all(x.denominator == 1 for x in v) for v in census) == integral
+    assert {x for v in census for x in v} == coordinates
+    assert all(verify_vertex(v, sys) for v in census)
+    text = "".join(format_vector(v) + "\n" for v in census)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def brute_force_vertices(sys):
